@@ -65,7 +65,7 @@ Result BenchWalAppend(const std::vector<StreamEdge>& edges,
                       size_t batch_size) {
   const std::string dir = ScratchDir(
       "wal_append_f" + std::to_string(fsync_every));
-  EdgeLogOptions options;
+  FrameLogOptions options;
   options.fsync_every_records = fsync_every;
   auto log = EdgeLog::Open(dir, &interner, options).value();
   Timer timer;

@@ -20,6 +20,7 @@
 #include "streamworks/obs/cluster_snapshot.h"
 #include "streamworks/obs/epoch_trace.h"
 #include "streamworks/obs/metric_registry.h"
+#include "streamworks/obs/seqlock_ring.h"
 #include "streamworks/obs/stage_trace.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/stream/cluster_wire.h"
@@ -272,7 +273,7 @@ class DistributedBackend : public QueryBackend {
 
   // Observability state (epoch ring is lock-free; the histograms are
   // atomic; everything else under cluster_mu_).
-  EpochTraceRing epoch_ring_;
+  SeqlockRing<EpochTraceEntry> epoch_ring_;
   int federation_token_ = -1;  ///< Registry collector token, -1 if none.
   /// Cumulative exchange-forwarding wall time and items, accumulated by
   /// HandleWorkerFrame; BarrierFixpoint differences them per round.

@@ -2,9 +2,9 @@
 #define STREAMWORKS_OBS_EPOCH_TRACE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <vector>
+
+#include "streamworks/obs/seqlock_ring.h"
 
 namespace streamworks {
 
@@ -17,6 +17,9 @@ namespace streamworks {
 /// and broadcast the watermark commit (`commit_us`). This is the direct
 /// measurement for the "barrier-dominated at small epochs" question: the
 /// answer is the barrier_us share of total_us as epoch_edges shrinks.
+///
+/// The coordinator keeps the last N in a SeqlockRing: the pump thread
+/// publishes lock-free while HTTP scrapes snapshot without blocking it.
 struct EpochTraceEntry {
   uint64_t epoch = 0;  ///< Coordinator-assigned epoch id, dense from 0.
   uint64_t edges = 0;  ///< Admitted edges fanned out this epoch.
@@ -29,42 +32,19 @@ struct EpochTraceEntry {
   uint64_t commit_us = 0;
   uint64_t total_us = 0;
   uint64_t at_us = 0;  ///< Completion time, PipelineMetrics::NowMicros.
-};
 
-/// Seqlock ring of the last N epochs, TraceRing's discipline applied to
-/// the wider epoch record: the pump thread publishes entries lock-free
-/// while HTTP scrapes snapshot without blocking it. Writers claim a slot
-/// by CAS-ing its sequence odd and publish with a release store; readers
-/// re-check the sequence after copying and drop torn slots. The epoch
-/// pump is a single writer today, but the ring keeps the multi-writer
-/// discipline so pipelined epochs (the ROADMAP follow-up this telemetry
-/// exists to judge) need no rework.
-class EpochTraceRing {
- public:
-  explicit EpochTraceRing(size_t capacity);
-
-  void Push(const EpochTraceEntry& entry);
-
-  /// Point-in-time copy, oldest first; entries overwritten mid-read are
-  /// dropped rather than returned torn.
-  std::vector<EpochTraceEntry> Snapshot() const;
-
-  size_t capacity() const { return slots_.size(); }
-  uint64_t total_pushed() const {
-    return next_.load(std::memory_order_relaxed);
+  // SeqlockRing word packing: one word per field, in declaration order.
+  static constexpr size_t kWords = 11;
+  std::array<uint64_t, kWords> Pack() const {
+    return {epoch,    edges,    relay_rounds, relayed_items,
+            batch_us, apply_us, relay_us,     barrier_us,
+            commit_us, total_us, at_us};
   }
-
- private:
-  static constexpr size_t kEntryWords = 11;
-
-  struct Slot {
-    /// 0 = never written; odd = write in progress; even = (claim index
-    /// + 1) * 2 of the published entry.
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kEntryWords> words{};
-  };
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> next_{0};
+  static EpochTraceEntry Unpack(const std::array<uint64_t, kWords>& w) {
+    return {w[0], w[1], w[2], w[3], w[4], w[5],
+            w[6], w[7], w[8], w[9], w[10]};
+  }
+  bool operator==(const EpochTraceEntry&) const = default;
 };
 
 }  // namespace streamworks

@@ -26,96 +26,6 @@ std::string_view PipelineStageName(PipelineStage stage) {
   return "unknown";
 }
 
-TraceRing::TraceRing(size_t capacity) : slots_(capacity == 0 ? 1 : capacity) {}
-
-namespace {
-
-// TraceEntry packed into the slot's atomic words: word-at-a-time relaxed
-// stores/loads are what make the seqlock race-free in the C++ memory
-// model (a plain struct copy under a racing writer is UB, and TSan
-// rightly flags it).
-std::array<uint64_t, 5> PackEntry(const TraceEntry& e) {
-  return {static_cast<uint64_t>(e.stage),
-          (static_cast<uint64_t>(static_cast<uint32_t>(e.session_id)) << 32) |
-              static_cast<uint32_t>(e.subscription_id),
-          e.duration_us, e.detail, e.at_us};
-}
-
-TraceEntry UnpackEntry(const std::array<uint64_t, 5>& w) {
-  TraceEntry e;
-  e.stage = static_cast<PipelineStage>(w[0]);
-  e.session_id = static_cast<int32_t>(static_cast<uint32_t>(w[1] >> 32));
-  e.subscription_id = static_cast<int32_t>(static_cast<uint32_t>(w[1]));
-  e.duration_us = w[2];
-  e.detail = w[3];
-  e.at_us = w[4];
-  return e;
-}
-
-}  // namespace
-
-void TraceRing::Push(const TraceEntry& entry) {
-  const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[idx % slots_.size()];
-  // Claim the slot by CAS from its current published (even) sequence to
-  // this claim's odd in-progress marker. A failed claim means another
-  // writer is mid-write on the slot or has already lapped past this
-  // claim — drop this entry rather than tear the winner's (the ring is
-  // diagnostics; losing a trace under that much write pressure is fine).
-  const uint64_t claim = 2 * idx + 1;
-  uint64_t cur = slot.seq.load(std::memory_order_relaxed);
-  if (cur % 2 == 1 || cur > claim) return;
-  if (!slot.seq.compare_exchange_strong(cur, claim, std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-    return;
-  }
-  const std::array<uint64_t, 5> words = PackEntry(entry);
-  for (size_t i = 0; i < kEntryWords; ++i) {
-    slot.words[i].store(words[i], std::memory_order_relaxed);
-  }
-  slot.seq.store(2 * (idx + 1), std::memory_order_release);
-}
-
-std::vector<TraceEntry> TraceRing::Snapshot() const {
-  // Collect (claim index, entry) pairs whose seqlock held still across the
-  // copy, then order oldest-first by claim index.
-  struct Numbered {
-    uint64_t idx;
-    TraceEntry entry;
-  };
-  std::vector<Numbered> collected;
-  collected.reserve(slots_.size());
-  for (const Slot& slot : slots_) {
-    const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
-    if (seq_before == 0 || seq_before % 2 == 1) continue;
-    std::array<uint64_t, 5> words;
-    // Acquire word loads keep the seq re-check below from reordering
-    // ahead of the copy (gcc's tsan mode has no atomic_thread_fence): an
-    // unchanged sequence then proves no writer touched the slot mid-copy.
-    for (size_t i = 0; i < kEntryWords; ++i) {
-      words[i] = slot.words[i].load(std::memory_order_acquire);
-    }
-    const uint64_t seq_after = slot.seq.load(std::memory_order_relaxed);
-    if (seq_after != seq_before) continue;  // overwritten mid-copy: drop
-    collected.push_back(Numbered{seq_before / 2 - 1, UnpackEntry(words)});
-  }
-  std::vector<TraceEntry> out;
-  out.reserve(collected.size());
-  // Insertion sort by claim index: the ring is small (default 128) and
-  // already nearly ordered.
-  for (size_t i = 1; i < collected.size(); ++i) {
-    Numbered item = collected[i];
-    size_t j = i;
-    while (j > 0 && collected[j - 1].idx > item.idx) {
-      collected[j] = collected[j - 1];
-      --j;
-    }
-    collected[j] = item;
-  }
-  for (const Numbered& n : collected) out.push_back(n.entry);
-  return out;
-}
-
 PipelineMetrics::PipelineMetrics(uint64_t slow_threshold_us,
                                  size_t trace_capacity)
     : slow_threshold_us_(slow_threshold_us), ring_(trace_capacity) {}

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "streamworks/common/histogram.h"
+#include "streamworks/obs/seqlock_ring.h"
 
 namespace streamworks {
 
@@ -87,43 +88,22 @@ struct TraceEntry {
   uint64_t duration_us = 0;
   uint64_t detail = 0;    ///< Stage-specific (e.g. edges in the batch).
   uint64_t at_us = 0;     ///< Steady-clock micros (PipelineMetrics::NowMicros).
-};
 
-/// Lock-free ring of the last N slow operations. Writers claim a slot by
-/// CAS-ing its sequence to an odd in-progress marker and publish through a
-/// per-slot seqlock, so concurrent writers from engine worker threads never
-/// block each other and a reader never observes a torn entry — it skips
-/// slots whose sequence moved under it. The payload lives in relaxed-atomic
-/// words (a plain struct would race with the reader's speculative copy and
-/// with a lapping writer); a writer whose claim CAS fails — another writer
-/// lapped the ring onto its slot first — drops its entry rather than tear
-/// the winner's. Capacity is fixed at construction.
-class TraceRing {
- public:
-  explicit TraceRing(size_t capacity);
-
-  void Push(const TraceEntry& entry);
-
-  /// Point-in-time copy, oldest first. Entries overwritten mid-read are
-  /// dropped rather than returned torn.
-  std::vector<TraceEntry> Snapshot() const;
-
-  size_t capacity() const { return slots_.size(); }
-  uint64_t total_pushed() const {
-    return next_.load(std::memory_order_relaxed);
+  // SeqlockRing word packing: the two ids share a word.
+  static constexpr size_t kWords = 5;
+  std::array<uint64_t, kWords> Pack() const {
+    return {static_cast<uint64_t>(stage),
+            (uint64_t{static_cast<uint32_t>(session_id)} << 32) |
+                static_cast<uint32_t>(subscription_id),
+            duration_us, detail, at_us};
   }
-
- private:
-  static constexpr size_t kEntryWords = 5;
-
-  struct Slot {
-    /// 0 = never written; odd = write in progress; even = (claim index
-    /// + 1) * 2 of the published entry.
-    std::atomic<uint64_t> seq{0};
-    std::array<std::atomic<uint64_t>, kEntryWords> words{};
-  };
-  std::vector<Slot> slots_;
-  std::atomic<uint64_t> next_{0};
+  static TraceEntry Unpack(const std::array<uint64_t, kWords>& w) {
+    return {static_cast<PipelineStage>(w[0]),
+            static_cast<int32_t>(static_cast<uint32_t>(w[1] >> 32)),
+            static_cast<int32_t>(static_cast<uint32_t>(w[1])), w[2], w[3],
+            w[4]};
+  }
+  bool operator==(const TraceEntry&) const = default;
 };
 
 /// The always-on pipeline instrumentation bundle: one AtomicHistogram per
@@ -182,7 +162,7 @@ class PipelineMetrics {
  private:
   std::array<AtomicHistogram, kNumPipelineStages> stages_;
   std::atomic<uint64_t> slow_threshold_us_;
-  TraceRing ring_;
+  SeqlockRing<TraceEntry> ring_;
 };
 
 }  // namespace streamworks

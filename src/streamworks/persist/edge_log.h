@@ -8,101 +8,65 @@
 
 #include "streamworks/common/interner.h"
 #include "streamworks/common/statusor.h"
-#include "streamworks/common/unique_fd.h"
 #include "streamworks/graph/stream_edge.h"
-#include "streamworks/stream/wire_format.h"
+#include "streamworks/persist/frame_log.h"
 
 namespace streamworks {
 
-/// Knobs of an EdgeLog.
-struct EdgeLogOptions {
-  /// Rotate to a fresh segment once the current one exceeds this size.
-  size_t segment_bytes = 64u * 1024 * 1024;
-  /// fsync cadence: 0 never (page cache only — survives process death,
-  /// not machine death), 1 every append (safest, slowest), N every N
-  /// appends. Sync() forces one regardless.
-  int fsync_every_records = 0;
-  /// Decode bound during replay (mirrors the wire limit: a WAL record is
-  /// one FEEDB frame).
-  size_t max_frame_body_bytes = kDefaultMaxFrameBodyBytes;
-};
-
-/// Monotonic counters of one log's lifetime.
-struct EdgeLogStats {
-  uint64_t records_appended = 0;
+/// Counters of one edge log's lifetime in this process.
+struct EdgeLogStats : FrameLogStats {
   uint64_t edges_appended = 0;
-  uint64_t bytes_appended = 0;
-  uint64_t fsyncs = 0;
-  uint64_t segments_created = 0;
 };
 
-/// The write-ahead edge log: accepted Feed/FeedBatch input appended as
-/// length-prefixed binary records *before* it is applied to the backend,
-/// so a crashed process can replay everything past its last snapshot.
+/// The write-ahead edge log: accepted Feed/FeedBatch input appended
+/// *before* it is applied to the backend, so a crashed process can replay
+/// everything past its last snapshot.
 ///
-/// On-disk layout — a directory of segments named `wal-<first_seq:016x>.log`:
-///
-///   segment header (20 bytes):
-///     magic     4 bytes  "SWL1"
-///     version   u32      1
-///     base_seq  u64      sequence number of the segment's first edge
-///     crc       u32      CRC-32 of the 16 bytes above
-///   record (repeated):
-///     len       u32      byte length of the payload below
-///     crc       u32      CRC-32 of the payload
-///     payload:
-///       first_seq u64    sequence number of the record's first edge
-///       frame     ...    one FEEDB frame (stream/wire_format.h): the
-///                        same string-table-interned binary layout the
-///                        network wire uses, so the two codecs can never
-///                        drift
-///
-/// Sequence numbers count *edges logged* (not records, not engine edge
-/// ids — malformed edges are logged too, log-before-apply, and re-reject
-/// deterministically on replay). A snapshot stamps the sequence it was
-/// taken at; recovery replays everything at or past that stamp.
-///
-/// Torn tails are expected (that is what a crash leaves behind): replay
-/// stops cleanly at the first short or CRC-failing record of the *last*
-/// segment, and Open() truncates such a tail before appending over it.
-/// The same corruption in an older segment is unrecoverable data loss
-/// and fails loudly instead.
+/// This is a codec over a FrameLog named "wal" (segments
+/// `wal-<first_seq:016x>.log`; see frame_log.h for the segment format and
+/// its crash discipline). Each record's payload is one FEEDB frame
+/// (stream/wire_format.h) — the string-table-interned binary layout the
+/// network wire uses, so the two codecs can never drift — and its span is
+/// the frame's edge count. Sequence numbers therefore count *edges logged*
+/// (not records, not engine edge ids — malformed edges are logged too,
+/// log-before-apply, and re-reject deterministically on replay). A
+/// snapshot stamps the sequence it was taken at; recovery replays
+/// everything at or past that stamp.
 ///
 /// Threading: all calls on one control thread (the same contract as the
 /// QueryBackend it guards).
 class EdgeLog {
  public:
-  /// Opens `dir` for appending (creating it if missing): scans existing
-  /// segments, validates the last one record-by-record, truncates a torn
-  /// tail, and positions next_seq() after the last durable edge — or at
-  /// `min_seq` if that is further (a snapshot may outlive its pruned WAL;
-  /// the sequence must never run backwards past one, or snapshot
-  /// filenames would stop sorting by freshness). A fast-forward forces
-  /// the next append into a fresh segment.
+  /// Opens `dir` for appending; see FrameLog::Open for the recovery
+  /// steps and the `min_seq` fast-forward.
   static StatusOr<std::unique_ptr<EdgeLog>> Open(const std::string& dir,
                                                  const Interner* interner,
-                                                 EdgeLogOptions options = {},
+                                                 FrameLogOptions options = {},
                                                  uint64_t min_seq = 0);
 
-  /// Appends one record holding `batch` (no-op for an empty batch),
-  /// assigning it sequence numbers [next_seq, next_seq + batch.size()).
+  /// Appends `batch` (no-op when empty), assigning it sequence numbers
+  /// [next_seq, next_seq + batch.size()). A batch whose frame would exceed
+  /// max_record_bytes is split into several records, appended in one
+  /// call, so it is logged whole or not at all.
   Status Append(const EdgeBatch& batch);
 
   /// Forces an fsync of the current segment.
-  Status Sync();
+  Status Sync() { return log_->Sync(); }
 
-  /// Deletes every segment that holds only edges below `seq` (all of its
-  /// content is covered by a snapshot at `seq`). The segment containing
-  /// `seq` and everything after it survive. Returns segments deleted.
-  StatusOr<int> PruneSegmentsBelow(uint64_t seq);
+  /// Deletes every segment holding only edges below `seq` (a snapshot at
+  /// `seq` covers them). Returns segments deleted.
+  StatusOr<int> PruneSegmentsBelow(uint64_t seq) {
+    return log_->PruneSegmentsBelow(seq);
+  }
 
   /// Sequence number the next appended edge will get == total edges ever
   /// logged into this directory.
-  uint64_t next_seq() const { return next_seq_; }
-
-  const EdgeLogStats& stats() const { return stats_; }
-  /// Segment files currently on disk (cheap cached count).
-  uint64_t num_segments() const { return num_segments_; }
+  uint64_t next_seq() const { return log_->next_seq(); }
+  /// Segment files currently on disk.
+  uint64_t num_segments() const { return log_->num_segments(); }
+  EdgeLogStats stats() const {
+    return {log_->stats(), log_->next_seq() - opened_seq_};
+  }
 
   struct ReplayStats {
     uint64_t edges_replayed = 0;  ///< Edges delivered to the callback.
@@ -117,44 +81,25 @@ class EdgeLog {
 
   /// Replays every durable edge with sequence >= `from_seq` out of `dir`.
   /// Labels are interned into `interner` (the recovering process's own).
-  /// NotFound when the directory has no segments at all is NOT an error:
-  /// replay of an empty log returns zeroed stats.
+  /// A missing or empty directory replays nothing. A record that passes
+  /// its CRC but does not decode to its span of edges is DataLoss.
   static StatusOr<ReplayStats> Replay(const std::string& dir,
                                       uint64_t from_seq, Interner* interner,
                                       const ReplayFn& fn,
-                                      EdgeLogOptions options = {});
+                                      FrameLogOptions options = {});
 
  private:
-  EdgeLog(std::string dir, const Interner* interner, EdgeLogOptions options)
-      : dir_(std::move(dir)), interner_(interner), options_(options) {}
+  EdgeLog(std::unique_ptr<FrameLog> log, const Interner* interner,
+          size_t max_record_bytes)
+      : log_(std::move(log)),
+        interner_(interner),
+        max_record_bytes_(max_record_bytes),
+        opened_seq_(log_->next_seq()) {}
 
-  /// Opens (creating) the segment whose base is next_seq_.
-  Status OpenNewSegment();
-
-  /// Appends an over-limit batch as several records, atomically as a
-  /// whole: on any partial failure the log is rolled back to its
-  /// pre-call state (segments created by the split deleted, the
-  /// checkpoint segment truncated) or poisoned — a record for edges
-  /// whose feed was failed must never survive into replay.
-  Status AppendSplit(const EdgeBatch& batch);
-
-  std::string dir_;
+  std::unique_ptr<FrameLog> log_;
   const Interner* interner_;
-  EdgeLogOptions options_;
-
-  UniqueFd lock_fd_;             ///< flock'd wal.lock: single writer.
-  UniqueFd fd_;                  ///< Current segment, opened for append.
-  size_t segment_size_ = 0;      ///< Bytes written to the current segment.
-  uint64_t current_segment_base_ = 0;  ///< Base seq of the open segment.
-  uint64_t next_seq_ = 0;
-  uint64_t num_segments_ = 0;
-  int records_since_sync_ = 0;
-  /// Set when a failed append could not be rolled back (ftruncate
-  /// failed too): the segment ends in torn bytes, so every further
-  /// append must be refused — anything written after the tear would be
-  /// silently dropped by replay's tail-truncation.
-  bool broken_ = false;
-  EdgeLogStats stats_;
+  size_t max_record_bytes_;
+  uint64_t opened_seq_;  ///< next_seq at Open: the base of edges_appended.
 };
 
 }  // namespace streamworks

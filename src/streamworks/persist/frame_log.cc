@@ -20,36 +20,37 @@ namespace streamworks {
 
 namespace {
 
-constexpr char kSegmentMagic[4] = {'S', 'W', 'F', '1'};
-constexpr uint32_t kSegmentVersion = 1;
+constexpr char kSegmentMagic[4] = {'S', 'W', 'L', '2'};
+constexpr uint32_t kSegmentVersion = 2;
 constexpr size_t kSegmentHeaderBytes = 20;
-constexpr size_t kRecordHeaderBytes = 8;  // len u32 + crc u32
-
-std::string SegmentName(uint64_t base_seq) {
-  return SeqFileName("frames-", base_seq, ".log");
-}
+// len u32 + crc u32 + first_seq u64 + span u32; the CRC covers everything
+// from first_seq on.
+constexpr size_t kRecordHeaderBytes = 20;
+constexpr size_t kRecordCrcFrom = 8;
 
 StatusOr<std::vector<std::pair<uint64_t, std::filesystem::path>>>
-ListSegments(const std::string& dir) {
-  return ListSeqFiles(dir, "frames-", ".log");
+ListSegments(const std::string& dir, std::string_view name) {
+  return ListSeqFiles(dir, std::string(name) + "-", ".log");
 }
 
-StatusOr<uint64_t> CheckSegmentHeader(std::string_view bytes,
-                                      const std::string& what) {
-  if (bytes.size() < kSegmentHeaderBytes) {
-    return Status::DataLoss(what + ": short segment header");
+/// Reads a segment header: its base sequence, or nullopt when the header
+/// is torn (short, or failing its CRC: the debris of a crash inside
+/// OpenNewSegment). An intact header of another format is DataLoss — a
+/// format-1 segment must be refused, never dropped as debris or misread.
+StatusOr<std::optional<uint64_t>> ReadSegmentHeader(std::string_view bytes,
+                                                    const std::string& what) {
+  if (bytes.size() < kSegmentHeaderBytes ||
+      Crc32(bytes.substr(0, 16)) != GetU32(bytes.data() + 16)) {
+    return std::optional<uint64_t>();
   }
-  if (std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
-    return Status::DataLoss(what + ": bad segment magic");
+  if (std::memcmp(bytes.data(), kSegmentMagic, sizeof(kSegmentMagic)) != 0 ||
+      GetU32(bytes.data() + 4) != kSegmentVersion) {
+    return Status::DataLoss(StrCat(
+        what, ": not a format-", kSegmentVersion,
+        " log segment (format-1 SWL1/SWF1 segments are not readable; "
+        "replay them with the release that wrote them)"));
   }
-  if (GetU32(bytes.data() + 4) != kSegmentVersion) {
-    return Status::DataLoss(what + ": unsupported segment version");
-  }
-  const uint32_t crc = GetU32(bytes.data() + 16);
-  if (Crc32(bytes.substr(0, 16)) != crc) {
-    return Status::DataLoss(what + ": segment header CRC mismatch");
-  }
-  return GetU64(bytes.data() + 8);
+  return std::optional<uint64_t>(GetU64(bytes.data() + 8));
 }
 
 struct SegmentScan {
@@ -58,10 +59,10 @@ struct SegmentScan {
   bool tail_truncated = false;
 };
 
-/// Walks a segment's records, delivering each payload to `fn` (null fn =
-/// validate only). Stops at the first torn record; a structurally valid
+/// Walks a segment's records, delivering those reaching `from_seq` to `fn`
+/// (null fn = validate only). Stops at the first torn record; a CRC-valid
 /// record that breaks sequence continuity or the size bound is DataLoss
-/// (the CRC passed, so it is not crash damage).
+/// (it is not crash damage).
 StatusOr<SegmentScan> ScanSegment(std::string_view bytes, uint64_t base_seq,
                                   uint64_t from_seq, size_t max_record_bytes,
                                   const FrameLog::ReplayFn* fn,
@@ -71,37 +72,32 @@ StatusOr<SegmentScan> ScanSegment(std::string_view bytes, uint64_t base_seq,
   scan.valid_bytes = kSegmentHeaderBytes;
   size_t pos = kSegmentHeaderBytes;
   while (pos < bytes.size()) {
-    if (bytes.size() - pos < kRecordHeaderBytes) {
+    const char* header = bytes.data() + pos;
+    const size_t left = bytes.size() - pos;
+    const uint32_t len = left < kRecordHeaderBytes ? 0 : GetU32(header);
+    if (left < kRecordHeaderBytes || left - kRecordHeaderBytes < len ||
+        Crc32(bytes.substr(pos + kRecordCrcFrom,
+                           kRecordHeaderBytes - kRecordCrcFrom + len)) !=
+            GetU32(header + 4)) {
       scan.tail_truncated = true;
       return scan;
     }
-    const uint32_t len = GetU32(bytes.data() + pos);
-    const uint32_t crc = GetU32(bytes.data() + pos + 4);
-    if (len < 8 || bytes.size() - pos - kRecordHeaderBytes < len) {
-      scan.tail_truncated = true;
-      return scan;
+    const uint64_t first_seq = GetU64(header + 8);
+    const uint32_t span = GetU32(header + 16);
+    if (first_seq != scan.next_seq) {
+      return Status::DataLoss(StrCat(what, ": record sequence jumped from ",
+                                     scan.next_seq, " to ", first_seq));
     }
-    const std::string_view payload =
-        bytes.substr(pos + kRecordHeaderBytes, len);
-    if (Crc32(payload) != crc) {
-      scan.tail_truncated = true;
-      return scan;
-    }
-    const uint64_t seq = GetU64(payload.data());
-    if (seq != scan.next_seq) {
-      return Status::DataLoss(StrCat(what,
-                                     ": record sequence jumped from ",
-                                     scan.next_seq, " to ", seq));
-    }
-    const std::string_view record = payload.substr(8);
-    if (record.size() > max_record_bytes) {
-      return Status::DataLoss(StrCat(what, ": record of ", record.size(),
+    if (len > max_record_bytes) {
+      return Status::DataLoss(StrCat(what, ": record of ", len,
                                      " bytes exceeds max_record_bytes"));
     }
-    if (fn != nullptr && seq >= from_seq) {
-      (*fn)(record, seq);
+    if (fn != nullptr && first_seq + span > from_seq) {
+      SW_RETURN_IF_ERROR((*fn)(
+          LogRecord{bytes.substr(pos + kRecordHeaderBytes, len), span},
+          first_seq));
     }
-    ++scan.next_seq;
+    scan.next_seq += span;
     pos += kRecordHeaderBytes + len;
     scan.valid_bytes = pos;
   }
@@ -111,50 +107,61 @@ StatusOr<SegmentScan> ScanSegment(std::string_view bytes, uint64_t base_seq,
 }  // namespace
 
 StatusOr<std::unique_ptr<FrameLog>> FrameLog::Open(const std::string& dir,
-                                                   FrameLogOptions options) {
+                                                   std::string_view name,
+                                                   FrameLogOptions options,
+                                                   uint64_t min_seq) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) {
-    return Status::IoError("cannot create frame log dir " + dir + ": " +
+    return Status::IoError("cannot create log dir " + dir + ": " +
                            ec.message());
   }
-  auto log =
-      std::unique_ptr<FrameLog>(new FrameLog(dir, options));
+  auto log = std::unique_ptr<FrameLog>(new FrameLog(dir, name, options));
+  log->next_seq_ = min_seq;
 
-  // Single-writer lock, same rationale as the edge WAL: interleaved
-  // appends from two processes destroy record framing for both.
+  // Single-writer lock: two processes appending into the same segments
+  // would interleave bytes and destroy record framing for both — ACKed,
+  // even fsynced, records included. O_EXCL on segment creation guards
+  // only the create path; this guards the directory for the log's
+  // lifetime (closing the fd releases the flock).
   const std::filesystem::path lock_path =
-      std::filesystem::path(dir) / "frames.lock";
+      std::filesystem::path(dir) / (std::string(name) + ".lock");
   const int lock_fd =
       ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
   if (lock_fd < 0) {
-    return Status::IoError(StrCat("cannot open frame log lock ",
+    return Status::IoError(StrCat("cannot open log lock ",
                                   lock_path.string(), ": ",
                                   std::strerror(errno)));
   }
   log->lock_fd_.reset(lock_fd);
   if (::flock(lock_fd, LOCK_EX | LOCK_NB) != 0) {
     return Status::FailedPrecondition(
-        "another process holds the frame log at " + dir +
+        "another process holds the log at " + dir +
         " (two writers would corrupt acknowledged records)");
   }
 
-  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir));
+  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir, name));
+  log->num_segments_ = segments.size();
 
-  // Only the last segment can carry crash damage: a torn tail is
-  // truncated away, a torn header (crash inside OpenNewSegment) drops
-  // the whole file and falls back to the now-last segment.
+  // Older segments were sealed (fsynced) by rotation; only the last one
+  // can carry crash damage. A torn tail is truncated away; a torn header
+  // (a crash inside OpenNewSegment, before any record landed) drops the
+  // whole file and falls back to the now-last segment, mirroring what
+  // Replay tolerates. Recovery must never be wedged by the debris of the
+  // very crash it exists to absorb.
   while (!segments.empty()) {
     const auto& [base, path] = segments.back();
     SW_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-    auto base_or = CheckSegmentHeader(bytes, path.string());
-    if (!base_or.ok() || base_or.value() != base) {
+    SW_ASSIGN_OR_RETURN(const std::optional<uint64_t> header,
+                        ReadSegmentHeader(bytes, path.string()));
+    if (header != base) {
       std::filesystem::remove(path, ec);
       if (ec) {
-        return Status::IoError("cannot drop torn frame log segment " +
+        return Status::IoError("cannot drop torn log segment " +
                                path.string() + ": " + ec.message());
       }
       segments.pop_back();
+      --log->num_segments_;
       continue;
     }
     SW_ASSIGN_OR_RETURN(
@@ -164,21 +171,25 @@ StatusOr<std::unique_ptr<FrameLog>> FrameLog::Open(const std::string& dir,
     if (scan.valid_bytes < bytes.size()) {
       std::filesystem::resize_file(path, scan.valid_bytes, ec);
       if (ec) {
-        return Status::IoError("cannot truncate torn frame log tail of " +
+        return Status::IoError("cannot truncate torn log tail of " +
                                path.string() + ": " + ec.message());
       }
     }
+    if (scan.next_seq < log->next_seq_) {
+      // The durable log ends before min_seq. Keep the fast-forwarded
+      // cursor and leave fd_ closed so the next append starts a fresh
+      // segment based there.
+      return log;
+    }
     log->next_seq_ = scan.next_seq;
-
     const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
     if (fd < 0) {
-      return Status::IoError(StrCat("cannot reopen frame log segment ",
+      return Status::IoError(StrCat("cannot reopen log segment ",
                                     path.string(), ": ",
                                     std::strerror(errno)));
     }
     log->fd_.reset(fd);
     log->segment_size_ = scan.valid_bytes;
-    log->current_segment_base_ = base;
     break;
   }
   return log;
@@ -186,11 +197,15 @@ StatusOr<std::unique_ptr<FrameLog>> FrameLog::Open(const std::string& dir,
 
 Status FrameLog::OpenNewSegment() {
   const std::filesystem::path path =
-      std::filesystem::path(dir_) / SegmentName(next_seq_);
+      std::filesystem::path(dir_) / SeqFileName(name_ + "-", next_seq_, ".log");
+  // O_EXCL guards against two logs on one directory; a leftover from a
+  // failed rotation attempt of this very log was unlinked below, so a
+  // retry after a transient error (ENOSPC freed, say) takes this path
+  // cleanly instead of wedging on EEXIST forever.
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) {
-    return Status::IoError(StrCat("cannot create frame log segment ",
+    return Status::IoError(StrCat("cannot create log segment ",
                                   path.string(), ": ",
                                   std::strerror(errno)));
   }
@@ -205,90 +220,101 @@ Status FrameLog::OpenNewSegment() {
     ::unlink(path.c_str());
     return written;
   }
+  // Make the directory entry durable too: a machine crash that forgets
+  // the *file* would lose its fsynced records with no DataLoss signal
+  // (the vanished segment would look like a clean log end).
   FsyncDir(dir_);
-  current_segment_base_ = next_seq_;
   segment_size_ = header.size();
   stats_.bytes_appended += header.size();
   ++stats_.segments_created;
+  ++num_segments_;
   return OkStatus();
 }
 
-Status FrameLog::Append(std::string_view record) {
+Status FrameLog::Append(std::span<const LogRecord> records) {
+  if (records.empty()) return OkStatus();
   if (broken_) {
     return Status::IoError(
-        "frame log poisoned: an earlier failed append could not be "
-        "rolled back, so further appends would land after torn bytes "
-        "and be silently dropped by replay");
+        "log poisoned: an earlier failed append could not be rolled back, "
+        "so further appends would land after torn bytes and be silently "
+        "dropped by replay");
   }
-  if (record.size() > options_.max_record_bytes) {
-    return Status::InvalidArgument(
-        StrCat("frame log record of ", record.size(),
-               " bytes exceeds max_record_bytes (",
-               options_.max_record_bytes,
-               "); replay would reject the record"));
+  size_t total = 0;
+  for (const LogRecord& record : records) {
+    if (record.payload.size() > options_.max_record_bytes) {
+      return Status::InvalidArgument(
+          StrCat("log record of ", record.payload.size(),
+                 " bytes exceeds max_record_bytes (",
+                 options_.max_record_bytes,
+                 "); replay would reject the record"));
+    }
+    total += kRecordHeaderBytes + record.payload.size();
   }
   if (!fd_.valid() || segment_size_ >= options_.segment_bytes) {
     if (fd_.valid()) {
-      // Seal the outgoing segment before its successor exists, or
-      // replay could see a gap after a machine crash.
+      // Seal the outgoing segment: its bytes must be durable before the
+      // successor exists, or replay could see a gap.
       SW_RETURN_IF_ERROR(Sync());
     }
     SW_RETURN_IF_ERROR(OpenNewSegment());
   }
-  // [len u32][crc u32][seq u64][record...], length and CRC patched over
-  // placeholders once the payload is in place.
+  // One buffer for the whole call, so one ftruncate undoes all of it.
   std::string buf;
-  buf.reserve(kRecordHeaderBytes + 8 + record.size());
-  PutU32(&buf, 0);  // len placeholder
-  PutU32(&buf, 0);  // crc placeholder
-  PutU64(&buf, next_seq_);
-  buf.append(record);
-  const std::string_view payload =
-      std::string_view(buf).substr(kRecordHeaderBytes);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  const uint32_t crc = Crc32(payload);
-  for (int i = 0; i < 4; ++i) {
-    buf[static_cast<size_t>(i)] = static_cast<char>((len >> (8 * i)) & 0xFF);
-    buf[static_cast<size_t>(4 + i)] =
-        static_cast<char>((crc >> (8 * i)) & 0xFF);
+  buf.reserve(total);
+  uint64_t seq = next_seq_;
+  for (const LogRecord& record : records) {
+    const size_t at = buf.size();
+    PutU32(&buf, static_cast<uint32_t>(record.payload.size()));
+    PutU32(&buf, 0);  // crc placeholder
+    PutU64(&buf, seq);
+    PutU32(&buf, record.span);
+    buf.append(record.payload);
+    const uint32_t crc =
+        Crc32(std::string_view(buf).substr(at + kRecordCrcFrom));
+    for (size_t i = 0; i < 4; ++i) {
+      buf[at + 4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+    }
+    seq += record.span;
   }
-  if (Status written = WriteAll(fd_.get(), buf); !written.ok()) {
-    // Rollback-or-poison, same as the edge WAL: a later successful
-    // append must never land after torn bytes.
+  // Rollback-or-poison: torn or unwanted bytes are truncated away so a
+  // later successful append never lands after them (replay's tail
+  // truncation would silently discard it, ACKed or not). If the rollback
+  // fails too, poison: failing every future append loudly beats quietly
+  // losing acknowledged records.
+  const auto roll_back = [&](Status failure) {
     if (::ftruncate(fd_.get(), static_cast<off_t>(segment_size_)) != 0) {
       broken_ = true;
     }
-    return written;
+    return failure;
+  };
+  if (Status written = WriteAll(fd_.get(), buf); !written.ok()) {
+    return roll_back(written);
   }
-  const size_t pre_record_size = segment_size_;
-  segment_size_ += buf.size();
-  ++next_seq_;
-  ++stats_.records_appended;
-  stats_.bytes_appended += buf.size();
+  records_since_sync_ += static_cast<int>(records.size());
   if (options_.fsync_every_records > 0 &&
-      ++records_since_sync_ >= options_.fsync_every_records) {
-    if (Status synced = Sync(); !synced.ok()) {
-      if (::ftruncate(fd_.get(), static_cast<off_t>(pre_record_size)) == 0) {
-        segment_size_ = pre_record_size;
-        --next_seq_;
-        --stats_.records_appended;
-        stats_.bytes_appended -= buf.size();
-      } else {
-        broken_ = true;
-      }
-      return synced;
-    }
+      records_since_sync_ >= options_.fsync_every_records) {
+    // The caller fails its operation on error, so the records must not
+    // survive either: a CRC-valid record for input reported as failed
+    // would be applied at recovery.
+    if (Status synced = Sync(); !synced.ok()) return roll_back(synced);
   }
+  segment_size_ += buf.size();
+  next_seq_ = seq;
+  stats_.records_appended += records.size();
+  stats_.bytes_appended += buf.size();
   return OkStatus();
 }
 
 Status FrameLog::Sync() {
   if (!fd_.valid()) return OkStatus();
   if (::fsync(fd_.get()) != 0) {
-    // Failed fsync may have marked dirty pages clean; nothing short of a
-    // restart makes the log trustworthy again.
+    // A failed fsync may have marked dirty pages clean (the Linux
+    // fsync-gate problem): earlier cadence-ACKed records can now be lost
+    // by a machine crash even though a retry would report success.
+    // Nothing short of a restart (which re-reads the durable truth) makes
+    // this log trustworthy again — poison it.
     broken_ = true;
-    return Status::IoError(StrCat("frame log fsync failed: ",
+    return Status::IoError(StrCat("log fsync failed: ",
                                   std::strerror(errno)));
   }
   records_since_sync_ = 0;
@@ -296,64 +322,92 @@ Status FrameLog::Sync() {
   return OkStatus();
 }
 
-Status FrameLog::Replay(const std::string& dir, uint64_t from_seq,
-                        const ReplayFn& fn, FrameLogOptions options) {
-  std::error_code ec;
-  if (!std::filesystem::exists(dir, ec)) return OkStatus();
-  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir));
-  if (segments.empty()) return OkStatus();
+StatusOr<int> FrameLog::PruneSegmentsBelow(uint64_t seq) {
+  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir_, name_));
+  int deleted = 0;
+  // Segment i holds [base_i, base_{i+1}); a checkpoint at `seq` covers it
+  // iff its successor's base is <= seq. The last segment always survives
+  // (it is open for append).
+  for (size_t i = 0; i + 1 < segments.size(); ++i) {
+    if (segments[i + 1].first > seq) break;
+    std::error_code ec;
+    std::filesystem::remove(segments[i].second, ec);
+    if (ec) {
+      return Status::IoError("cannot prune log segment " +
+                             segments[i].second.string() + ": " +
+                             ec.message());
+    }
+    ++deleted;
+    --num_segments_;
+  }
+  return deleted;
+}
 
-  // Consecutive scanned segments must be seamless — a lost sealed
-  // segment in the middle would silently swallow its records.
+StatusOr<FrameLog::ReplayStats> FrameLog::Replay(const std::string& dir,
+                                                 std::string_view name,
+                                                 uint64_t from_seq,
+                                                 const ReplayFn& fn,
+                                                 FrameLogOptions options) {
+  ReplayStats stats;
+  stats.next_seq = from_seq;
+  std::error_code ec;
+  if (!std::filesystem::exists(dir, ec)) return stats;
+  SW_ASSIGN_OR_RETURN(auto segments, ListSegments(dir, name));
+
+  // End of the previous *scanned* segment: consecutive scanned segments
+  // must be seamless, or a lost sealed segment in the middle would
+  // silently swallow its records. (Skipped segments sit wholly below
+  // from_seq — a gap after one is below from_seq too, hence harmless.)
   std::optional<uint64_t> prev_end;
   for (size_t i = 0; i < segments.size(); ++i) {
     const auto& [base, path] = segments[i];
     const bool last = i + 1 == segments.size();
+    // A whole segment below from_seq is already covered; skip the read
+    // (its successor's base bounds its content).
     if (!last && segments[i + 1].first <= from_seq) continue;
     if (prev_end.has_value() && base != *prev_end) {
       return Status::DataLoss(
-          StrCat(path.string(), ": frame log gap — previous segment ends "
-                                "at ",
+          StrCat(path.string(), ": WAL gap — previous segment ends at ",
                  *prev_end, " but this one starts at ", base));
     }
+    // The first scanned segment must reach back to from_seq: pruning
+    // always keeps the segment containing the checkpoint, so a first base
+    // beyond from_seq means records in [from_seq, base) are simply gone.
     if (!prev_end.has_value() && base > from_seq) {
       return Status::DataLoss(
-          StrCat(path.string(), ": frame log starts at ", base,
+          StrCat(path.string(), ": WAL starts at ", base,
                  " but replay needs records from ", from_seq));
     }
     SW_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
-    auto base_or = CheckSegmentHeader(bytes, path.string());
-    if (!base_or.ok() || base_or.value() != base) {
+    SW_ASSIGN_OR_RETURN(const std::optional<uint64_t> header,
+                        ReadSegmentHeader(bytes, path.string()));
+    if (header != base) {
       if (last) {
-        // A crash can tear even the header of a freshly rotated
-        // segment; everything before it already replayed.
+        // A crash can tear even the header of a freshly rotated segment;
+        // everything before it already replayed.
+        stats.tail_truncated = true;
         break;
       }
-      return base_or.ok()
-                 ? Status::DataLoss(path.string() +
-                                    ": filename and header disagree")
-                 : base_or.status();
+      return Status::DataLoss(path.string() +
+                              (header.has_value()
+                                   ? ": filename and header disagree"
+                                   : ": torn header of a sealed segment"));
     }
-    auto scan_or = ScanSegment(bytes, base, from_seq,
-                               options.max_record_bytes, &fn, path.string());
-    SW_RETURN_IF_ERROR(scan_or.status());
-    const SegmentScan& scan = scan_or.value();
-    if (scan.tail_truncated && !last) {
-      return Status::DataLoss(
-          path.string() + ": torn record in a sealed frame log segment");
+    SW_ASSIGN_OR_RETURN(const SegmentScan scan,
+                        ScanSegment(bytes, base, from_seq,
+                                    options.max_record_bytes, &fn,
+                                    path.string()));
+    if (scan.tail_truncated) {
+      if (!last) {
+        return Status::DataLoss(path.string() +
+                                ": torn record in a sealed segment");
+      }
+      stats.tail_truncated = true;
     }
     prev_end = scan.next_seq;
+    stats.next_seq = std::max(stats.next_seq, scan.next_seq);
   }
-  return OkStatus();
-}
-
-StatusOr<uint64_t> FrameLog::CountRecords(const std::string& dir,
-                                          FrameLogOptions options) {
-  uint64_t count = 0;
-  SW_RETURN_IF_ERROR(Replay(
-      dir, /*from_seq=*/0,
-      [&count](std::string_view, uint64_t) { ++count; }, options));
-  return count;
+  return stats;
 }
 
 }  // namespace streamworks

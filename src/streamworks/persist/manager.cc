@@ -6,6 +6,19 @@
 
 namespace streamworks {
 
+namespace {
+
+/// Snapshots kept on disk, newest first; older ones are deleted after each
+/// successful snapshot. Every snapshot is a full window image, so without
+/// a cap a long-running daemon grows its data dir by one window per
+/// cadence tick forever; a few stay as corruption fallbacks.
+constexpr int kKeepSnapshots = 4;
+/// Recovered WAL edges are re-fed in batches of this many (the backend's
+/// batched fast path).
+constexpr size_t kReplayBatchEdges = 1024;
+
+}  // namespace
+
 DurabilityManager::DurabilityManager(DurabilityOptions options,
                                      QueryService* service,
                                      DurableBackend* backend,
@@ -69,11 +82,10 @@ StatusOr<RecoveryReport> DurabilityManager::Start() {
   //    Logging is off (these edges are already in the log).
   backend_->set_logging_enabled(false);
   backend_->SetSuppressCompletions(true);
-  EdgeLogOptions log_options;
-  log_options.segment_bytes = options_.segment_bytes;
+  FrameLogOptions log_options;
   log_options.fsync_every_records = options_.fsync_every_records;
   EdgeBatch pending;
-  pending.reserve(options_.replay_batch_edges);
+  pending.reserve(kReplayBatchEdges);
   Status replay_failure = OkStatus();
   const auto flush_pending = [&] {
     if (pending.empty()) return;
@@ -96,7 +108,7 @@ StatusOr<RecoveryReport> DurabilityManager::Start() {
       [&](const EdgeBatch& batch, uint64_t) {
         for (const StreamEdge& e : batch) {
           pending.push_back(e);
-          if (pending.size() >= options_.replay_batch_edges) {
+          if (pending.size() >= kReplayBatchEdges) {
             flush_pending();
           }
         }
@@ -164,13 +176,11 @@ StatusOr<SnapshotInfo> DurabilityManager::SnapshotNow() {
   }
   ++snapshots_written_;
   last_snapshot_wal_seq_ = contents.wal_seq;
-  if (options_.prune_wal_on_snapshot) {
-    // The snapshot is durable; segments below it are dead weight. A
-    // failed prune is an operability wart, not a correctness problem —
-    // same for superseded snapshot files beyond the fallback budget.
-    log_->PruneSegmentsBelow(contents.wal_seq).ok();
-  }
-  PruneSnapshots(options_.data_dir, options_.keep_snapshots).ok();
+  // The snapshot is durable; segments below it are dead weight. A failed
+  // prune is an operability wart, not a correctness problem — same for
+  // superseded snapshot files beyond the fallback budget.
+  log_->PruneSegmentsBelow(contents.wal_seq).ok();
+  PruneSnapshots(options_.data_dir, kKeepSnapshots).ok();
   return SnapshotInfo{std::move(written).value(), contents.wal_seq};
 }
 
@@ -178,7 +188,7 @@ PersistCounters DurabilityManager::counters() const {
   PersistCounters c;
   c.enabled = true;
   if (log_ != nullptr) {
-    const EdgeLogStats& stats = log_->stats();
+    const EdgeLogStats stats = log_->stats();
     c.wal_seq = log_->next_seq();
     c.wal_records = stats.records_appended;
     c.wal_edges = stats.edges_appended;

@@ -16,24 +16,11 @@ struct DurabilityOptions {
   /// Directory holding WAL segments (wal-*.log) and snapshots
   /// (snap-*.snap); created if missing.
   std::string data_dir;
-  /// WAL segment rotation size.
-  size_t segment_bytes = 64u * 1024 * 1024;
-  /// WAL fsync cadence (see EdgeLogOptions::fsync_every_records).
+  /// WAL fsync cadence (see FrameLogOptions::fsync_every_records).
   int fsync_every_records = 0;
   /// Auto-snapshot after this many applied edges; 0 = only explicit
   /// SNAPSHOT requests (and the operator's shutdown snapshot).
   uint64_t snapshot_every_edges = 0;
-  /// Delete WAL segments fully covered by a successful snapshot.
-  bool prune_wal_on_snapshot = true;
-  /// Snapshots kept on disk (newest-first); older ones are deleted after
-  /// each successful snapshot. Every snapshot is a full window image, so
-  /// without a cap a long-running daemon grows its data dir by one
-  /// window per cadence tick forever; a few stay as corruption
-  /// fallbacks. Must be >= 1.
-  int keep_snapshots = 4;
-  /// Replay chunking: recovered WAL edges are re-fed in batches of this
-  /// many (the backend's batched fast path).
-  size_t replay_batch_edges = 1024;
 };
 
 /// What Start() recovered, for banners and tests.

@@ -21,9 +21,11 @@
 #include "streamworks/obs/http_endpoint.h"
 #include "streamworks/obs/json_render.h"
 #include "streamworks/obs/metric_registry.h"
+#include "streamworks/obs/seqlock_ring.h"
 #include "streamworks/obs/stage_trace.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/service/query_service.h"
+#include "register_kinds.h"
 
 namespace streamworks {
 namespace {
@@ -306,7 +308,7 @@ TEST(MetricRegistryTest, ExportSamplesRoundTripsThroughEmitSample) {
   EXPECT_EQ(rebuilt.RenderPrometheus(), registry.RenderPrometheus());
 }
 
-// --- PipelineMetrics / TraceRing -------------------------------------------
+// --- PipelineMetrics / SeqlockRing -----------------------------------------
 
 TEST(PipelineMetricsTest, RecordsHistogramsAndOnlySlowOpsEnterTheRing) {
   PipelineMetrics pm(/*slow_threshold_us=*/1000, /*trace_capacity=*/8);
@@ -326,63 +328,131 @@ TEST(PipelineMetricsTest, RecordsHistogramsAndOnlySlowOpsEnterTheRing) {
   EXPECT_EQ(trace[0].detail, 512u);
 }
 
-TEST(TraceRingTest, WrapsKeepingTheNewestEntriesOldestFirst) {
-  TraceRing ring(4);
-  for (uint64_t i = 1; i <= 10; ++i) {
+// The ring cases below run over both entry types a SeqlockRing carries:
+// slow-op traces (TraceRingTest.*) and cluster epochs (EpochTraceRingTest.*).
+
+/// Slow-op trace entries. Numbered(i) derives every field from i, so an
+/// entry agrees with the numbering of its duration iff it is untorn.
+struct TraceEntries {
+  static constexpr const char* kSuite = "TraceRingTest";
+  using Entry = TraceEntry;
+
+  static TraceEntry Numbered(uint64_t i) {
     TraceEntry e;
+    e.stage = static_cast<PipelineStage>(i % kNumPipelineStages);
+    e.session_id = static_cast<int32_t>(i % 5) - 1;  // -1 included
+    e.subscription_id = static_cast<int32_t>(i % 3) - 1;
     e.duration_us = i;
-    ring.Push(e);
+    e.detail = i * 2;
+    e.at_us = i * 3;
+    return e;
   }
-  EXPECT_EQ(ring.total_pushed(), 10u);
-  const std::vector<TraceEntry> got = ring.Snapshot();
-  ASSERT_EQ(got.size(), 4u);
-  for (size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].duration_us, 7 + i);  // 7, 8, 9, 10
+  static uint64_t Number(const TraceEntry& e) { return e.duration_us; }
+  /// Entries exercising every field's extremes, -1 ids included.
+  static std::vector<TraceEntry> Extremes() {
+    return {TraceEntry{PipelineStage::kBarrierWait, -1, -1, UINT64_MAX, 7,
+                       1},
+            TraceEntry{PipelineStage::kFrameDecode, INT32_MAX, -1, 0,
+                       UINT64_MAX, 2},
+            TraceEntry{PipelineStage::kEnqueue, -1, INT32_MIN, 5, 0,
+                       UINT64_MAX},
+            TraceEntry{PipelineStage::kSjTreeJoin, INT32_MIN, INT32_MAX, 9, 8,
+                       0}};
   }
-}
+};
 
-TEST(TraceRingTest, ConcurrentWritersNeverProduceTornEntries) {
-  TraceRing ring(16);
-  constexpr int kThreads = 4;
-  constexpr uint64_t kPerThread = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        TraceEntry e;
-        // Self-checking payload: duration and detail agree iff untorn.
-        e.duration_us = t * kPerThread + i;
-        e.detail = e.duration_us * 2;
-        ring.Push(e);
+/// Cluster epoch timeline entries, numbered by epoch id.
+struct EpochEntries {
+  static constexpr const char* kSuite = "EpochTraceRingTest";
+  using Entry = EpochTraceEntry;
+
+  static EpochTraceEntry Numbered(uint64_t i) {
+    EpochTraceEntry e;
+    e.epoch = i;
+    e.edges = i * 100;
+    e.relay_rounds = i * 2;
+    e.relayed_items = i * 3;
+    e.batch_us = i;
+    e.apply_us = i * 4;
+    e.relay_us = i * 5;
+    e.barrier_us = i * 6;
+    e.commit_us = i * 8;
+    e.total_us = i * 7;
+    e.at_us = i * 9;
+    return e;
+  }
+  static uint64_t Number(const EpochTraceEntry& e) { return e.epoch; }
+  static std::vector<EpochTraceEntry> Extremes() {
+    // Eleven distinct values, so a field packed into the wrong word shows.
+    return {EpochTraceEntry{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, UINT64_MAX},
+            EpochTraceEntry{UINT64_MAX, 0, 11, 12, 13, 14, 15, 16, 17, 18,
+                            19}};
+  }
+};
+
+template <typename Kind>
+class WrapsKeepingTheNewestEntriesOldestFirst : public ::testing::Test {
+  void TestBody() override {
+    SeqlockRing<typename Kind::Entry> ring(4);
+    for (uint64_t i = 1; i <= 10; ++i) ring.Push(Kind::Numbered(i));
+    EXPECT_EQ(ring.total_pushed(), 10u);
+    const auto got = ring.Snapshot();
+    ASSERT_EQ(got.size(), 4u);
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i], Kind::Numbered(7 + i));  // 7, 8, 9, 10
+    }
+  }
+};
+
+template <typename Kind>
+class ConcurrentWritersNeverProduceTornEntries : public ::testing::Test {
+  void TestBody() override {
+    SeqlockRing<typename Kind::Entry> ring(16);
+    constexpr int kThreads = 4;
+    constexpr uint64_t kPerThread = 2000;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&ring, t] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          ring.Push(Kind::Numbered(t * kPerThread + i));
+        }
+      });
+    }
+    // Read while the writers run, as an HTTP scrape does.
+    for (int pass = 0; pass < 50; ++pass) {
+      for (const auto& e : ring.Snapshot()) {
+        EXPECT_EQ(e, Kind::Numbered(Kind::Number(e)));
       }
-    });
+    }
+    for (auto& th : threads) th.join();
+    for (const auto& e : ring.Snapshot()) {
+      EXPECT_EQ(e, Kind::Numbered(Kind::Number(e)));
+    }
+    EXPECT_EQ(ring.total_pushed(), kThreads * kPerThread);
   }
-  for (auto& th : threads) th.join();
-  for (const TraceEntry& e : ring.Snapshot()) {
-    EXPECT_EQ(e.detail, e.duration_us * 2);
+};
+
+template <typename Kind>
+class RoundTripsEveryField : public ::testing::Test {
+  void TestBody() override {
+    const std::vector<typename Kind::Entry> entries = Kind::Extremes();
+    SeqlockRing<typename Kind::Entry> ring(entries.size());
+    for (const auto& e : entries) ring.Push(e);
+    EXPECT_EQ(ring.Snapshot(), entries);
   }
-  EXPECT_EQ(ring.total_pushed(), kThreads * kPerThread);
+};
+
+template <template <typename> class Case>
+bool RegisterRingCase(const char* name) {
+  return RegisterForKinds<Case, TraceEntries, EpochEntries>(name);
 }
 
-TEST(EpochTraceRingTest, WrapsKeepingNewestEpochsOldestFirst) {
-  EpochTraceRing ring(4);
-  for (uint64_t e = 1; e <= 10; ++e) {
-    EpochTraceEntry entry;
-    entry.epoch = e;
-    entry.edges = e * 100;
-    entry.batch_us = e;
-    entry.total_us = e * 7;
-    ring.Push(entry);
-  }
-  EXPECT_EQ(ring.total_pushed(), 10u);
-  const std::vector<EpochTraceEntry> snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 4u);
-  for (size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].epoch, 7 + i);
-    EXPECT_EQ(snap[i].edges, (7 + i) * 100);
-    EXPECT_EQ(snap[i].total_us, (7 + i) * 7);
-  }
-}
+[[maybe_unused]] const bool kRingCasesRegistered =
+    RegisterRingCase<WrapsKeepingTheNewestEntriesOldestFirst>(
+        "WrapsKeepingTheNewestEntriesOldestFirst") &&
+    RegisterRingCase<ConcurrentWritersNeverProduceTornEntries>(
+        "ConcurrentWritersNeverProduceTornEntries") &&
+    RegisterRingCase<RoundTripsEveryField>("RoundTripsEveryField");
 
 TEST(PipelineMetricsTest, StageNamesAreStableSnakeCase) {
   EXPECT_EQ(PipelineStageName(PipelineStage::kFrameDecode), "frame_decode");

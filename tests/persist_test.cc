@@ -1,5 +1,6 @@
-// Tests for streamworks/persist: the write-ahead EdgeLog (framing, CRC,
-// rotation, torn-tail tolerance, pruning), snapshot encode/decode with
+// Tests for streamworks/persist: the segmented FrameLog under both its
+// record kinds, edge WAL and worker frames (framing, CRC, rotation,
+// torn-tail tolerance, pruning, format refusal), snapshot encode/decode with
 // corruption fallback, and full crash-recovery equivalence — a killed
 // service restarted from its data dir must produce exactly the match
 // multiset of an uninterrupted run, for the single-engine and the
@@ -25,10 +26,13 @@
 #include "streamworks/persist/crc32.h"
 #include "streamworks/persist/durable_backend.h"
 #include "streamworks/persist/edge_log.h"
+#include "streamworks/persist/frame_log.h"
+#include "streamworks/persist/fs_util.h"
 #include "streamworks/persist/manager.h"
 #include "streamworks/persist/snapshot.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/service/query_service.h"
+#include "register_kinds.h"
 
 namespace streamworks {
 namespace {
@@ -101,7 +105,7 @@ TEST(Crc32Test, KnownAnswerAndChaining) {
   EXPECT_EQ(Crc32(std::string_view("6789"), head), 0xCBF43926u);
 }
 
-// --- EdgeLog ---------------------------------------------------------------
+// --- EdgeLog / FrameLog ----------------------------------------------------
 
 TEST(EdgeLogTest, AppendReplayRoundTrip) {
   const std::string dir = TempDir("wal_roundtrip");
@@ -157,225 +161,356 @@ TEST(EdgeLogTest, ReplayFromMidRecordTrimsTheStraddler) {
   EXPECT_EQ(all.front().ts, 2);         // the straddling record trimmed
 }
 
-TEST(EdgeLogTest, RotationSplitsSegmentsAndPrunes) {
-  const std::string dir = TempDir("wal_rotate");
+// The segment-handling cases below run over both record kinds the one
+// FrameLog carries: edge WAL records (EdgeLogTest.*) and the opaque
+// records of a worker's frame log (FrameLogTest.*).
+
+/// A replay's outcome in sequence numbers, common to both record kinds.
+struct Replayed {
+  uint64_t seqs = 0;  ///< Sequence numbers delivered.
+  uint64_t min_first_seq = UINT64_MAX;
+  uint64_t next_seq = 0;
+  bool tail_truncated = false;
+};
+
+/// Edge WAL records: one FEEDB-encoded batch each, spanning its edges.
+struct WalRecords {
+  static constexpr const char* kSuite = "EdgeLogTest";
+  static constexpr const char* kName = "wal";
+  static constexpr const char* kFormat1Magic = "SWL1";
+  using Log = EdgeLog;
+
+  StatusOr<std::unique_ptr<EdgeLog>> Open(const std::string& dir,
+                                          const FrameLogOptions& options) {
+    return EdgeLog::Open(dir, &interner, options);
+  }
+  Status Append(EdgeLog* log, int n, Timestamp ts) {
+    return log->Append(SomeBatch(&interner, n, ts));
+  }
+  StatusOr<Replayed> Replay(const std::string& dir, uint64_t from_seq,
+                            const FrameLogOptions& options) {
+    Replayed out;
+    Interner replay_side;
+    SW_ASSIGN_OR_RETURN(
+        const EdgeLog::ReplayStats stats,
+        EdgeLog::Replay(
+            dir, from_seq, &replay_side,
+            [&](const EdgeBatch& batch, uint64_t first_seq) {
+              out.seqs += batch.size();
+              out.min_first_seq = std::min(out.min_first_seq, first_seq);
+            },
+            options));
+    EXPECT_EQ(stats.edges_replayed, out.seqs);
+    out.next_seq = stats.next_seq;
+    out.tail_truncated = stats.tail_truncated;
+    return out;
+  }
+
   Interner interner;
-  EdgeLogOptions options;
-  options.segment_bytes = 128;  // force rotation nearly every record
-  uint64_t appended = 0;
-  {
-    auto log = EdgeLog::Open(dir, &interner, options).value();
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(log->Append(SomeBatch(&interner, 3, i * 10)).ok());
-      appended += 3;
+};
+
+/// Worker frame-log records: opaque payloads. Each spans n sequence numbers
+/// (a worker frame spans 1), so a case's counts read the same for both
+/// kinds.
+struct FrameRecords {
+  static constexpr const char* kSuite = "FrameLogTest";
+  static constexpr const char* kName = "frames";
+  static constexpr const char* kFormat1Magic = "SWF1";
+  using Log = FrameLog;
+
+  StatusOr<std::unique_ptr<FrameLog>> Open(const std::string& dir,
+                                           const FrameLogOptions& options) {
+    return FrameLog::Open(dir, kName, options);
+  }
+  Status Append(FrameLog* log, int n, Timestamp ts) {
+    const std::string payload(static_cast<size_t>(n) * 16,
+                              static_cast<char>('a' + ts % 26));
+    const LogRecord record{payload, static_cast<uint32_t>(n)};
+    return log->Append({&record, 1});
+  }
+  StatusOr<Replayed> Replay(const std::string& dir, uint64_t from_seq,
+                            const FrameLogOptions& options) {
+    Replayed out;
+    SW_ASSIGN_OR_RETURN(
+        const FrameLog::ReplayStats stats,
+        FrameLog::Replay(
+            dir, kName, from_seq,
+            [&](const LogRecord& record, uint64_t first_seq) {
+              EXPECT_EQ(record.payload.size(), record.span * 16u);
+              out.seqs += record.span;
+              out.min_first_seq = std::min(out.min_first_seq, first_seq);
+              return OkStatus();
+            },
+            options));
+    out.next_seq = stats.next_seq;
+    out.tail_truncated = stats.tail_truncated;
+    return out;
+  }
+};
+
+template <typename Kind>
+class SegmentLogCase : public ::testing::Test {
+ protected:
+  std::unique_ptr<typename Kind::Log> Open(FrameLogOptions options = {}) {
+    return kind_.Open(dir_, options).value();
+  }
+  Status Append(typename Kind::Log* log, int n, Timestamp ts) {
+    return kind_.Append(log, n, ts);
+  }
+  StatusOr<Replayed> Replay(uint64_t from_seq, FrameLogOptions options = {}) {
+    return kind_.Replay(dir_, from_seq, options);
+  }
+  /// Path of the segment whose first sequence number is `base`.
+  std::string Segment(uint64_t base) const {
+    return (fs::path(dir_) /
+            SeqFileName(std::string(Kind::kName) + "-", base, ".log"))
+        .string();
+  }
+
+  Kind kind_;
+  const std::string dir_ = TempDir(
+      std::string(Kind::kName) + "_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+};
+
+template <typename Kind>
+class RotationSplitsSegmentsAndPrunes : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    FrameLogOptions options;
+    options.segment_bytes = 128;  // force rotation nearly every record
+    uint64_t appended = 0;
+    {
+      auto log = this->Open(options);
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(this->Append(log.get(), 3, i * 10).ok());
+        appended += 3;
+      }
+      EXPECT_GT(log->num_segments(), 2u);
     }
-    EXPECT_GT(log->num_segments(), 2u);
-  }
-  Interner replay_side;
-  uint64_t replayed = 0;
-  auto stats = EdgeLog::Replay(dir, 0, &replay_side,
-                               [&](const EdgeBatch& batch, uint64_t) {
-                                 replayed += batch.size();
-                               })
-                   .value();
-  EXPECT_EQ(replayed, appended);
-  EXPECT_EQ(stats.next_seq, appended);
+    const Replayed stats = this->Replay(0).value();
+    EXPECT_EQ(stats.seqs, appended);
+    EXPECT_EQ(stats.next_seq, appended);
 
-  // Prune below a mid-log snapshot point: the covered prefix disappears,
-  // everything at or past the point still replays.
-  {
-    auto log = EdgeLog::Open(dir, &interner, options).value();
-    EXPECT_EQ(log->next_seq(), appended);
-    const int deleted = log->PruneSegmentsBelow(12).value();
-    EXPECT_GT(deleted, 0);
+    // Prune below a mid-log snapshot point: the covered prefix disappears,
+    // everything at or past the point still replays.
+    {
+      auto log = this->Open(options);
+      EXPECT_EQ(log->next_seq(), appended);
+      const int deleted = log->PruneSegmentsBelow(12).value();
+      EXPECT_GT(deleted, 0);
+    }
+    const Replayed tail = this->Replay(12).value();
+    EXPECT_EQ(tail.seqs, appended - 12);
+    EXPECT_GE(tail.min_first_seq, 12u);
   }
-  uint64_t tail = 0;
-  uint64_t min_seq = UINT64_MAX;
-  EdgeLog::Replay(dir, 12, &replay_side,
-                  [&](const EdgeBatch& batch, uint64_t first_seq) {
-                    tail += batch.size();
-                    min_seq = std::min(min_seq, first_seq);
-                  })
-      .value();
-  EXPECT_EQ(tail, appended - 12);
-  EXPECT_GE(min_seq, 12u);
+};
+
+template <typename Kind>
+class TornTailIsToleratedAndTruncatedOnReopen : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    {
+      auto log = this->Open();
+      ASSERT_TRUE(this->Append(log.get(), 3, 0).ok());
+      ASSERT_TRUE(this->Append(log.get(), 3, 10).ok());
+    }
+    // Tear the last record: chop bytes off the file end (a crash
+    // mid-write).
+    const std::string segment = this->Segment(0);
+    const size_t full = fs::file_size(segment);
+    fs::resize_file(segment, full - 7);
+
+    Replayed stats = this->Replay(0).value();
+    EXPECT_EQ(stats.seqs, 3u);  // first record survives, torn one dropped
+    EXPECT_TRUE(stats.tail_truncated);
+    EXPECT_EQ(stats.next_seq, 3u);
+
+    // Reopen truncates the tear and appends cleanly over it.
+    {
+      auto log = this->Open();
+      EXPECT_EQ(log->next_seq(), 3u);
+      ASSERT_TRUE(this->Append(log.get(), 2, 20).ok());
+    }
+    stats = this->Replay(0).value();
+    EXPECT_EQ(stats.seqs, 5u);
+    EXPECT_FALSE(stats.tail_truncated);
+  }
+};
+
+template <typename Kind>
+class CrcCorruptionStopsReplayAtTheTear : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    {
+      auto log = this->Open();
+      ASSERT_TRUE(this->Append(log.get(), 2, 0).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 10).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 20).ok());
+    }
+    // Clobber a byte inside the *second* record's payload: replay keeps
+    // record one, drops the corrupt record and — sequence continuity gone
+    // — everything after it.
+    const std::string segment = this->Segment(0);
+    const size_t record_bytes = (fs::file_size(segment) - 20) / 3;
+    CorruptFileByte(segment, 20 + record_bytes + record_bytes / 2);
+
+    const Replayed stats = this->Replay(0).value();
+    EXPECT_EQ(stats.seqs, 2u);
+    EXPECT_TRUE(stats.tail_truncated);
+  }
+};
+
+template <typename Kind>
+class CorruptionInASealedSegmentIsDataLoss : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    FrameLogOptions options;
+    options.segment_bytes = 64;  // every record rotates
+    {
+      auto log = this->Open(options);
+      ASSERT_TRUE(this->Append(log.get(), 2, 0).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 10).ok());
+      ASSERT_GE(log->num_segments(), 2u);
+    }
+    const std::string first = this->Segment(0);
+    CorruptFileByte(first, fs::file_size(first) - 3);
+
+    const auto replay = this->Replay(0);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
+  }
+};
+
+template <typename Kind>
+class TornHeaderOfTheLastSegmentNeverWedgesReopen
+    : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    FrameLogOptions options;
+    options.segment_bytes = 64;  // every record rotates
+    {
+      auto log = this->Open(options);
+      ASSERT_TRUE(this->Append(log.get(), 2, 0).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 10).ok());
+    }
+    // Simulate a crash inside OpenNewSegment: the freshly rotated last
+    // segment exists but its 20-byte header is short/garbled.
+    auto segments = std::vector<fs::path>();
+    for (const auto& entry : fs::directory_iterator(this->dir_)) {
+      if (entry.path().extension() == ".log") {
+        segments.push_back(entry.path());
+      }
+    }
+    std::sort(segments.begin(), segments.end());
+    ASSERT_GE(segments.size(), 2u);
+    fs::resize_file(segments.back(), 7);
+
+    // Replay tolerates it...
+    Replayed stats = this->Replay(0, options).value();
+    EXPECT_EQ(stats.seqs, 2u);
+    EXPECT_TRUE(stats.tail_truncated);
+    // ...and Open must too — the daemon restarting after that crash drops
+    // the headerless debris and appends on: recovery is never wedged by
+    // the crash it exists to absorb.
+    auto log = this->Open(options);
+    EXPECT_EQ(log->next_seq(), 2u);
+    ASSERT_TRUE(this->Append(log.get(), 3, 20).ok());
+    stats = this->Replay(0, options).value();
+    EXPECT_EQ(stats.seqs, 5u);
+  }
+};
+
+template <typename Kind>
+class MissingMiddleSegmentIsDataLossNotSilence : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    FrameLogOptions options;
+    options.segment_bytes = 64;  // every record rotates
+    {
+      auto log = this->Open(options);
+      ASSERT_TRUE(this->Append(log.get(), 2, 0).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 10).ok());
+      ASSERT_TRUE(this->Append(log.get(), 2, 20).ok());
+    }
+    // Lose the middle sealed segment (operator mishap, partial restore).
+    fs::remove(this->Segment(2));
+    const auto replay = this->Replay(0, options);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(replay.status().message().find("WAL gap"), std::string::npos);
+  }
+};
+
+template <typename Kind>
+class SecondWriterOnTheSameDirIsRefused : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    auto first = this->Open();
+    ASSERT_TRUE(this->Append(first.get(), 1, 0).ok());
+    // A second writer (an operator double-starting the daemon) would
+    // interleave appends and destroy record framing for both.
+    auto second = this->kind_.Open(this->dir_, {});
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+    // The lock dies with the holder; a restart takes over cleanly.
+    first.reset();
+    EXPECT_TRUE(this->kind_.Open(this->dir_, {}).ok());
+  }
+};
+
+template <typename Kind>
+class Format1SegmentsAreRefusedNotMisread : public SegmentLogCase<Kind> {
+  void TestBody() override {
+    // A segment as the release before the one-log format wrote it:
+    // format 1 (SWL1 for the WAL, SWF1 for a worker log), whose records
+    // carry no span field.
+    std::string bytes(Kind::kFormat1Magic, 4);
+    PutU32(&bytes, 1);
+    PutU64(&bytes, 0);
+    PutU32(&bytes, Crc32(bytes));
+    std::string payload;
+    PutU64(&payload, 0);
+    payload += "record";
+    PutU32(&bytes, static_cast<uint32_t>(payload.size()));
+    PutU32(&bytes, Crc32(payload));
+    bytes += payload;
+    const std::string segment = this->Segment(0);
+    std::ofstream(segment, std::ios::binary) << bytes;
+
+    // Replay and Open both refuse it — and Open must not drop it as the
+    // debris of a torn header.
+    const auto replay = this->Replay(0);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
+    const auto opened = this->kind_.Open(this->dir_, {});
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(ReadWhole(segment), bytes);
+  }
+};
+
+template <template <typename> class Case>
+bool RegisterSegmentCase(const char* name) {
+  return RegisterForKinds<Case, WalRecords, FrameRecords>(name);
 }
 
-TEST(EdgeLogTest, TornTailIsToleratedAndTruncatedOnReopen) {
-  const std::string dir = TempDir("wal_torn");
-  Interner interner;
-  {
-    auto log = EdgeLog::Open(dir, &interner).value();
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 3, 0)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 3, 10)).ok());
-  }
-  // Tear the last record: chop bytes off the file end (a crash mid-write).
-  const auto segment =
-      (fs::path(dir) / "wal-0000000000000000.log").string();
-  const size_t full = fs::file_size(segment);
-  fs::resize_file(segment, full - 7);
-
-  uint64_t replayed = 0;
-  auto stats = EdgeLog::Replay(dir, 0, &interner,
-                               [&](const EdgeBatch& batch, uint64_t) {
-                                 replayed += batch.size();
-                               })
-                   .value();
-  EXPECT_EQ(replayed, 3u);  // first record survives, torn one dropped
-  EXPECT_TRUE(stats.tail_truncated);
-  EXPECT_EQ(stats.next_seq, 3u);
-
-  // Reopen truncates the tear and appends cleanly over it.
-  {
-    auto log = EdgeLog::Open(dir, &interner).value();
-    EXPECT_EQ(log->next_seq(), 3u);
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 20)).ok());
-  }
-  replayed = 0;
-  stats = EdgeLog::Replay(dir, 0, &interner,
-                          [&](const EdgeBatch& batch, uint64_t) {
-                            replayed += batch.size();
-                          })
-              .value();
-  EXPECT_EQ(replayed, 5u);
-  EXPECT_FALSE(stats.tail_truncated);
-}
-
-TEST(EdgeLogTest, CrcCorruptionStopsReplayAtTheTear) {
-  const std::string dir = TempDir("wal_crc");
-  Interner interner;
-  {
-    auto log = EdgeLog::Open(dir, &interner).value();
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 0)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 10)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 20)).ok());
-  }
-  const auto segment =
-      (fs::path(dir) / "wal-0000000000000000.log").string();
-  // Clobber a byte inside the *second* record's payload: replay keeps
-  // record one, drops the corrupt record and — sequence continuity gone —
-  // everything after it.
-  const size_t record_bytes = (fs::file_size(segment) - 20) / 3;
-  CorruptFileByte(segment, 20 + record_bytes + record_bytes / 2);
-
-  uint64_t replayed = 0;
-  auto stats = EdgeLog::Replay(dir, 0, &interner,
-                               [&](const EdgeBatch& batch, uint64_t) {
-                                 replayed += batch.size();
-                               })
-                   .value();
-  EXPECT_EQ(replayed, 2u);
-  EXPECT_TRUE(stats.tail_truncated);
-}
-
-TEST(EdgeLogTest, CorruptionInASealedSegmentIsDataLoss) {
-  const std::string dir = TempDir("wal_sealed");
-  Interner interner;
-  EdgeLogOptions options;
-  options.segment_bytes = 64;  // every record rotates
-  {
-    auto log = EdgeLog::Open(dir, &interner, options).value();
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 0)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 10)).ok());
-    ASSERT_GE(log->num_segments(), 2u);
-  }
-  const auto first =
-      (fs::path(dir) / "wal-0000000000000000.log").string();
-  CorruptFileByte(first, fs::file_size(first) - 3);
-
-  auto replay = EdgeLog::Replay(dir, 0, &interner,
-                                [](const EdgeBatch&, uint64_t) {});
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
-}
-
-TEST(EdgeLogTest, TornHeaderOfTheLastSegmentNeverWedgesReopen) {
-  const std::string dir = TempDir("wal_torn_header");
-  Interner interner;
-  EdgeLogOptions options;
-  options.segment_bytes = 64;  // every record rotates
-  {
-    auto log = EdgeLog::Open(dir, &interner, options).value();
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 0)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 10)).ok());
-  }
-  // Simulate a crash inside OpenNewSegment: the freshly rotated last
-  // segment exists but its 20-byte header is short/garbled.
-  auto segments = std::vector<fs::path>();
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".log") segments.push_back(entry.path());
-  }
-  std::sort(segments.begin(), segments.end());
-  ASSERT_GE(segments.size(), 2u);
-  fs::resize_file(segments.back(), 7);
-
-  // Replay tolerates it...
-  uint64_t replayed = 0;
-  auto stats = EdgeLog::Replay(dir, 0, &interner,
-                               [&](const EdgeBatch& batch, uint64_t) {
-                                 replayed += batch.size();
-                               },
-                               options)
-                   .value();
-  EXPECT_EQ(replayed, 2u);
-  EXPECT_TRUE(stats.tail_truncated);
-  // ...and Open must too — the daemon restarting after that crash drops
-  // the headerless debris and appends on: recovery is never wedged by
-  // the crash it exists to absorb.
-  auto log = EdgeLog::Open(dir, &interner, options).value();
-  EXPECT_EQ(log->next_seq(), 2u);
-  ASSERT_TRUE(log->Append(SomeBatch(&interner, 3, 20)).ok());
-  replayed = 0;
-  EdgeLog::Replay(dir, 0, &interner,
-                  [&](const EdgeBatch& batch, uint64_t) {
-                    replayed += batch.size();
-                  },
-                  options)
-      .value();
-  EXPECT_EQ(replayed, 5u);
-}
-
-TEST(EdgeLogTest, MissingMiddleSegmentIsDataLossNotSilence) {
-  const std::string dir = TempDir("wal_gap");
-  Interner interner;
-  EdgeLogOptions options;
-  options.segment_bytes = 64;  // every record rotates
-  {
-    auto log = EdgeLog::Open(dir, &interner, options).value();
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 0)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 10)).ok());
-    ASSERT_TRUE(log->Append(SomeBatch(&interner, 2, 20)).ok());
-  }
-  // Lose the middle sealed segment (operator mishap, partial restore).
-  fs::remove(fs::path(dir) / "wal-0000000000000002.log");
-  auto replay = EdgeLog::Replay(dir, 0, &interner,
-                                [](const EdgeBatch&, uint64_t) {},
-                                options);
-  ASSERT_FALSE(replay.ok());
-  EXPECT_EQ(replay.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(replay.status().message().find("WAL gap"), std::string::npos);
-}
-
-TEST(EdgeLogTest, SecondWriterOnTheSameDirIsRefused) {
-  const std::string dir = TempDir("wal_lock");
-  Interner interner;
-  auto first = EdgeLog::Open(dir, &interner).value();
-  ASSERT_TRUE(first->Append(SomeBatch(&interner, 1, 0)).ok());
-  // A second writer (an operator double-starting the daemon) would
-  // interleave appends and destroy record framing for both.
-  auto second = EdgeLog::Open(dir, &interner);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
-  // The lock dies with the holder; a restart takes over cleanly.
-  first.reset();
-  EXPECT_TRUE(EdgeLog::Open(dir, &interner).ok());
-}
+[[maybe_unused]] const bool kSegmentCasesRegistered =
+    RegisterSegmentCase<RotationSplitsSegmentsAndPrunes>(
+        "RotationSplitsSegmentsAndPrunes") &&
+    RegisterSegmentCase<TornTailIsToleratedAndTruncatedOnReopen>(
+        "TornTailIsToleratedAndTruncatedOnReopen") &&
+    RegisterSegmentCase<CrcCorruptionStopsReplayAtTheTear>(
+        "CrcCorruptionStopsReplayAtTheTear") &&
+    RegisterSegmentCase<CorruptionInASealedSegmentIsDataLoss>(
+        "CorruptionInASealedSegmentIsDataLoss") &&
+    RegisterSegmentCase<TornHeaderOfTheLastSegmentNeverWedgesReopen>(
+        "TornHeaderOfTheLastSegmentNeverWedgesReopen") &&
+    RegisterSegmentCase<MissingMiddleSegmentIsDataLossNotSilence>(
+        "MissingMiddleSegmentIsDataLossNotSilence") &&
+    RegisterSegmentCase<SecondWriterOnTheSameDirIsRefused>(
+        "SecondWriterOnTheSameDirIsRefused") &&
+    RegisterSegmentCase<Format1SegmentsAreRefusedNotMisread>(
+        "Format1SegmentsAreRefusedNotMisread");
 
 TEST(EdgeLogTest, OversizedBatchesAreChunkedToStayReplayable) {
   const std::string dir = TempDir("wal_chunk");
   Interner interner;
-  EdgeLogOptions options;
-  options.max_frame_body_bytes = 256;  // a handful of edges per record
+  FrameLogOptions options;
+  options.max_record_bytes = 256;  // a handful of edges per record
   {
     auto log = EdgeLog::Open(dir, &interner, options).value();
     // One giant append: must be split into several records, never
@@ -967,7 +1102,7 @@ TEST(CrashRecoveryTest, SnapshotNowAfterFailedStartReturnsStatus) {
   const std::string dir = TempDir("failed_start");
   Interner interner;
   // A corrupt *sealed* WAL segment makes recovery fail loudly...
-  EdgeLogOptions options;
+  FrameLogOptions options;
   options.segment_bytes = 64;  // every record rotates
   {
     auto log = EdgeLog::Open(dir, &interner, options).value();
