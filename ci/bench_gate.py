@@ -32,7 +32,10 @@ The obs-overhead gate is different in kind: BENCH_obs.json carries its
 own acceptance threshold (overhead.gate_pct, from the PR that measured
 it), so the gate re-checks median_cpu_pct <= gate_pct on whichever file
 is present (fresh if produced, else the committed baseline's
-self-consistency).
+self-consistency). A cluster overhead block (median_ingest_pct) must
+also prove its obs-on runs were scraped: min_scrapes, the fewest live
+/metrics scrapes any of them served, must reach MIN_SCRAPES, or the
+block measured an idle scraper and fails.
 
 Usage:
   ci/bench_gate.py [--results DIR] [--baseline DIR] [--tolerance 0.25]
@@ -59,6 +62,10 @@ PAIRS = [
 # them. Every other numeric field (latency ms, byte counts, setup time)
 # is informational only.
 THROUGHPUT_KEYS = ("ingest_eps", "deliver_mps", "deliver_eps", "eps")
+
+# Fewest live scrapes each obs-on run of a cluster overhead block must
+# have served for its slowdown to count as measured.
+MIN_SCRAPES = 2
 
 
 def load(path):
@@ -143,7 +150,7 @@ def gate_obs_overhead(doc, label, report):
     """Re-checks an observability overhead block against its recorded
     budget. BENCH_obs.json carries median_cpu_pct (stage hooks on a
     CPU-bound path); bench_cluster.json carries median_ingest_pct (wall
-    slowdown of the latency-bound cluster ingest under live scraping)."""
+    slowdown of cluster ingest under live scraping) and min_scrapes."""
     overhead = doc.get("overhead", {})
     measured = overhead.get("median_ingest_pct",
                             overhead.get("median_cpu_pct"))
@@ -153,6 +160,17 @@ def gate_obs_overhead(doc, label, report):
         report.append(
             (False, f"{label}: overhead median pct / gate_pct missing"))
         return 1
+    if "median_ingest_pct" in overhead:
+        scrapes = overhead.get("min_scrapes")
+        if not isinstance(scrapes, int):
+            report.append((False, f"{label}: overhead min_scrapes missing"))
+            return 1
+        if scrapes < MIN_SCRAPES:
+            report.append(
+                (False, f"{label}: an obs-on run served {scrapes} scrapes, "
+                        f"fewer than {MIN_SCRAPES}; its overhead measured "
+                        "an idle scraper"))
+            return 1
     if measured > budget:
         report.append(
             (False, f"{label}: observability overhead {measured:.2f}% "
@@ -195,8 +213,8 @@ def run_gate(results_dir, baseline_dir, tolerance, strict=False):
         failures += gate_obs_overhead(load(obs_base),
                                       "BENCH_obs.json (committed)", report)
     # Cluster observability rides the same budget discipline: the fresh
-    # bench_cluster.json carries its own overhead block (paired
-    # obs-off/obs-on CPU at 2 workers) with a recorded gate_pct.
+    # bench_cluster.json carries its own overhead block (interleaved
+    # obs-off/obs-on ingest at 2 workers) with a recorded gate_pct.
     cluster_fresh = results_dir / "bench_cluster.json"
     cluster_base = baseline_dir / "BENCH_cluster.json"
     if cluster_fresh.exists() and "overhead" in load(cluster_fresh):
@@ -271,10 +289,21 @@ def self_test():
     obs_ok = gate_obs_overhead(obs_pass, "self-test obs", report)
     obs_bad = gate_obs_overhead(obs_fail, "self-test obs", report)
     obs_absent = gate_obs_overhead({}, "self-test obs", report)
-    cluster_pass = {"overhead": {"median_ingest_pct": 0.8, "gate_pct": 3.0}}
-    cluster_fail = {"overhead": {"median_ingest_pct": 5.1, "gate_pct": 3.0}}
+    cluster_pass = {"overhead": {"median_ingest_pct": 0.8, "min_scrapes": 9,
+                                 "gate_pct": 3.0}}
+    cluster_fail = {"overhead": {"median_ingest_pct": 5.1, "min_scrapes": 9,
+                                 "gate_pct": 3.0}}
+    # In budget, but one obs-on run finished before a second scrape.
+    cluster_unscraped = {"overhead": {"median_ingest_pct": 0.0,
+                                      "min_scrapes": 1, "gate_pct": 3.0}}
+    cluster_uncounted = {"overhead": {"median_ingest_pct": 0.0,
+                                      "gate_pct": 3.0}}
     cluster_ok = gate_obs_overhead(cluster_pass, "self-test cluster", report)
     cluster_bad = gate_obs_overhead(cluster_fail, "self-test cluster", report)
+    cluster_idle = gate_obs_overhead(cluster_unscraped, "self-test cluster",
+                                     report)
+    cluster_blind = gate_obs_overhead(cluster_uncounted, "self-test cluster",
+                                      report)
     checks = [
         (ok_failures == 0, "clean fresh run passes"),
         (bad_failures == 1, "40% degradation fails exactly one scenario"),
@@ -287,6 +316,8 @@ def self_test():
         (obs_absent == 1, "overhead block with missing fields fails"),
         (cluster_ok == 0, "in-budget cluster ingest overhead passes"),
         (cluster_bad == 1, "over-budget cluster ingest overhead fails"),
+        (cluster_idle == 1, "cluster overhead scraped under twice fails"),
+        (cluster_blind == 1, "cluster overhead without a scrape count fails"),
     ]
     all_ok = True
     for ok, what in checks:

@@ -33,6 +33,7 @@ int RemainingMs(const Timer& timer, int timeout_ms) {
 
 StatusOr<PeerLink> PeerLink::Adopt(UniqueFd fd, bool duplex) {
   PeerLink link;
+  SW_RETURN_IF_ERROR(SetNoDelay(fd.get()));
   if (duplex) {
     SW_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
   }

@@ -29,14 +29,22 @@ namespace streamworks {
 ///   * blocking (worker side): plain blocking writes; reads still poll
 ///     with a timeout so the daemon loop can notice a stop flag.
 ///
+/// Both personalities disable Nagle's algorithm (TCP_NODELAY), on both
+/// ends of every link. The protocol is request/ack with multi-frame
+/// replies: a worker answers a Barrier with Exchange or Completion
+/// frames and then a BarrierAck, each its own small write. With Nagle
+/// on, the ack would wait for the peer to ACK the earlier frames, and
+/// the peer's delayed ACK holds that back for 40 ms or more, so every
+/// epoch step would stall on a kernel timer.
+///
 /// Not thread-safe: one thread owns a link (the coordinator's cluster
 /// mutex or the worker's single daemon thread).
 class PeerLink {
  public:
   PeerLink() = default;
 
-  /// Adopts a connected socket. `duplex` selects the nonblocking
-  /// coordinator personality above.
+  /// Adopts a connected TCP socket and disables Nagle on it. `duplex`
+  /// selects the nonblocking coordinator personality above.
   static StatusOr<PeerLink> Adopt(UniqueFd fd, bool duplex);
 
   /// Connects to `host:port` with the duplex personality, retrying until

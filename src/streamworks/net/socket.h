@@ -14,6 +14,10 @@ namespace streamworks {
 /// blocking is the ResultQueue's job, not the socket's).
 Status SetNonBlocking(int fd);
 
+/// Sets TCP_NODELAY on a TCP socket: small writes go out at once instead
+/// of waiting, under Nagle's algorithm, for the peer to ACK earlier data.
+Status SetNoDelay(int fd);
+
 /// Listening TCP socket bound to `host:port` (SO_REUSEADDR, IPv4 dotted
 /// quad or "0.0.0.0"). `port` 0 picks an ephemeral port — read it back
 /// with BoundTcpPort.

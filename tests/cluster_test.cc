@@ -405,6 +405,46 @@ TEST(ClusterTest, EpochTimelineAndHealthTrackTheCluster) {
   cluster.backend->Stop();
 }
 
+// A relaying epoch is a chain of request/ack exchanges in which a worker
+// answers with several small frames in a row (Exchange items, then the
+// BarrierAck). If either end of a control link left Nagle on, the last
+// frame of each reply would wait out the peer's delayed ACK, at least
+// 40 ms on Linux. The median epoch must stay well under that.
+TEST(ClusterTest, RelayingEpochsDoNotWaitOnDelayedAcks) {
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  MatchSink sink;
+  ASSERT_TRUE(cluster.backend
+                  ->Register(BuildWormChain(&cluster.interner),
+                             DecompositionStrategy::kLeftDeepEdgeOrder, 50,
+                             sink.Callback())
+                  .ok());
+  ASSERT_TRUE(cluster.backend
+                  ->Register(BuildProbe(&cluster.interner),
+                             DecompositionStrategy::kLeftDeepEdgeOrder, 100,
+                             sink.Callback())
+                  .ok());
+  ASSERT_TRUE(cluster.backend
+                  ->FeedBatch(TestStream(&cluster.interner, 400), nullptr)
+                  .ok());
+  cluster.backend->Flush();
+
+  const std::vector<EpochTraceEntry> epochs = cluster.backend->EpochTrace();
+  ASSERT_FALSE(epochs.empty());
+  uint64_t relayed_items = 0;
+  std::vector<uint64_t> total_us;
+  for (const EpochTraceEntry& e : epochs) {
+    relayed_items += e.relayed_items;
+    total_us.push_back(e.total_us);
+  }
+  // The stream must exercise the multi-frame replies, not just acks.
+  EXPECT_GT(relayed_items, 0u);
+  std::sort(total_us.begin(), total_us.end());
+  EXPECT_LT(total_us[total_us.size() / 2], 20000u)
+      << "median epoch of " << epochs.size() << " waited on a delayed ACK";
+  cluster.backend->Stop();
+}
+
 TEST(ClusterTest, UnregisterStopsDeliveriesAndFreesNothingElse) {
   ClusterFixture cluster(2);
   ASSERT_TRUE(cluster.ok);
