@@ -1,7 +1,9 @@
 // Experiment F5 (paper Fig. 5): a collection of topic-specialised news
 // event queries running concurrently; output is the per-location event
 // table behind the demo's map visualisation. Each query is the Fig. 2
-// pattern with the keyword vertex constrained to one topic label.
+// pattern with the keyword vertex constrained to one topic label. The
+// per-query completions and peak partials also go to
+// bench-results/bench_fig5.json.
 
 #include <iostream>
 
@@ -75,16 +77,19 @@ void Run() {
   bench::Table table({22, 14, 16});
   table.Row({"query", "mappings", "peak partials"});
   table.Separator();
+  std::vector<bench::QueryCounts> counts;
   for (size_t qid = 0; qid < engine.num_queries(); ++qid) {
     const QueryRuntimeInfo info = engine.query_info(static_cast<int>(qid));
     table.Row({info.name, FormatCount(info.completions),
                FormatCount(info.peak_partial_matches)});
+    counts.push_back({info.name, info.completions, info.peak_partial_matches});
   }
   std::cout << "\ndistinct events: " << events.size()
             << " (6 injected; extras are organic co-occurrences)\n"
             << "stream: " << FormatCount(edges.size()) << " edges, 6 "
             << "concurrent queries, " << FormatDouble(seconds, 3) << "s ("
             << bench::Rate(edges.size(), seconds) << " edges/s)\n";
+  bench::WriteCountsJson("fig5", edges.size(), counts);
 }
 
 }  // namespace

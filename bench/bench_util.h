@@ -5,6 +5,8 @@
 // matching the layout used in EXPERIMENTS.md, and a driver that replays a
 // stream through an engine while sampling per-tick series.
 
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
@@ -58,6 +60,35 @@ inline double Replay(StreamWorksEngine& engine,
     }
   }
   return timer.ElapsedSeconds();
+}
+
+/// One query's deterministic counts in a figure bench.
+struct QueryCounts {
+  std::string query;
+  uint64_t completions = 0;
+  uint64_t peak_partials = 0;
+};
+
+/// Writes a figure bench's per-query counts as scenario rows to
+/// bench-results/bench_<name>.json. The counts depend only on the stream
+/// and the queries, so ci/bench_gate.py requires them to equal the
+/// committed BENCH_<name>.json exactly; no timing rides along.
+inline void WriteCountsJson(std::string_view name, uint64_t edges,
+                            const std::vector<QueryCounts>& rows) {
+  const std::string path = StrCat("bench-results/bench_", name, ".json");
+  std::filesystem::create_directories("bench-results");
+  std::ofstream out(path);
+  out << "{\n  \"bench\": \"" << name << "\",\n";
+  out << "  \"edges\": " << edges << ",\n  \"rows\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const QueryCounts& r = rows[i];
+    out << "    {\"scenario\": \"" << r.query << "\", ";
+    out << "\"completions\": " << r.completions << ", ";
+    out << "\"peak_partials\": " << r.peak_partials << "}";
+    out << (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  out << "  ]\n}\n";
+  std::cout << "\nwrote " << path << "\n";
 }
 
 inline std::string Rate(uint64_t count, double seconds) {

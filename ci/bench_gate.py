@@ -5,7 +5,8 @@ Compares freshly-produced bench results (bench-results/bench_*.json,
 written by the bench binaries during the CI Bench smoke step) against the
 committed baselines (bench-results/BENCH_*.json). A scenario fails the
 gate when a higher-is-better throughput metric lands below
-baseline * (1 - tolerance).
+baseline * (1 - tolerance), or when a deterministic count (completions,
+peak partial matches) differs from the baseline at all.
 
 Design choices for a shared-runner world:
 
@@ -16,9 +17,13 @@ Design choices for a shared-runner world:
     present on both sides, so adding or retiring a scenario never breaks
     the gate; it reports (but does not fail on) baseline scenarios that
     disappeared from the fresh run.
-  * Only throughput-like metrics (events/edges per second) gate.
-    Latency percentiles ride along in the JSON for humans but are far too
-    machine-dependent to block a merge on.
+  * Throughput-like metrics (events/edges per second) gate against a
+    floor. Latency percentiles ride along in the JSON for humans but are
+    far too machine-dependent to block a merge on.
+  * Counts the engine determines (a query's completions, its peak partial
+    matches) gate on exact equality, whatever the tolerance: the same
+    stream and queries must give the same answer on any machine, so a
+    count off by one is a correctness change, not noise.
   * A missing fresh file is skipped with a note (the smoke step may run a
     subset); a missing *baseline* for a present fresh file is also only a
     note, so brand-new benches can land before their first baseline.
@@ -56,12 +61,17 @@ PAIRS = [
     ("bench_net_fanout.json", "BENCH_net_fanout.json"),
     ("bench_recovery.json", "BENCH_recovery.json"),
     ("bench_cluster.json", "BENCH_cluster.json"),
+    ("bench_fig3.json", "BENCH_fig3.json"),
+    ("bench_fig5.json", "BENCH_fig5.json"),
 ]
 
 # Higher-is-better metrics, in the order a bench is likely to define
 # them. Every other numeric field (latency ms, byte counts, setup time)
 # is informational only.
 THROUGHPUT_KEYS = ("ingest_eps", "deliver_mps", "deliver_eps", "eps")
+
+# Deterministic counts: equal to the baseline, or the scenario fails.
+EXACT_KEYS = ("completions", "peak_partials")
 
 # Fewest live scrapes each obs-on run of a cluster overhead block must
 # have served for its slowdown to count as measured.
@@ -143,6 +153,20 @@ def gate_throughput(fresh, baseline, tolerance, label, report, strict=False):
                 report.append(
                     (True,
                      f"{label}: '{scenario}' {key} {ratio:.2f}x baseline"))
+        for key in EXACT_KEYS:
+            base_value = base_row.get(key)
+            if not isinstance(base_value, int):
+                continue
+            fresh_value = fresh_row.get(key)
+            if fresh_value != base_value:
+                failures += 1
+                report.append(
+                    (False, f"{label}: '{scenario}' {key} {fresh_value} != "
+                            f"baseline {base_value} (counts gate exactly)"))
+            else:
+                report.append(
+                    (True, f"{label}: '{scenario}' {key} {fresh_value} "
+                           "equals baseline"))
     return failures
 
 
@@ -284,6 +308,28 @@ def self_test():
                                      report, strict=True)
     downsized_strict = gate_throughput(downsized, baseline, 0.25,
                                        "self-test", report, strict=True)
+    counts_base = {
+        "bench": "fig5",
+        "edges": 92359,
+        "rows": [
+            {"scenario": "news_event_politics_3", "completions": 3042,
+             "peak_partials": 6654},
+            {"scenario": "news_event_sports_3", "completions": 846,
+             "peak_partials": 3823},
+        ],
+    }
+    counts_same = json.loads(json.dumps(counts_base))
+    counts_off_by_one = json.loads(json.dumps(counts_base))
+    counts_off_by_one["rows"][1]["completions"] += 1
+    counts_lost = json.loads(json.dumps(counts_base))
+    del counts_lost["rows"][0]["peak_partials"]
+    counts_ok = gate_throughput(counts_same, counts_base, 0.25, "self-test",
+                                report)
+    # Exact means exact: no tolerance, however generous, forgives a count.
+    counts_bad = gate_throughput(counts_off_by_one, counts_base, 0.99,
+                                 "self-test", report)
+    counts_missing = gate_throughput(counts_lost, counts_base, 0.25,
+                                     "self-test", report)
     obs_pass = {"overhead": {"median_cpu_pct": 1.6, "gate_pct": 3.0}}
     obs_fail = {"overhead": {"median_cpu_pct": 4.5, "gate_pct": 3.0}}
     obs_ok = gate_obs_overhead(obs_pass, "self-test obs", report)
@@ -311,6 +357,9 @@ def self_test():
         (partial_lenient == 0, "missing scenario skips by default"),
         (partial_strict == 1, "missing scenario fails under --strict"),
         (downsized_strict == 2, "size mismatch fails under --strict"),
+        (counts_ok == 0, "identical counts pass"),
+        (counts_bad == 1, "a count off by one fails at any tolerance"),
+        (counts_missing == 1, "a count missing from the fresh row fails"),
         (obs_ok == 0, "in-budget obs overhead passes"),
         (obs_bad == 1, "over-budget obs overhead fails"),
         (obs_absent == 1, "overhead block with missing fields fails"),
@@ -352,8 +401,8 @@ def main():
     for ok, message in report:
         print(f"{'ok' if ok else 'REGRESSION'}: {message}")
     if failures:
-        print(f"\nbench gate: {failures} regression(s) beyond "
-              f"{args.tolerance:.0%} tolerance")
+        print(f"\nbench gate: {failures} regression(s): throughput beyond "
+              f"{args.tolerance:.0%} tolerance or a changed count")
         return 1
     print("\nbench gate: pass")
     return 0

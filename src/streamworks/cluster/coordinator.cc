@@ -125,12 +125,12 @@ std::string_view DistributedBackend::CachedLabelName(LabelId id) {
 }
 
 Status DistributedBackend::SendStateFrame(WorkerState* w, std::string frame) {
-  w->retained.push_back(frame);
+  w->retained.push_back(std::move(frame));
   ++w->sent_state;
   if (!w->link.has_value() || !w->link->connected()) {
     return RecoverLink(w);
   }
-  const Status sent = w->link->SendFrame(frame);
+  const Status sent = w->link->SendFrame(w->retained.back());
   if (sent.ok()) return OkStatus();
   return RecoverLink(w);
 }

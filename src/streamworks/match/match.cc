@@ -1,39 +1,111 @@
 #include "streamworks/match/match.h"
 
 #include <algorithm>
-#include <sstream>
+#include <cstring>
 
 #include "streamworks/common/hash.h"
 #include "streamworks/common/logging.h"
 
 namespace streamworks {
 
+// Every stored partial match pays for the inline slots; keep the object at
+// the ~200 bytes kInlineCapacity was sized for.
+static_assert(sizeof(Match) <= 200);
+
+Match::Match(int num_vertices, int num_edges)
+    : num_vertices_(static_cast<uint8_t>(num_vertices)),
+      num_edges_(static_cast<uint8_t>(num_edges)),
+      spilled_(num_vertices > kInlineCapacity || num_edges > kInlineCapacity) {
+  SW_DCHECK(num_vertices <= kMaxQuerySize && num_edges <= kMaxQuerySize);
+  if (spilled_) {
+    heap_ = new std::byte[spill_bytes()];
+    std::fill_n(edge_slots(), num_edges_, kInvalidEdgeId);
+    std::fill_n(ts_slots(), num_edges_, Timestamp{0});
+    std::fill_n(vertex_slots(), num_vertices_, kInvalidVertexId);
+  } else {
+    // Slots past the query's size start unbound too, so copying the whole
+    // inline array never reads an indeterminate value.
+    inline_ = InlineSlots{};
+    std::fill_n(inline_.edges, kInlineCapacity, kInvalidEdgeId);
+    std::fill_n(inline_.vertices, kInlineCapacity, kInvalidVertexId);
+  }
+}
+
+Match::Match(const Match& other) { CopyFrom(other); }
+
+Match::Match(Match&& other) noexcept { TakeFrom(&other); }
+
+Match& Match::operator=(const Match& other) {
+  if (this != &other) CopyFrom(other);
+  return *this;
+}
+
+Match& Match::operator=(Match&& other) noexcept {
+  if (this != &other) TakeFrom(&other);
+  return *this;
+}
+
+void Match::CopyFrom(const Match& other) {
+  if (other.spilled_) {
+    // Allocate before releasing, so a failed allocation leaves *this whole.
+    std::byte* block = new std::byte[other.spill_bytes()];
+    std::memcpy(block, other.heap_, other.spill_bytes());
+    FreeSpill();
+    heap_ = block;
+  } else {
+    FreeSpill();
+    inline_ = other.inline_;
+  }
+  CopyShape(other);
+}
+
+void Match::TakeFrom(Match* other) {
+  if (!other->spilled_) {
+    CopyFrom(*other);
+    return;
+  }
+  FreeSpill();
+  heap_ = other->heap_;
+  CopyShape(*other);
+  other->spilled_ = false;  // the block is ours now
+  *other = Match();
+}
+
+void Match::CopyShape(const Match& other) {
+  bound_vertices_ = other.bound_vertices_;
+  bound_edges_ = other.bound_edges_;
+  min_ts_ = other.min_ts_;
+  max_ts_ = other.max_ts_;
+  num_vertices_ = other.num_vertices_;
+  num_edges_ = other.num_edges_;
+  spilled_ = other.spilled_;
+}
+
 void Match::BindVertex(QueryVertexId qv, VertexId dv) {
-  SW_DCHECK(vertex_map_[qv] == kInvalidVertexId || vertex_map_[qv] == dv)
+  VertexId& slot = vertex_slots()[qv];
+  SW_DCHECK(slot == kInvalidVertexId || slot == dv)
       << "rebinding query vertex to a different data vertex";
-  vertex_map_[qv] = dv;
+  slot = dv;
   bound_vertices_.Add(qv);
 }
 
 void Match::UnbindVertex(QueryVertexId qv) {
-  vertex_map_[qv] = kInvalidVertexId;
+  vertex_slots()[qv] = kInvalidVertexId;
   bound_vertices_.Remove(qv);
 }
 
 bool Match::UsesDataVertex(VertexId dv) const {
+  const VertexId* vertices = vertex_slots();
   for (int qv : bound_vertices_) {
-    if (vertex_map_[qv] == dv) return true;
+    if (vertices[qv] == dv) return true;
   }
   return false;
 }
 
 void Match::BindEdge(QueryEdgeId qe, EdgeId de, Timestamp ts) {
   SW_DCHECK(!HasEdge(qe)) << "query edge already bound";
-  if (ts_of_edge_.size() < edge_map_.size()) {
-    ts_of_edge_.resize(edge_map_.size(), 0);
-  }
-  edge_map_[qe] = de;
-  ts_of_edge_[qe] = ts;
+  edge_slots()[qe] = de;
+  ts_slots()[qe] = ts;
   bound_edges_.Add(qe);
   min_ts_ = std::min(min_ts_, ts);
   max_ts_ = std::max(max_ts_, ts);
@@ -41,26 +113,28 @@ void Match::BindEdge(QueryEdgeId qe, EdgeId de, Timestamp ts) {
 
 void Match::UnbindEdge(QueryEdgeId qe) {
   SW_DCHECK(HasEdge(qe));
-  edge_map_[qe] = kInvalidEdgeId;
+  edge_slots()[qe] = kInvalidEdgeId;
   bound_edges_.Remove(qe);
   min_ts_ = kMaxTimestamp;
   max_ts_ = kMinTimestamp;
+  const Timestamp* ts = ts_slots();
   for (int e : bound_edges_) {
-    min_ts_ = std::min(min_ts_, ts_of_edge_[e]);
-    max_ts_ = std::max(max_ts_, ts_of_edge_[e]);
+    min_ts_ = std::min(min_ts_, ts[e]);
+    max_ts_ = std::max(max_ts_, ts[e]);
   }
 }
 
 bool Match::UsesDataEdge(EdgeId de) const {
+  const EdgeId* edges = edge_slots();
   for (int qe : bound_edges_) {
-    if (edge_map_[qe] == de) return true;
+    if (edges[qe] == de) return true;
   }
   return false;
 }
 
 Timestamp Match::edge_ts(QueryEdgeId qe) const {
   SW_DCHECK(HasEdge(qe));
-  return ts_of_edge_[qe];
+  return ts_slots()[qe];
 }
 
 Timestamp Match::min_ts() const {
@@ -82,58 +156,76 @@ bool Match::FitsWindowWith(Timestamp ts, Timestamp window) const {
 
 EdgeId Match::MaxDataEdgeId() const {
   SW_DCHECK(!bound_edges_.Empty());
+  const EdgeId* edges = edge_slots();
   EdgeId max_id = 0;
   for (int qe : bound_edges_) {
-    max_id = std::max(max_id, edge_map_[qe]);
+    max_id = std::max(max_id, edges[qe]);
   }
   return max_id;
 }
 
 uint64_t Match::MappingSignature() const {
   // Ordered fold over ascending query ids: equal mappings hash equal.
+  const VertexId* vertex_map = vertex_slots();
+  const EdgeId* edge_map = edge_slots();
   uint64_t h = 0x5741d8a3c5u;
   for (int qv : bound_vertices_) {
-    h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^ vertex_map_[qv]);
+    h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^ vertex_map[qv]);
   }
   for (int qe : bound_edges_) {
     h = HashCombine(h, (static_cast<uint64_t>(qe + 64) << 32) ^
-                           Mix64(edge_map_[qe]));
+                           Mix64(edge_map[qe]));
   }
   return h;
 }
 
 uint64_t Match::ExternalMappingSignature(const DynamicGraph& graph) const {
+  const VertexId* vertex_map = vertex_slots();
+  const EdgeId* edge_map = edge_slots();
   uint64_t h = 0x5741d8a3c5u;
   for (int qv : bound_vertices_) {
     h = HashCombine(h, (static_cast<uint64_t>(qv) << 32) ^
-                           Mix64(graph.external_id(vertex_map_[qv])));
+                           Mix64(graph.external_id(vertex_map[qv])));
   }
   for (int qe : bound_edges_) {
     h = HashCombine(h, (static_cast<uint64_t>(qe + 64) << 32) ^
-                           Mix64(edge_map_[qe]));
+                           Mix64(edge_map[qe]));
   }
   return h;
 }
 
 uint64_t Match::EdgeSetSignature() const {
   // XOR of per-edge hashes: order-independent over the data edge *set*.
+  const EdgeId* edges = edge_slots();
   uint64_t h = Mix64(static_cast<uint64_t>(bound_edges_.Count()) + 1);
   for (int qe : bound_edges_) {
-    h ^= Mix64(edge_map_[qe] + 0x9e37u);
+    h ^= Mix64(edges[qe] + 0x9e37u);
   }
   return h;
+}
+
+bool operator==(const Match& a, const Match& b) {
+  if (a.num_vertices_ != b.num_vertices_ || a.num_edges_ != b.num_edges_) {
+    return false;
+  }
+  const VertexId* vertices = a.vertex_slots();
+  const EdgeId* edges = a.edge_slots();
+  return std::equal(vertices, vertices + a.num_vertices_, b.vertex_slots()) &&
+         std::equal(edges, edges + a.num_edges_, b.edge_slots());
 }
 
 Match Match::Union(const Match& a, const Match& b) {
   SW_DCHECK(!a.bound_edges().Intersects(b.bound_edges()))
       << "joining matches with overlapping query edges";
   Match out = a;
+  const VertexId* vertices = b.vertex_slots();
   for (int qv : b.bound_vertices_) {
-    out.BindVertex(static_cast<QueryVertexId>(qv), b.vertex_map_[qv]);
+    out.BindVertex(static_cast<QueryVertexId>(qv), vertices[qv]);
   }
+  const EdgeId* edges = b.edge_slots();
+  const Timestamp* ts = b.ts_slots();
   for (int qe : b.bound_edges_) {
-    out.BindEdge(static_cast<QueryEdgeId>(qe), b.edge_map_[qe],
-                 b.ts_of_edge_[qe]);
+    out.BindEdge(static_cast<QueryEdgeId>(qe), edges[qe], ts[qe]);
   }
   return out;
 }
@@ -152,7 +244,7 @@ std::string Match::ToString() const {
     out += 'v';
     out += std::to_string(qv);
     out += "->";
-    out += std::to_string(vertex_map_[qv]);
+    out += std::to_string(vertex_slots()[qv]);
   }
   out += " | ";
   first = true;
@@ -162,9 +254,9 @@ std::string Match::ToString() const {
     out += 'e';
     out += std::to_string(qe);
     out += "->#";
-    out += std::to_string(edge_map_[qe]);
+    out += std::to_string(edge_slots()[qe]);
     out += '@';
-    out += std::to_string(ts_of_edge_[qe]);
+    out += std::to_string(ts_slots()[qe]);
   }
   out += '}';
   if (!bound_edges_.Empty()) {
@@ -185,7 +277,7 @@ std::string Match::ToExternalString(const DynamicGraph& graph) const {
     out += 'v';
     out += std::to_string(qv);
     out += "->";
-    out += std::to_string(graph.external_id(vertex_map_[qv]));
+    out += std::to_string(graph.external_id(vertex_slots()[qv]));
   }
   out += " | ";
   first = true;
@@ -195,9 +287,9 @@ std::string Match::ToExternalString(const DynamicGraph& graph) const {
     out += 'e';
     out += std::to_string(qe);
     out += "->#";
-    out += std::to_string(edge_map_[qe]);
+    out += std::to_string(edge_slots()[qe]);
     out += '@';
-    out += std::to_string(ts_of_edge_[qe]);
+    out += std::to_string(ts_slots()[qe]);
   }
   out += '}';
   if (!bound_edges_.Empty()) {

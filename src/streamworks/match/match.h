@@ -1,8 +1,9 @@
 #ifndef STREAMWORKS_MATCH_MATCH_H_
 #define STREAMWORKS_MATCH_MATCH_H_
 
+#include <cstddef>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "streamworks/common/bitset64.h"
 #include "streamworks/common/types.h"
@@ -17,21 +18,37 @@ namespace streamworks {
 /// of bound edges identifies which SJ-Tree node it belongs to.
 ///
 /// Matches are small value types (queries have <= 64 vertices/edges, and in
-/// practice < 10) and are copied freely during backtracking and joins.
+/// practice < 10) and are copied freely during backtracking and joins, so
+/// creating, copying and storing one is the SJ-Tree's inner loop. A query of
+/// at most kInlineCapacity vertices and edges keeps its bindings inside the
+/// Match and never allocates; a larger one keeps them in one heap block
+/// sized for the query, owned by the Match.
 class Match {
  public:
-  Match() = default;
+  /// Largest query (vertices and edges each) whose bindings live inline.
+  /// Eight covers every workload query in this repository (the largest has
+  /// 5 vertices and 6 edges) at ~200 bytes per Match. Every stored partial
+  /// match pays for the slots, so widen this only after measuring peak RSS.
+  static constexpr int kInlineCapacity = 8;
+
+  /// An empty match of no query: nothing bound, nothing bindable.
+  Match() : Match(0, 0) {}
 
   /// An empty match shaped for `query`: nothing bound.
   explicit Match(const QueryGraph& query)
-      : vertex_map_(query.num_vertices(), kInvalidVertexId),
-        edge_map_(query.num_edges(), kInvalidEdgeId) {}
+      : Match(query.num_vertices(), query.num_edges()) {}
+
+  Match(const Match& other);
+  Match(Match&& other) noexcept;
+  Match& operator=(const Match& other);
+  Match& operator=(Match&& other) noexcept;
+  ~Match() { FreeSpill(); }
 
   // --- Vertex bindings ----------------------------------------------------
   bool HasVertex(QueryVertexId qv) const {
-    return vertex_map_[qv] != kInvalidVertexId;
+    return vertex_slots()[qv] != kInvalidVertexId;
   }
-  VertexId vertex(QueryVertexId qv) const { return vertex_map_[qv]; }
+  VertexId vertex(QueryVertexId qv) const { return vertex_slots()[qv]; }
 
   /// Binds query vertex `qv` to data vertex `dv`. Rebinding to a different
   /// data vertex is a programming error (checked).
@@ -44,16 +61,16 @@ class Match {
 
   // --- Edge bindings -------------------------------------------------------
   bool HasEdge(QueryEdgeId qe) const {
-    return edge_map_[qe] != kInvalidEdgeId;
+    return edge_slots()[qe] != kInvalidEdgeId;
   }
-  EdgeId edge(QueryEdgeId qe) const { return edge_map_[qe]; }
+  EdgeId edge(QueryEdgeId qe) const { return edge_slots()[qe]; }
 
   /// Binds query edge `qe` to data edge `de` with timestamp `ts`, updating
   /// the match's time span. Does not bind endpoints; callers bind vertices
   /// explicitly (they may already be bound).
   void BindEdge(QueryEdgeId qe, EdgeId de, Timestamp ts);
   /// Removes the binding of `qe`. The time span is recomputed from the
-  /// remaining bound edges' `ts` values in `ts_of_edge_`.
+  /// timestamps of the remaining bound edges.
   void UnbindEdge(QueryEdgeId qe);
 
   bool UsesDataEdge(EdgeId de) const;
@@ -100,10 +117,9 @@ class Match {
   /// when no edge is bound.
   EdgeId MaxDataEdgeId() const;
 
-  /// Exact equality of the two mappings (not just signatures).
-  friend bool operator==(const Match& a, const Match& b) {
-    return a.vertex_map_ == b.vertex_map_ && a.edge_map_ == b.edge_map_;
-  }
+  /// Exact equality of the two mappings (not just signatures): same query
+  /// shape, same vertex and edge bindings.
+  friend bool operator==(const Match& a, const Match& b);
 
   /// Merges two matches of the same query with disjoint bound edge sets and
   /// consistent vertex bindings (the SJ-Tree join, Property 2). The caller
@@ -124,13 +140,70 @@ class Match {
   std::string ToExternalString(const DynamicGraph& graph) const;
 
  private:
-  std::vector<VertexId> vertex_map_;
-  std::vector<EdgeId> edge_map_;
-  std::vector<Timestamp> ts_of_edge_;  // parallel to edge_map_, lazily sized
+  /// The bindings of a query that fits kInlineCapacity. Unbound slots hold
+  /// kInvalidVertexId / kInvalidEdgeId; a slot's timestamp is meaningful
+  /// only while its edge is bound.
+  struct InlineSlots {
+    EdgeId edges[kInlineCapacity];
+    Timestamp ts[kInlineCapacity];
+    VertexId vertices[kInlineCapacity];
+  };
+
+  Match(int num_vertices, int num_edges);
+
+  // A spilled query's heap block holds the same three arrays as
+  // InlineSlots, each sized for the query: [edges | ts | vertices].
+  size_t ts_offset() const { return num_edges_ * sizeof(EdgeId); }
+  size_t vertex_offset() const {
+    return ts_offset() + num_edges_ * sizeof(Timestamp);
+  }
+  size_t spill_bytes() const {
+    return vertex_offset() + num_vertices_ * sizeof(VertexId);
+  }
+
+  const EdgeId* edge_slots() const {
+    return spilled_ ? reinterpret_cast<const EdgeId*>(heap_) : inline_.edges;
+  }
+  const Timestamp* ts_slots() const {
+    return spilled_ ? reinterpret_cast<const Timestamp*>(heap_ + ts_offset())
+                    : inline_.ts;
+  }
+  const VertexId* vertex_slots() const {
+    return spilled_ ? reinterpret_cast<const VertexId*>(heap_ + vertex_offset())
+                    : inline_.vertices;
+  }
+  EdgeId* edge_slots() {
+    return const_cast<EdgeId*>(std::as_const(*this).edge_slots());
+  }
+  Timestamp* ts_slots() {
+    return const_cast<Timestamp*>(std::as_const(*this).ts_slots());
+  }
+  VertexId* vertex_slots() {
+    return const_cast<VertexId*>(std::as_const(*this).vertex_slots());
+  }
+
+  /// Makes this match a copy of `other`, releasing its own heap block.
+  void CopyFrom(const Match& other);
+  /// Like CopyFrom, but takes `other`'s heap block instead of copying it
+  /// and leaves `other` an empty match of no query.
+  void TakeFrom(Match* other);
+  /// Copies everything but the slots.
+  void CopyShape(const Match& other);
+  void FreeSpill() {
+    if (spilled_) delete[] heap_;  // inline slots own nothing
+  }
+
+  union {
+    InlineSlots inline_;
+    std::byte* heap_;  // when spilled_: [edges | ts | vertices]
+  };
   Bitset64 bound_vertices_;
   Bitset64 bound_edges_;
   Timestamp min_ts_ = kMaxTimestamp;
   Timestamp max_ts_ = kMinTimestamp;
+  uint8_t num_vertices_ = 0;
+  uint8_t num_edges_ = 0;
+  bool spilled_ = false;
 };
 
 /// Validates that `a` and `b` can be joined into one consistent mapping:

@@ -148,7 +148,7 @@ bool PeerLink::HasBufferedFrame() const {
 StatusOr<CtrlFrame> PeerLink::ReadFrame(Interner* interner, int timeout_ms) {
   Timer timer;
   for (;;) {
-    const CtrlDecodeResult decoded =
+    CtrlDecodeResult decoded =
         DecodeCtrlFrame(rbuf_, kDefaultMaxFrameBodyBytes, interner);
     switch (decoded.status) {
       case FrameDecodeStatus::kOk: {

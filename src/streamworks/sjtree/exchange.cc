@@ -1,6 +1,7 @@
 #include "streamworks/sjtree/exchange.h"
 
 #include "streamworks/common/logging.h"
+#include "streamworks/common/str_util.h"
 
 namespace streamworks {
 
@@ -62,6 +63,30 @@ WireMatch MatchExchange::ToWire(const DynamicGraph& graph, const Match& m) {
 StatusOr<Match> MatchExchange::Localize(DynamicGraph* graph,
                                         const QueryGraph& query,
                                         const WireMatch& wire) {
+  // The wire decoder bounds a binding's slot only by kMaxQuerySize; check
+  // it against this query's shape before anything is bound or interned.
+  Bitset64 vertices;
+  for (const WireVertexBinding& vb : wire.vertices) {
+    const int qv = vb.qv;
+    if (qv >= query.num_vertices()) {
+      return Status::InvalidArgument(StrCat("wire vertex out of range: v", qv));
+    }
+    if (vertices.Contains(qv)) {
+      return Status::InvalidArgument(StrCat("wire vertex bound twice: v", qv));
+    }
+    vertices.Add(qv);
+  }
+  Bitset64 edges;
+  for (const WireEdgeBinding& eb : wire.edges) {
+    const int qe = eb.qe;
+    if (qe >= query.num_edges()) {
+      return Status::InvalidArgument(StrCat("wire edge out of range: e", qe));
+    }
+    if (edges.Contains(qe)) {
+      return Status::InvalidArgument(StrCat("wire edge bound twice: e", qe));
+    }
+    edges.Add(qe);
+  }
   Match m(query);
   for (const WireVertexBinding& vb : wire.vertices) {
     SW_ASSIGN_OR_RETURN(const VertexId dv,

@@ -112,9 +112,11 @@ class MatchExchange {
 
   /// Rebuilds a local match from wire form, interning vertices this shard
   /// has never seen (their adjacency stays empty; expansion never scans a
-  /// vertex the local shard doesn't own). Fails only on a vertex-label
-  /// clash, which group-level ingest validation rules out — so callers may
-  /// treat an error as a logic bug.
+  /// vertex the local shard doesn't own). Fails, before interning anything,
+  /// on a binding outside `query`'s vertices or edges or a query vertex or
+  /// edge bound twice, which only a corrupt or foreign frame carries; and
+  /// on a vertex-label clash, which group-level ingest validation rules
+  /// out. In-process callers may treat an error as a logic bug.
   static StatusOr<Match> Localize(DynamicGraph* graph,
                                   const QueryGraph& query,
                                   const WireMatch& wire);

@@ -306,6 +306,9 @@ struct EngineEquivalenceCase {
   int query_edges;
   Timestamp window;
   DecompositionStrategy strategy;
+  /// The baselines must find at least one match, so the case exercises
+  /// complete matches and not just partial ones.
+  bool expect_matches = false;
 };
 
 class EngineEquivalenceTest
@@ -356,6 +359,9 @@ TEST_P(EngineEquivalenceTest, EngineNaiveAndRecomputeAgree) {
   }
   EXPECT_EQ(engine_sigs, naive_sigs) << q.ToString(interner);
   EXPECT_EQ(engine_sigs, recompute_sigs) << q.ToString(interner);
+  if (c.expect_matches) {
+    EXPECT_FALSE(naive_sigs.empty());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -377,6 +383,27 @@ INSTANTIATE_TEST_SUITE_P(
                               DecompositionStrategy::kLeftDeepEdgeOrder},
         EngineEquivalenceCase{18, 5, 5, 30,
                               DecompositionStrategy::kBalancedBisection}));
+
+// Queries past Match::kInlineCapacity (8 vertices/edges), whose matches keep
+// their bindings in a heap block: more vertices than edges, more edges than
+// vertices, and both.
+INSTANTIATE_TEST_SUITE_P(
+    Spilled, EngineEquivalenceTest,
+    testing::Values(
+        EngineEquivalenceCase{20, 9, 8, 9,
+                              DecompositionStrategy::kLeftDeepEdgeOrder, true},
+        EngineEquivalenceCase{20, 8, 9, 14,
+                              DecompositionStrategy::kPrimitivePairs, true},
+        EngineEquivalenceCase{20, 10, 10, 12,
+                              DecompositionStrategy::kBalancedBisection, true},
+        EngineEquivalenceCase{25, 10, 12, 13,
+                              DecompositionStrategy::kSelectivityLeftDeep,
+                              true},
+        EngineEquivalenceCase{20, 11, 11, 14,
+                              DecompositionStrategy::kPrimitivePairs, true},
+        EngineEquivalenceCase{20, 12, 12, 13,
+                              DecompositionStrategy::kBalancedBisection,
+                              true}));
 
 TEST(EngineEquivalenceOnAttackStreamTest, SmurfAgreesAcrossAllMatchers) {
   Interner interner;

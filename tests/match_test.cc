@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "streamworks/common/interner.h"
@@ -237,6 +238,120 @@ TEST(MatchTest, JoinCompatibleRejectsOverlappingQueryEdges) {
   a.BindVertex(1, 2);
   a.BindEdge(0, 10, 5);
   EXPECT_FALSE(JoinCompatible(a, a, 100));
+}
+
+// --- Inline and spilled layouts ---------------------------------------------
+
+/// Directed cycle v0 -[x]-> v1 -[x]-> ... -[x]-> v0: n vertices, n edges.
+QueryGraph CycleQuery(Interner* interner, int n) {
+  QueryGraphBuilder builder(interner);
+  for (int v = 0; v < n; ++v) builder.AddVertex("V");
+  for (int e = 0; e < n; ++e) {
+    builder.AddEdge(static_cast<QueryVertexId>(e),
+                    static_cast<QueryVertexId>((e + 1) % n), "x");
+  }
+  return builder.Build("cycle").value();
+}
+
+/// Binds cycle edges [begin, end) of `q`: query edge i to data edge 500 + i
+/// at time i, and each endpoint vj to data vertex 1000 + j.
+Match CycleSegment(const QueryGraph& q, int begin, int end) {
+  Match m(q);
+  for (int i = begin; i < end; ++i) {
+    const auto qe = static_cast<QueryEdgeId>(i);
+    const QueryEdge& edge = q.edge(qe);
+    m.BindVertex(edge.src, 1000 + edge.src);
+    m.BindVertex(edge.dst, 1000 + edge.dst);
+    m.BindEdge(qe, 500 + i, i);
+  }
+  return m;
+}
+
+TEST(MatchTest, ValueSemanticsHoldInlineAndSpilled) {
+  // 8 fits inline; 9 spills to the heap; 63 and 64 are the largest queries
+  // the builder admits.
+  for (const int n : {8, 9, 63, 64}) {
+    SCOPED_TRACE(n);
+    Interner interner;
+    const QueryGraph q = CycleQuery(&interner, n);
+    const Match full = CycleSegment(q, 0, n);
+    ASSERT_EQ(full.num_bound_edges(), n);
+    EXPECT_EQ(full.vertex(static_cast<QueryVertexId>(n - 1)),
+              static_cast<VertexId>(1000 + n - 1));
+    EXPECT_EQ(full.edge_ts(static_cast<QueryEdgeId>(n - 1)), n - 1);
+    EXPECT_EQ(full.Span(), n - 1);
+    EXPECT_EQ(full.MaxDataEdgeId(), static_cast<EdgeId>(500 + n - 1));
+
+    // A copy is equal and independent of its source.
+    Match copy = full;
+    EXPECT_TRUE(copy == full);
+    EXPECT_EQ(copy.ToString(), full.ToString());
+    EXPECT_EQ(copy.MappingSignature(), full.MappingSignature());
+    copy.UnbindEdge(0);
+    EXPECT_FALSE(copy == full);
+    EXPECT_TRUE(full.HasEdge(0));
+    EXPECT_EQ(full.min_ts(), 0);
+
+    // Move construction and both assignments carry the whole mapping.
+    Match source = full;
+    const Match moved(std::move(source));
+    EXPECT_TRUE(moved == full);
+    source = full;  // a moved-from match takes a new value
+    EXPECT_TRUE(source == full);
+    Match assigned(q);
+    EXPECT_FALSE(assigned == full);
+    assigned = full;
+    EXPECT_TRUE(assigned == full);
+    const Match& alias = assigned;
+    assigned = alias;  // self-assignment keeps the value
+    EXPECT_TRUE(assigned == full);
+    Match target(q);
+    target = std::move(assigned);
+    EXPECT_TRUE(target == full);
+    EXPECT_EQ(target.ToString(), full.ToString());
+
+    // The join of two halves is the whole.
+    const Match head = CycleSegment(q, 0, n / 2);
+    const Match tail = CycleSegment(q, n / 2, n);
+    ASSERT_TRUE(JoinCompatible(head, tail, n));
+    EXPECT_FALSE(JoinCompatible(head, tail, n - 1));  // span n-1 is not < n-1
+    const Match joined = Match::Union(head, tail);
+    EXPECT_TRUE(joined == full);
+    EXPECT_EQ(joined.min_ts(), 0);
+    EXPECT_EQ(joined.max_ts(), n - 1);
+    EXPECT_EQ(joined.EdgeSetSignature(), full.EdgeSetSignature());
+
+    // Empty matches of differently sized queries differ.
+    const QueryGraph resized = CycleQuery(&interner, n == 64 ? 63 : n + 1);
+    EXPECT_FALSE(Match(q) == Match(resized));
+    EXPECT_TRUE(Match(q) == Match(q));
+  }
+}
+
+TEST(MatchTest, AssignmentCrossesBetweenInlineAndSpilled) {
+  Interner interner;
+  const QueryGraph small = CycleQuery(&interner, 8);
+  const QueryGraph large = CycleQuery(&interner, 9);
+  const Match inline_match = CycleSegment(small, 0, 8);
+  const Match spilled = CycleSegment(large, 0, 9);
+
+  Match m = inline_match;
+  m = spilled;  // spilled over inline
+  EXPECT_TRUE(m == spilled);
+  EXPECT_EQ(m.ToString(), spilled.ToString());
+  m = inline_match;  // and back: the heap block is released
+  EXPECT_TRUE(m == inline_match);
+  EXPECT_EQ(m.ToString(), inline_match.ToString());
+
+  Match spilled_copy = spilled;
+  m = std::move(spilled_copy);  // a moved spill lands over inline
+  EXPECT_TRUE(m == spilled);
+  Match inline_copy = inline_match;
+  m = std::move(inline_copy);  // a moved inline match lands over a spill
+  EXPECT_TRUE(m == inline_match);
+  m = Match();
+  EXPECT_TRUE(m == Match());
+  EXPECT_TRUE(m.bound_edges().Empty());
 }
 
 // --- ConnectedEdgeOrder --------------------------------------------------------

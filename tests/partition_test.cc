@@ -108,10 +108,18 @@ TEST(PartitionerTest, HashModuloIsDeterministicInRangeAndSeedSensitive) {
 TEST(PartitionTest, MatchesSingleEngineAcrossShardCounts) {
   Interner interner;
   const auto edges = RandomStream(&interner, 2026, 20, 800);
-  const auto queries = RandomQueries(&interner, 88, 6);
+  auto queries = RandomQueries(&interner, 88, 6);
+  // A 10-edge query is past Match::kInlineCapacity: its matches keep their
+  // bindings in a heap block, and cross shards through ToWire/Localize.
+  Rng rng(1);
+  const QueryGraph spilled =
+      GenerateRandomConnectedQuery(rng, 9, 10, 2, 3, &interner).value();
+  ASSERT_GT(spilled.num_edges(), Match::kInlineCapacity);
+  queries.push_back(spilled);
   const Timestamp window = 18;
   const auto expected =
       SingleEngineReference(&interner, queries, window, edges);
+  ASSERT_FALSE(expected.back().empty());
 
   for (const int shards : {1, 2, 3, 5}) {
     std::vector<std::multiset<uint64_t>> actual(queries.size());

@@ -1,8 +1,8 @@
 // Tests for streamworks/sjtree: decomposition construction and validation
 // (SJ-Tree Properties 1-4), the hash-indexed MatchStore with lazy expiry,
-// and the SjTree incremental matcher, including a three-way equivalence
-// property sweep against the naive incremental matcher and the batch
-// oracle.
+// the wire form of forwarded matches, and the SjTree incremental matcher,
+// including a three-way equivalence property sweep against the naive
+// incremental matcher and the batch oracle.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "streamworks/match/local_search.h"
 #include "streamworks/match/subgraph_iso.h"
 #include "streamworks/sjtree/decomposition.h"
+#include "streamworks/sjtree/exchange.h"
 #include "streamworks/sjtree/match_store.h"
 #include "streamworks/sjtree/sj_tree.h"
 
@@ -255,6 +256,56 @@ TEST(MatchStoreTest, ExpireSweepsEverything) {
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.total_expired(), 10u);
   EXPECT_EQ(store.peak_size(), 10u);  // peak survives expiry
+}
+
+// --- MatchExchange wire form ------------------------------------------------
+
+/// Wire form of a full path-query match: v0..v2 on external vertices
+/// 100..102, e0 and e1 on global edges 7 and 9.
+WireMatch PathWireMatch(LabelId label) {
+  WireMatch wire;
+  wire.vertices = {{0, 100, label}, {1, 101, label}, {2, 102, label}};
+  wire.edges = {{0, 7, 5}, {1, 9, 6}};
+  return wire;
+}
+
+TEST(MatchExchangeTest, LocalizeRoundTripsThroughToWire) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  DynamicGraph graph(&interner);
+  const WireMatch wire = PathWireMatch(interner.Intern("V"));
+  const Match m = MatchExchange::Localize(&graph, q, wire).value();
+  EXPECT_EQ(m.num_bound_edges(), 2);
+  EXPECT_EQ(graph.external_id(m.vertex(2)), 102u);
+  EXPECT_EQ(m.edge(1), 9u);
+  EXPECT_EQ(m.Span(), 1);
+
+  DynamicGraph other(&interner);
+  const WireMatch round_trip = MatchExchange::ToWire(graph, m);
+  const Match again = MatchExchange::Localize(&other, q, round_trip).value();
+  EXPECT_EQ(again.ToExternalString(other), m.ToExternalString(graph));
+}
+
+TEST(MatchExchangeTest, LocalizeRejectsBindingsOutsideTheQuery) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);  // v0..v2, e0..e1
+  const LabelId label = interner.Intern("V");
+  // Each corrupt match names a slot the query does not have, or binds one
+  // slot twice.
+  std::vector<WireMatch> corrupt(4, PathWireMatch(label));
+  corrupt[0].vertices.push_back({7, 103, label});
+  corrupt[1].edges.push_back({2, 11, 6});
+  corrupt[2].vertices.push_back({1, 104, label});
+  corrupt[3].edges.push_back({0, 12, 6});
+  DynamicGraph graph(&interner);
+  for (const WireMatch& wire : corrupt) {
+    const StatusOr<Match> localized = MatchExchange::Localize(&graph, q, wire);
+    ASSERT_FALSE(localized.ok());
+    EXPECT_EQ(localized.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Rejected before interning: no vertex of a corrupt match reached the
+  // graph.
+  EXPECT_EQ(graph.num_vertices(), 0u);
 }
 
 // --- SjTree: hand-built scenarios ---------------------------------------------
