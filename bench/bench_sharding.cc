@@ -11,7 +11,9 @@
 // retained edges (max across shards), the sum over shards, exchange items
 // forwarded, ingest rate, and completions (which must not depend on the
 // mode — the equivalence suite proves exact equality; the bench prints it
-// as a sanity column).
+// as a sanity column). Every column but the rate is a deterministic count;
+// they go to bench-results/bench_sharding.json, which ci/bench_gate.py
+// requires to equal the committed BENCH_sharding.json exactly.
 
 #include <string>
 #include <vector>
@@ -83,6 +85,8 @@ void RunAll(int num_edges) {
              "edges/s", "completions"});
   table.Separator();
 
+  std::vector<CountsRow> rows;
+  uint64_t stream_edges = 0;
   for (const int shards : {2, 4, 8}) {
     for (const ShardingMode mode :
          {ShardingMode::kBroadcastData, ShardingMode::kPartitionedData}) {
@@ -108,13 +112,18 @@ void RunAll(int num_edges) {
                               (stream.back().ts - stream.front().ts) / 4);
       const ShardingResult r = RunMode(stream, &interner, shards, mode,
                                        window);
-      table.Row(
-          {mode == ShardingMode::kBroadcastData ? "broadcast"
-                                                : "partitioned",
-           std::to_string(shards), FormatCount(r.max_retained),
-           FormatCount(r.sum_retained), FormatCount(r.forwarded),
-           Rate(stream.size(), r.wall_seconds),
-           std::to_string(r.completions)});
+      const std::string mode_name =
+          mode == ShardingMode::kBroadcastData ? "broadcast" : "partitioned";
+      table.Row({mode_name, std::to_string(shards),
+                 FormatCount(r.max_retained), FormatCount(r.sum_retained),
+                 FormatCount(r.forwarded), Rate(stream.size(), r.wall_seconds),
+                 std::to_string(r.completions)});
+      rows.push_back({mode_name + " " + std::to_string(shards),
+                      {{"completions", r.completions},
+                       {"max_retained", r.max_retained},
+                       {"sum_retained", r.sum_retained},
+                       {"forwarded", r.forwarded}}});
+      stream_edges = stream.size();
     }
     table.Separator();
   }
@@ -122,6 +131,7 @@ void RunAll(int num_edges) {
                "(sum = shards x window).\n"
                "partitioned: a shard retains only owned edges "
                "(sum <= 2 x window; max ~ 2/N).\n";
+  WriteCountsJson("sharding", stream_edges, rows);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "streamworks/common/str_util.h"
@@ -69,26 +70,44 @@ struct QueryCounts {
   uint64_t peak_partials = 0;
 };
 
-/// Writes a figure bench's per-query counts as scenario rows to
+/// One scenario row of deterministic counts: (key, value) pairs in order.
+struct CountsRow {
+  std::string scenario;
+  std::vector<std::pair<std::string, uint64_t>> counts;
+};
+
+/// Writes a bench's deterministic counts as scenario rows to
 /// bench-results/bench_<name>.json. The counts depend only on the stream
 /// and the queries, so ci/bench_gate.py requires them to equal the
 /// committed BENCH_<name>.json exactly; no timing rides along.
 inline void WriteCountsJson(std::string_view name, uint64_t edges,
-                            const std::vector<QueryCounts>& rows) {
+                            const std::vector<CountsRow>& rows) {
   const std::string path = StrCat("bench-results/bench_", name, ".json");
   std::filesystem::create_directories("bench-results");
   std::ofstream out(path);
   out << "{\n  \"bench\": \"" << name << "\",\n";
   out << "  \"edges\": " << edges << ",\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
-    const QueryCounts& r = rows[i];
-    out << "    {\"scenario\": \"" << r.query << "\", ";
-    out << "\"completions\": " << r.completions << ", ";
-    out << "\"peak_partials\": " << r.peak_partials << "}";
-    out << (i + 1 < rows.size() ? ",\n" : "\n");
+    out << "    {\"scenario\": \"" << rows[i].scenario << "\"";
+    for (const auto& [key, value] : rows[i].counts) {
+      out << ", \"" << key << "\": " << value;
+    }
+    out << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
   }
   out << "  ]\n}\n";
   std::cout << "\nwrote " << path << "\n";
+}
+
+/// A figure bench's per-query completions and peak partials.
+inline void WriteCountsJson(std::string_view name, uint64_t edges,
+                            const std::vector<QueryCounts>& queries) {
+  std::vector<CountsRow> rows;
+  for (const QueryCounts& q : queries) {
+    rows.push_back({q.query,
+                    {{"completions", q.completions},
+                     {"peak_partials", q.peak_partials}}});
+  }
+  WriteCountsJson(name, edges, rows);
 }
 
 inline std::string Rate(uint64_t count, double seconds) {

@@ -21,7 +21,8 @@ Design choices for a shared-runner world:
     floor. Latency percentiles ride along in the JSON for humans but are
     far too machine-dependent to block a merge on.
   * Counts the engine determines (a query's completions, its peak partial
-    matches) gate on exact equality, whatever the tolerance: the same
+    matches, a sharded group's retained edges and forwarded exchange
+    items) gate on exact equality, whatever the tolerance: the same
     stream and queries must give the same answer on any machine, so a
     count off by one is a correctness change, not noise.
   * A missing fresh file is skipped with a note (the smoke step may run a
@@ -63,6 +64,7 @@ PAIRS = [
     ("bench_cluster.json", "BENCH_cluster.json"),
     ("bench_fig3.json", "BENCH_fig3.json"),
     ("bench_fig5.json", "BENCH_fig5.json"),
+    ("bench_sharding.json", "BENCH_sharding.json"),
 ]
 
 # Higher-is-better metrics, in the order a bench is likely to define
@@ -71,7 +73,10 @@ PAIRS = [
 THROUGHPUT_KEYS = ("ingest_eps", "deliver_mps", "deliver_eps", "eps")
 
 # Deterministic counts: equal to the baseline, or the scenario fails.
-EXACT_KEYS = ("completions", "peak_partials")
+# max_retained / sum_retained / forwarded are bench_sharding's per-shard
+# window sizes and exchange items (identical over 10 runs at 60000 edges).
+EXACT_KEYS = ("completions", "peak_partials", "max_retained",
+              "sum_retained", "forwarded")
 
 # Fewest live scrapes each obs-on run of a cluster overhead block must
 # have served for its slowdown to count as measured.
@@ -330,6 +335,29 @@ def self_test():
                                  "self-test", report)
     counts_missing = gate_throughput(counts_lost, counts_base, 0.25,
                                      "self-test", report)
+    sharding_base = {
+        "bench": "sharding",
+        "edges": 60014,
+        "rows": [
+            {"scenario": "broadcast 4", "completions": 17808,
+             "max_retained": 14980, "sum_retained": 59920, "forwarded": 0},
+            {"scenario": "partitioned 4", "completions": 17808,
+             "max_retained": 6820, "sum_retained": 26236,
+             "forwarded": 16951},
+        ],
+    }
+    sharding_same = json.loads(json.dumps(sharding_base))
+    sharding_regrown = json.loads(json.dumps(sharding_base))
+    sharding_regrown["rows"][0]["max_retained"] = 60014  # unbounded shard
+    sharding_regrown["rows"][0]["sum_retained"] = 149988
+    sharding_rerouted = json.loads(json.dumps(sharding_base))
+    sharding_rerouted["rows"][1]["forwarded"] += 1
+    sharding_ok = gate_throughput(sharding_same, sharding_base, 0.25,
+                                  "self-test", report)
+    sharding_bad_window = gate_throughput(sharding_regrown, sharding_base,
+                                          0.25, "self-test", report)
+    sharding_bad_exchange = gate_throughput(sharding_rerouted, sharding_base,
+                                            0.25, "self-test", report)
     obs_pass = {"overhead": {"median_cpu_pct": 1.6, "gate_pct": 3.0}}
     obs_fail = {"overhead": {"median_cpu_pct": 4.5, "gate_pct": 3.0}}
     obs_ok = gate_obs_overhead(obs_pass, "self-test obs", report)
@@ -360,6 +388,10 @@ def self_test():
         (counts_ok == 0, "identical counts pass"),
         (counts_bad == 1, "a count off by one fails at any tolerance"),
         (counts_missing == 1, "a count missing from the fresh row fails"),
+        (sharding_ok == 0, "identical sharding counts pass"),
+        (sharding_bad_window == 2,
+         "a changed retained-edge max and sum fail as two counts"),
+        (sharding_bad_exchange == 1, "a forwarded count off by one fails"),
         (obs_ok == 0, "in-budget obs overhead passes"),
         (obs_bad == 1, "over-budget obs overhead fails"),
         (obs_absent == 1, "overhead block with missing fields fails"),

@@ -9,12 +9,6 @@
 
 namespace streamworks {
 
-namespace {
-
-constexpr size_t kMaxExchangeItemsPerFrame = 512;
-
-}  // namespace
-
 StatusOr<std::pair<std::string, int>> ParseHostPort(const std::string& spec) {
   const size_t colon = spec.rfind(':');
   if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
@@ -41,6 +35,7 @@ DistributedBackend::DistributedBackend(DistributedBackendOptions options,
     : options_(std::move(options)),
       interner_(interner),
       partitioner_(options_.partitioner_seed),
+      ingest_(&partitioner_, static_cast<int>(options_.workers.size())),
       coord_graph_(&wire_interner_),
       epoch_ring_(options_.epoch_trace_capacity) {}
 
@@ -135,6 +130,16 @@ Status DistributedBackend::SendStateFrame(WorkerState* w, std::string frame) {
   return RecoverLink(w);
 }
 
+Status DistributedBackend::SendControlFrame(WorkerState* w,
+                                            const std::string& frame) {
+  if (!w->link.has_value() || !w->link->connected()) {
+    SW_RETURN_IF_ERROR(RecoverLink(w));
+  }
+  if (w->link->SendFrame(frame).ok()) return OkStatus();
+  SW_RETURN_IF_ERROR(RecoverLink(w));
+  return w->link->SendFrame(frame);
+}
+
 Status DistributedBackend::RecoverLink(WorkerState* w) {
   if (w->link.has_value()) w->link->Close();
   SW_ASSIGN_OR_RETURN(auto link,
@@ -182,7 +187,7 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
       // Star relay: group by destination shard, forward as state frames
       // (a relayed item mutates the receiver, so it must survive a
       // receiver crash like any batch would).
-      std::map<int32_t, CtrlExchange> by_dest;
+      std::map<int32_t, std::vector<CtrlExchangeItem>> by_dest;
       for (const CtrlExchangeItem& item : frame.exchange.items) {
         if (item.dest < 0 ||
             item.dest >= static_cast<int32_t>(workers_.size())) {
@@ -190,23 +195,15 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
               StrCat("exchange item routed to shard ", item.dest, " of ",
                      workers_.size()));
         }
-        by_dest[item.dest].items.push_back(item);
+        by_dest[item.dest].push_back(item);
       }
       const LabelNameFn name = [this](LabelId id) -> std::string_view {
         return wire_interner_.Name(id);
       };
-      for (auto& [dest, exchange] : by_dest) {
-        WorkerState* to = &workers_[static_cast<size_t>(dest)];
-        for (size_t begin = 0; begin < exchange.items.size();
-             begin += kMaxExchangeItemsPerFrame) {
-          const size_t end = std::min(exchange.items.size(),
-                                      begin + kMaxExchangeItemsPerFrame);
-          CtrlExchange chunk;
-          chunk.items.assign(
-              exchange.items.begin() + static_cast<ptrdiff_t>(begin),
-              exchange.items.begin() + static_cast<ptrdiff_t>(end));
-          SW_RETURN_IF_ERROR(
-              SendStateFrame(to, EncodeExchangeFrame(chunk, name)));
+      for (const auto& [dest, items] : by_dest) {
+        for (std::string& relayed : EncodeExchangeFrames(items, name)) {
+          SW_RETURN_IF_ERROR(SendStateFrame(
+              &workers_[static_cast<size_t>(dest)], std::move(relayed)));
         }
       }
       const uint64_t relay_us = PipelineMetrics::NowMicros() - relay_start;
@@ -244,43 +241,38 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
   }
 }
 
-StatusOr<CtrlFrame> DistributedBackend::AwaitFrame(WorkerState* w,
-                                                   CtrlType type) {
+StatusOr<CtrlFrame> DistributedBackend::AwaitFrame(
+    WorkerState* w, CtrlType type, const std::string* request) {
   while (true) {
     auto frame_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    SW_RETURN_IF_ERROR(frame_or.status());
+    if (!frame_or.ok()) {
+      if (request == nullptr) return frame_or.status();
+      // The link failed under the request: recover (replay + resend
+      // restores the worker past every state frame) and ask again.
+      SW_RETURN_IF_ERROR(RecoverLink(w));
+      SW_RETURN_IF_ERROR(w->link->SendFrame(*request));
+      continue;
+    }
     if (frame_or.value().type == type) return frame_or;
     SW_RETURN_IF_ERROR(HandleWorkerFrame(w, frame_or.value()));
   }
 }
 
-Status DistributedBackend::AwaitBarrierAck(WorkerState* w, uint32_t round) {
+Status DistributedBackend::AwaitBarrierAck(WorkerState* w, uint32_t round,
+                                           const std::string& frame) {
   while (true) {
-    auto frame_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    if (!frame_or.ok()) {
-      // Mid-barrier link failure: recover (replay + resend restores the
-      // worker past this barrier's frames) and re-barrier just this
-      // worker so it flushes and acks again.
-      SW_RETURN_IF_ERROR(RecoverLink(w));
-      CtrlBarrier barrier;
-      barrier.round = round;
-      SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeBarrierFrame(barrier)));
-      continue;
+    SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
+                        AwaitFrame(w, CtrlType::kBarrierAck, &frame));
+    if (ack.barrier_ack.round != round) continue;  // stale round
+    // The ack's durable-frame count lets us drop the retained prefix:
+    // those frames survive in the worker's log, so a crash replays them
+    // locally and we will never need to resend them.
+    while (w->pruned_base < ack.barrier_ack.applied_frames &&
+           !w->retained.empty()) {
+      w->retained.pop_front();
+      ++w->pruned_base;
     }
-    const CtrlFrame& frame = frame_or.value();
-    if (frame.type == CtrlType::kBarrierAck) {
-      if (frame.barrier_ack.round != round) continue;  // stale round
-      // The ack's durable-frame count lets us drop the retained prefix:
-      // those frames survive in the worker's log, so a crash replays
-      // them locally and we will never need to resend them.
-      while (w->pruned_base < frame.barrier_ack.applied_frames &&
-             !w->retained.empty()) {
-        w->retained.pop_front();
-        ++w->pruned_base;
-      }
-      return OkStatus();
-    }
-    SW_RETURN_IF_ERROR(HandleWorkerFrame(w, frame));
+    return OkStatus();
   }
 }
 
@@ -296,18 +288,11 @@ Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
     barrier.round = barrier_round_;
     const std::string frame = EncodeBarrierFrame(barrier);
     for (WorkerState& w : workers_) {
-      if (!w.link.has_value() || !w.link->connected()) {
-        SW_RETURN_IF_ERROR(RecoverLink(&w));
-      }
-      const Status sent = w.link->SendFrame(frame);
-      if (!sent.ok()) {
-        SW_RETURN_IF_ERROR(RecoverLink(&w));
-        SW_RETURN_IF_ERROR(w.link->SendFrame(frame));
-      }
+      SW_RETURN_IF_ERROR(SendControlFrame(&w, frame));
     }
     for (WorkerState& w : workers_) {
       const uint64_t wait_start = PipelineMetrics::NowMicros();
-      SW_RETURN_IF_ERROR(AwaitBarrierAck(&w, barrier_round_));
+      SW_RETURN_IF_ERROR(AwaitBarrierAck(&w, barrier_round_, frame));
       if (options_.pipeline != nullptr) {
         options_.pipeline->Record(PipelineStage::kBarrierWait,
                                   PipelineMetrics::NowMicros() - wait_start);
@@ -339,44 +324,20 @@ Status DistributedBackend::BarrierFixpoint(EpochPhases* phases) {
     }
     first_round = false;
   } while (relays_total_ != before);
-  if (group_watermark_ > last_broadcast_watermark_) {
+  if (ingest_.watermark_uncommitted()) {
     const uint64_t commit_start = PipelineMetrics::NowMicros();
     CtrlCommit commit;
-    commit.watermark = group_watermark_;
+    commit.watermark = ingest_.watermark();
     const std::string frame = EncodeCommitFrame(commit);
     for (WorkerState& w : workers_) {
       SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
     }
-    last_broadcast_watermark_ = group_watermark_;
+    ingest_.MarkWatermarkCommitted();
     if (phases != nullptr) {
       phases->commit_us += PipelineMetrics::NowMicros() - commit_start;
     }
   }
   return OkStatus();
-}
-
-bool DistributedBackend::AdmitEdge(const StreamEdge& edge) {
-  // Mirrors ParallelEngineGroup::AdmitPartitionedEdge, including AddEdge's
-  // side effect that an edge rejected on its dst label still records its
-  // src — shards only see edges incident to owned vertices, so label
-  // consistency must be enforced once, group-wide, here.
-  if (edge.ts < 0 || edge.ts < group_watermark_) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  auto [src_it, src_new] =
-      admitted_vertex_labels_.try_emplace(edge.src, edge.src_label);
-  if (!src_new && src_it->second != edge.src_label) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  auto [dst_it, dst_new] =
-      admitted_vertex_labels_.try_emplace(edge.dst, edge.dst_label);
-  if (!dst_new && dst_it->second != edge.dst_label) {
-    rejected_edges_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
 }
 
 StatusOr<size_t> DistributedBackend::RunEpoch() {
@@ -394,32 +355,20 @@ StatusOr<size_t> DistributedBackend::RunEpoch() {
   space_cv_.notify_all();
 
   const uint64_t batch_start = PipelineMetrics::NowMicros();
-  const int n = static_cast<int>(workers_.size());
   std::vector<CtrlBatch> batches(workers_.size());
   for (const StreamEdge& edge : epoch) {
-    if (!AdmitEdge(edge)) continue;
-    const EdgeId id = next_global_edge_id_++;
-    group_watermark_ = edge.ts;
-    const int src_owner = partitioner_.OwnerShard(edge.src, n);
-    const int dst_owner = partitioner_.OwnerShard(edge.dst, n);
-    CtrlShardEdge routed;
-    routed.edge = edge;
-    routed.global_id = id;
-    routed.run_anchors = true;  // exactly one endpoint owner anchors
-    batches[static_cast<size_t>(src_owner)].edges.push_back(routed);
-    if (dst_owner != src_owner) {
-      routed.run_anchors = false;
-      batches[static_cast<size_t>(dst_owner)].edges.push_back(routed);
-    }
+    ingest_.Route(edge, [&](int shard, EdgeId id, bool run_anchors) {
+      batches[static_cast<size_t>(shard)].edges.push_back(
+          CtrlShardEdge{edge, id, run_anchors});
+    });
   }
   const LabelNameFn name = [this](LabelId id) -> std::string_view {
     return CachedLabelName(id);
   };
-  for (int i = 0; i < n; ++i) {
-    if (batches[static_cast<size_t>(i)].edges.empty()) continue;
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    if (batches[i].edges.empty()) continue;
     SW_RETURN_IF_ERROR(
-        SendStateFrame(&workers_[static_cast<size_t>(i)],
-                       EncodeBatchFrame(batches[static_cast<size_t>(i)], name)));
+        SendStateFrame(&workers_[i], EncodeBatchFrame(batches[i], name)));
   }
   const uint64_t batch_us = PipelineMetrics::NowMicros() - batch_start;
   EpochPhases phases;
@@ -570,41 +519,16 @@ StatusOr<QueryRuntimeInfo> DistributedBackend::Info(int query_id) {
   const std::string frame = EncodeInfoFrame(info);
   QueryRuntimeInfo out;
   out.query_id = query_id;
-  const size_t home =
-      static_cast<size_t>(query_id) % workers_.size();
-  for (size_t i = 0; i < workers_.size(); ++i) {
-    WorkerState& w = workers_[i];
-    SW_RETURN_IF_ERROR(w.link->SendFrame(frame));
+  const int n = static_cast<int>(workers_.size());
+  for (int i = 0; i < n; ++i) {
+    WorkerState& w = workers_[static_cast<size_t>(i)];
+    SW_RETURN_IF_ERROR(SendControlFrame(&w, frame));
     SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
-                        AwaitFrame(&w, CtrlType::kInfoAck));
+                        AwaitFrame(&w, CtrlType::kInfoAck, &frame));
     if (!ack.info_ack.ok) {
       return Status::Internal(StrCat("worker ", i, ": ", ack.info_ack.error));
     }
-    // Same aggregation as the in-process group: the home shard (where
-    // kComplete items deliver) owns the completion count; live/peak and
-    // per-node counters sum element-wise across the replicated trees.
-    if (i == home) {
-      out.name = ack.info_ack.name;
-      out.window = ack.info_ack.window;
-      out.completions = ack.info_ack.completions;
-    }
-    out.live_partial_matches += ack.info_ack.live_partial_matches;
-    out.peak_partial_matches += ack.info_ack.peak_partial_matches;
-    if (out.nodes.size() < ack.info_ack.nodes.size()) {
-      out.nodes.resize(ack.info_ack.nodes.size());
-    }
-    for (size_t j = 0; j < ack.info_ack.nodes.size(); ++j) {
-      const CtrlNodeRuntime& node = ack.info_ack.nodes[j];
-      SjNodeRuntime& agg = out.nodes[j];
-      agg.node = node.node;
-      agg.is_leaf = node.is_leaf;
-      agg.query_edges = node.query_edges;
-      agg.matches_inserted += node.matches_inserted;
-      agg.probes += node.probes;
-      agg.join_attempts += node.join_attempts;
-      agg.joins_succeeded += node.joins_succeeded;
-      agg.live_partial_matches += node.live_partial_matches;
-    }
+    MergeShardQueryInfo(i, n, ack.info_ack, &out);
   }
   return out;
 }
@@ -666,19 +590,9 @@ std::vector<ShardLoadSnapshot> DistributedBackend::ShardLoads() {
     if (!w.link->SendFrame(frame).ok()) continue;
     auto ack_or = AwaitFrame(&w, CtrlType::kStatsAck);
     if (!ack_or.ok()) continue;
-    const CtrlStatsAck& stats = ack_or.value().stats_ack;
-    ShardLoadSnapshot snap;
-    snap.shard = static_cast<int>(i);
-    snap.sharding = "distributed";
-    snap.retained_edges = stats.retained_edges;
-    snap.retained_vertices = stats.retained_vertices;
-    snap.evicted_edges = stats.evicted_edges;
-    snap.edges_processed = stats.edges_processed;
-    snap.completions = stats.completions;
-    snap.live_partial_matches = stats.live_partial_matches;
-    snap.matches_forwarded = stats.exchange.total_sent();
-    snap.matches_received = stats.exchange.total_received();
-    out.push_back(snap);
+    ShardStatsSnapshot& stats = ack_or.value().stats_ack;
+    stats.shard = static_cast<int>(i);
+    out.push_back(ToShardLoad(stats, "distributed"));
   }
   return out;
 }

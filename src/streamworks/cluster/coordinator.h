@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "streamworks/common/interner.h"
@@ -132,11 +131,8 @@ class DistributedBackend : public QueryBackend {
     suppress_.store(suppress, std::memory_order_relaxed);
   }
 
-  /// Edges refused by group admission (label clash / stale timestamp),
-  /// mirroring the in-process group's aggregate counter.
-  uint64_t rejected_edges() const {
-    return rejected_edges_.load(std::memory_order_relaxed);
-  }
+  /// Edges refused by group admission (label clash / stale timestamp).
+  uint64_t rejected_edges() const { return ingest_.rejected(); }
 
   // Cluster observability ----------------------------------------------------
 
@@ -184,14 +180,20 @@ class DistributedBackend : public QueryBackend {
 
   /// Retains `frame` for `w` and sends it, reconnecting on failure.
   Status SendStateFrame(WorkerState* w, std::string frame);
+  /// Sends a request (not retained): reconnects first if the link is
+  /// down, and once more if the send fails.
+  Status SendControlFrame(WorkerState* w, const std::string& frame);
   /// Reconnect + Hello/HelloAck + resend of the retained tail.
   Status RecoverLink(WorkerState* w);
   /// Handles one worker->coordinator frame that is not the ack currently
   /// being awaited: exchange relays and completion delivery.
   Status HandleWorkerFrame(WorkerState* from, const CtrlFrame& frame);
   /// Reads frames from `w` until one of `type` arrives, relaying
-  /// everything else through HandleWorkerFrame.
-  StatusOr<CtrlFrame> AwaitFrame(WorkerState* w, CtrlType type);
+  /// everything else through HandleWorkerFrame. A failed read returns its
+  /// error, unless `request` (the frame this awaits the reply to) is
+  /// given: then the link is recovered and `request` sent again.
+  StatusOr<CtrlFrame> AwaitFrame(WorkerState* w, CtrlType type,
+                                 const std::string* request = nullptr);
   /// Per-epoch phase decomposition accumulated by BarrierFixpoint for the
   /// epoch trace. apply is round 1's ack wait (dominated by workers
   /// applying the batch); relay is exchange forwarding time; barrier is
@@ -208,7 +210,10 @@ class DistributedBackend : public QueryBackend {
   /// Barriers every worker and relays flushed exchange traffic until a
   /// round moves nothing, then commits the watermark if it advanced.
   Status BarrierFixpoint(EpochPhases* phases = nullptr);
-  Status AwaitBarrierAck(WorkerState* w, uint32_t round);
+  /// Awaits `w`'s ack of barrier `round` (sent as `frame`) and prunes the
+  /// retained frames the ack reports durable.
+  Status AwaitBarrierAck(WorkerState* w, uint32_t round,
+                         const std::string& frame);
   /// Requests and caches a fresh MetricsReport from `w`. On failure the
   /// link is closed (never RecoverLink here — a scrape must not block on
   /// the 30s reconnect budget) and the stale cache entry is kept.
@@ -227,10 +232,6 @@ class DistributedBackend : public QueryBackend {
   /// RunEpoch until the pending queue is empty (control ops call this so
   /// they observe all prior ingest).
   Status DrainPending();
-  /// Admission mirror of ParallelEngineGroup::AdmitPartitionedEdge —
-  /// group-consistent label/time validation, done once here so every
-  /// shard's vertex records agree.
-  bool AdmitEdge(const StreamEdge& edge);
 
   /// Copies newly interned names out of the service interner into the
   /// thread-safe cache the pump's encoders read. Control-thread only.
@@ -255,6 +256,9 @@ class DistributedBackend : public QueryBackend {
   std::map<int, QueryState> queries_;
   int next_query_id_ = 0;
   HashModuloPartitioner partitioner_;
+  /// Admission, global edge ids, routing and the watermark commit: the
+  /// same rules the in-process group applies.
+  GroupIngest ingest_;
 
   /// Decode/relay id space for worker->coordinator frames; disjoint from
   /// the service interner (labels cross between them as strings).
@@ -263,11 +267,6 @@ class DistributedBackend : public QueryBackend {
   /// coordinator-side external-id resolution without storing any edges.
   DynamicGraph coord_graph_;
 
-  // Group ingest state (the in-process group's fields, mirrored).
-  std::unordered_map<ExternalVertexId, LabelId> admitted_vertex_labels_;
-  EdgeId next_global_edge_id_ = 0;
-  Timestamp group_watermark_ = -1;
-  Timestamp last_broadcast_watermark_ = -1;
   uint32_t barrier_round_ = 0;
   uint64_t relays_total_ = 0;
 
@@ -294,7 +293,6 @@ class DistributedBackend : public QueryBackend {
   std::thread pump_;
   bool started_ = false;
   std::atomic<bool> suppress_{false};
-  std::atomic<uint64_t> rejected_edges_{0};
 };
 
 /// Splits "host:port". Exposed for the demo binary's flag parsing.

@@ -19,10 +19,6 @@ namespace streamworks {
 
 namespace {
 
-/// Exchange frames carry at most this many items so one drain of a hot
-/// shard never approaches the frame-body cap.
-constexpr size_t kMaxExchangeItemsPerFrame = 512;
-
 constexpr int kHandshakeTimeoutMs = 10000;
 
 bool IsReadTimeout(const Status& s) {
@@ -369,20 +365,7 @@ Status WorkerDaemon::ApplyRegister(const CtrlRegister& reg,
                reg.expect_id, ", engine assigned ", registered.value(),
                " (state streams out of sync)"));
   }
-  // Distributed backfill, this shard's share: re-anchor each stored edge
-  // whose source vertex this shard owns (the same edge is stored on both
-  // endpoint owners; anchoring only at the source owner runs it exactly
-  // once group-wide — the live run_anchors discipline).
-  const DynamicGraph& graph = engine_->graph();
-  for (size_t i = 0; i < graph.num_stored_edges(); ++i) {
-    const EdgeId id = graph.stored_edge_id(i);
-    const EdgeRecord& record = graph.edge_record(id);
-    if (partitioner_->OwnerShard(graph.external_id(record.src),
-                                 num_shards_) != shard_index_) {
-      continue;
-    }
-    engine_->BackfillQueryEdge(registered.value(), id);
-  }
+  engine_->BackfillOwnedEdges(registered.value());
   if (ack_out != nullptr) {
     ack_out->id = registered.value();
     ack_out->ok = true;
@@ -427,16 +410,7 @@ Status WorkerDaemon::FlushOutbox(PeerLink* link) {
   const LabelNameFn name = [this](LabelId id) -> std::string_view {
     return interner_.Name(id);
   };
-  for (size_t begin = 0; begin < out.size();
-       begin += kMaxExchangeItemsPerFrame) {
-    const size_t end =
-        std::min(out.size(), begin + kMaxExchangeItemsPerFrame);
-    CtrlExchange chunk;
-    chunk.items.assign(std::make_move_iterator(out.begin() +
-                                               static_cast<ptrdiff_t>(begin)),
-                       std::make_move_iterator(out.begin() +
-                                               static_cast<ptrdiff_t>(end)));
-    std::string frame = EncodeExchangeFrame(chunk, name);
+  for (std::string& frame : EncodeExchangeFrames(out, name)) {
     if (replaying_) {
       pending_out_.push_back(std::move(frame));
     } else {
@@ -475,45 +449,17 @@ void WorkerDaemon::OnCompletion(const CompleteMatch& cm) {
 Status WorkerDaemon::SendInfoAck(PeerLink* link, const CtrlInfo& info) {
   CtrlInfoAck ack;
   if (engine_ != nullptr && engine_->has_query(info.query_id)) {
-    const QueryRuntimeInfo qi = engine_->query_info(info.query_id);
+    static_cast<QueryRuntimeInfo&>(ack) = engine_->query_info(info.query_id);
     ack.ok = true;
-    ack.name = qi.name;
-    ack.window = qi.window;
-    ack.completions = qi.completions;
-    ack.live_partial_matches = qi.live_partial_matches;
-    ack.peak_partial_matches = qi.peak_partial_matches;
-    ack.nodes.reserve(qi.nodes.size());
-    for (const SjNodeRuntime& node : qi.nodes) {
-      CtrlNodeRuntime out;
-      out.node = node.node;
-      out.is_leaf = node.is_leaf;
-      out.query_edges = node.query_edges;
-      out.matches_inserted = node.matches_inserted;
-      out.probes = node.probes;
-      out.join_attempts = node.join_attempts;
-      out.joins_succeeded = node.joins_succeeded;
-      out.live_partial_matches = node.live_partial_matches;
-      ack.nodes.push_back(out);
-    }
   } else {
-    ack.ok = false;
     ack.error = "unknown or unregistered query id";
   }
   return link->SendFrame(EncodeInfoAckFrame(ack));
 }
 
 Status WorkerDaemon::SendStatsAck(PeerLink* link) {
-  CtrlStatsAck ack;
-  if (engine_ != nullptr) {
-    ack.retained_edges = engine_->graph().num_stored_edges();
-    ack.retained_vertices = engine_->graph().num_vertices();
-    ack.evicted_edges = engine_->graph().num_evicted_edges();
-    ack.edges_processed = engine_->metrics().edges_processed;
-    ack.completions = engine_->metrics().completions;
-    ack.live_partial_matches = engine_->total_live_partial_matches();
-    ack.exchange = exchange_.counters();
-  }
-  return link->SendFrame(EncodeStatsAckFrame(ack));
+  return link->SendFrame(EncodeStatsAckFrame(
+      engine_ != nullptr ? engine_->shard_stats() : ShardStatsSnapshot{}));
 }
 
 Status WorkerDaemon::SendMetricsReport(PeerLink* link) {

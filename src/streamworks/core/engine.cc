@@ -1,5 +1,7 @@
 #include "streamworks/core/engine.h"
 
+#include <algorithm>
+
 #include "streamworks/common/hash.h"
 #include "streamworks/common/logging.h"
 #include "streamworks/common/timer.h"
@@ -38,6 +40,18 @@ StatusOr<Decomposition> StreamWorksEngine::PlanWithCurrentStats(
   SelectivityEstimator estimator(stats);
   QueryPlanner planner(&estimator);
   return planner.Plan(query, strategy);
+}
+
+Timestamp StreamWorksEngine::RetentionAfterRegistering(Timestamp retention,
+                                                       Timestamp window,
+                                                       size_t live_queries) {
+  // The shared graph must retain edges as long as the longest window; it
+  // only shrinks from unbounded when no live query needs the older edges
+  // (unregistered slots don't count).
+  if (retention == kMaxTimestamp) {
+    return window != kMaxTimestamp && live_queries == 0 ? window : retention;
+  }
+  return std::max(retention, window);
 }
 
 StatusOr<int> StreamWorksEngine::RegisterQuery(const QueryGraph& query,
@@ -93,16 +107,8 @@ StatusOr<int> StreamWorksEngine::RegisterQueryImpl(
   entry->callback = std::move(callback);
   entry->strategy = strategy;
 
-  // The shared graph must retain edges as long as the longest window; it
-  // only shrinks from unbounded when no live query needs the older edges
-  // (unregistered slots don't count).
-  if (graph_.retention() == kMaxTimestamp) {
-    if (window != kMaxTimestamp && num_queries() == 0) {
-      graph_.set_retention(window);
-    }
-  } else if (window > graph_.retention()) {
-    graph_.set_retention(window);
-  }
+  graph_.set_retention(
+      RetentionAfterRegistering(graph_.retention(), window, num_queries()));
 
   // The tree holds a pointer to the entry's own query copy; the entry is
   // heap-allocated and never moved, so the pointer is stable.
@@ -110,7 +116,7 @@ StatusOr<int> StreamWorksEngine::RegisterQueryImpl(
   // Shard mode skips the local backfill: replaying only this shard's edge
   // subset would both miss cross-shard partial matches and double-run
   // anchors for edges stored on two shards. The group instead drives a
-  // distributed backfill (BackfillQueryEdge + exchange pumping) right
+  // distributed backfill (BackfillOwnedEdges + exchange pumping) right
   // after registering the query on every shard.
   if (shard_mode()) {
     entry->tree = std::make_unique<SjTree>(
@@ -279,7 +285,7 @@ int StreamWorksEngine::Router::HomeShard(uint64_t ext_cut_key) const {
 }
 
 int StreamWorksEngine::Router::callback_home() const {
-  return current_query_id % engine_->shard_.num_shards;
+  return CallbackHomeShard(current_query_id, engine_->shard_.num_shards);
 }
 
 Timestamp StreamWorksEngine::Router::safe_watermark() const {
@@ -433,24 +439,32 @@ void StreamWorksEngine::AdvanceWatermark(Timestamp watermark) {
   }
 }
 
-void StreamWorksEngine::BackfillQueryEdge(int query_id, EdgeId edge_id) {
+void StreamWorksEngine::BackfillOwnedEdges(int query_id) {
   SW_DCHECK(shard_mode());
   SW_CHECK(has_query(query_id));
   RegisteredQuery& rq = *queries_[query_id];
-  const EdgeRecord& record = graph_.edge_record(edge_id);
-  const LabelId src_label = graph_.vertex_label(record.src);
-  const LabelId dst_label = graph_.vertex_label(record.dst);
   router_.current_query_id = query_id;
   const auto& plans = rq.tree->anchor_plans();
-  for (size_t i = 0; i < plans.size(); ++i) {
-    if (plans[i].edge_label != record.label ||
-        plans[i].src_label != src_label || plans[i].dst_label != dst_label) {
+  for (size_t e = 0; e < graph_.num_stored_edges(); ++e) {
+    const EdgeId edge_id = graph_.stored_edge_id(e);
+    const EdgeRecord& record = graph_.edge_record(edge_id);
+    if (router_.OwnerOfVertex(graph_.external_id(record.src)) !=
+        shard_.shard_index) {
       continue;
     }
-    scratch_completed_.clear();
-    rq.tree->RunAnchorPlanSharded(graph_, i, edge_id, &router_,
-                                  &scratch_completed_);
-    DeliverCompletions(query_id, rq);
+    const LabelId src_label = graph_.vertex_label(record.src);
+    const LabelId dst_label = graph_.vertex_label(record.dst);
+    for (size_t i = 0; i < plans.size(); ++i) {
+      if (plans[i].edge_label != record.label ||
+          plans[i].src_label != src_label ||
+          plans[i].dst_label != dst_label) {
+        continue;
+      }
+      scratch_completed_.clear();
+      rq.tree->RunAnchorPlanSharded(graph_, i, edge_id, &router_,
+                                    &scratch_completed_);
+      DeliverCompletions(query_id, rq);
+    }
   }
 }
 
@@ -499,6 +513,19 @@ size_t StreamWorksEngine::total_live_partial_matches() const {
     if (rq != nullptr) total += rq->tree->TotalPartialMatches();
   }
   return total;
+}
+
+ShardStatsSnapshot StreamWorksEngine::shard_stats() const {
+  ShardStatsSnapshot snap;
+  snap.shard = shard_.shard_index;
+  snap.retained_edges = graph_.num_stored_edges();
+  snap.retained_vertices = graph_.num_vertices();
+  snap.evicted_edges = graph_.num_evicted_edges();
+  snap.edges_processed = metrics_.edges_processed;
+  snap.completions = metrics_.completions;
+  snap.live_partial_matches = total_live_partial_matches();
+  if (shard_mode()) snap.exchange = shard_.exchange->counters();
+  return snap;
 }
 
 Status StreamWorksEngine::ProcessBatch(const EdgeBatch& batch) {

@@ -94,36 +94,6 @@ struct EngineMetrics {
   double processing_seconds = 0;
 };
 
-/// Runtime counters of one SJ-Tree decomposition node — the per-node
-/// match-rate/selectivity visibility an operator (or a future adaptive
-/// re-planner) watches for drift. Selectivities derive at render time:
-/// joins_succeeded/join_attempts is the node's join selectivity,
-/// matches_inserted/probes its per-probe yield.
-struct SjNodeRuntime {
-  int node = -1;
-  bool is_leaf = false;
-  int query_edges = 0;  ///< Edges of the query covered by this node.
-  uint64_t matches_inserted = 0;
-  uint64_t probes = 0;
-  uint64_t join_attempts = 0;
-  uint64_t joins_succeeded = 0;
-  uint64_t live_partial_matches = 0;
-};
-
-/// Snapshot of one registered query's state.
-struct QueryRuntimeInfo {
-  int query_id = -1;
-  std::string name;
-  Timestamp window = 0;
-  uint64_t completions = 0;
-  size_t live_partial_matches = 0;
-  size_t peak_partial_matches = 0;
-  /// Per-decomposition-node counters, indexed by node id. In a
-  /// vertex-partitioned group these are element-wise sums across shards
-  /// (every shard runs a replica of the same tree shape).
-  std::vector<SjNodeRuntime> nodes;
-};
-
 /// Point-in-time export of the retained window in external-id form: what
 /// a snapshot persists and a recovering process re-ingests. `edges` are
 /// ascending by id; `next_edge_id` and `watermark` restore the id
@@ -186,6 +156,27 @@ class StreamWorksEngine {
   StatusOr<int> RegisterQuery(const QueryGraph& query,
                               DecompositionStrategy strategy,
                               Timestamp window, MatchCallback callback);
+
+  /// Plans `query` with `strategy` against the engine's current
+  /// statistics. A vertex-partitioned group plans once, on shard 0, and
+  /// registers that one decomposition on every shard.
+  StatusOr<Decomposition> PlanWithCurrentStats(
+      const QueryGraph& query, DecompositionStrategy strategy) const;
+
+  /// Retention the shared graph needs once a query with `window` registers
+  /// beside `live_queries` others: unbounded until the first bounded query
+  /// arrives with no live query around, then the longest window seen. It
+  /// never shrinks on unregister (remaining queries may rely on it).
+  static Timestamp RetentionAfterRegistering(Timestamp retention,
+                                             Timestamp window,
+                                             size_t live_queries);
+
+  /// Overrides the graph's retention. A broadcast group sets every shard
+  /// to the value RetentionAfterRegistering gives for the whole group, so
+  /// each shard retains what one engine with all its queries would.
+  void set_retention(Timestamp retention) {
+    graph_.set_retention(retention);
+  }
 
   /// Re-plans one query against the engine's current statistics (with
   /// `strategy` overriding the registration strategy if given) and swaps
@@ -255,11 +246,13 @@ class StreamWorksEngine {
   /// edges + partial matches under it (group epoch barrier).
   void AdvanceWatermark(Timestamp watermark);
 
-  /// Re-runs anchor plans of `query_id` for the stored edge `edge_id`
-  /// (sharded path, exchange via the router). The group drives this during
-  /// distributed backfill of a mid-stream registration, with completions
-  /// suppressed; call only on the shard owning the edge's source vertex.
-  void BackfillQueryEdge(int query_id, EdgeId edge_id);
+  /// This shard's share of the distributed backfill of a mid-stream
+  /// registration: re-runs `query_id`'s anchor plans for every stored edge
+  /// whose source vertex this shard owns, the shard that runs the edge's
+  /// anchors live, so each edge anchors once group-wide. Cross-shard work
+  /// goes to the exchange; the caller suppresses completions until that
+  /// traffic settles.
+  void BackfillOwnedEdges(int query_id);
 
   /// While set, completed matches are dropped before counting/delivery
   /// (distributed backfill replays the window; anything completing there
@@ -298,6 +291,8 @@ class StreamWorksEngine {
   QueryRuntimeInfo query_info(int query_id) const;
   /// Live partial matches across every registered query's tree.
   size_t total_live_partial_matches() const;
+  /// This engine's retained memory and exchange traffic, as its shard.
+  ShardStatsSnapshot shard_stats() const;
 
  private:
   struct RegisteredQuery {
@@ -365,10 +360,6 @@ class StreamWorksEngine {
 
   /// Recomputes the label-routing index from every registered query.
   void RebuildRoutes();
-
-  /// Plans `query` with the engine's current statistics.
-  StatusOr<Decomposition> PlanWithCurrentStats(
-      const QueryGraph& query, DecompositionStrategy strategy) const;
 
   Interner* interner_;
   EngineOptions options_;

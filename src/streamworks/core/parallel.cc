@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "streamworks/common/logging.h"
-#include "streamworks/planner/selectivity.h"
 
 namespace streamworks {
 
@@ -14,7 +13,8 @@ ParallelEngineGroup::ParallelEngineGroup(Interner* interner, int num_shards,
     : mode_(mode),
       options_(options),
       partitioner_(partitioner != nullptr ? partitioner
-                                          : &default_partitioner_) {
+                                          : &default_partitioner_),
+      ingest_(partitioner_, num_shards) {
   SW_CHECK_GT(num_shards, 0);
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
@@ -76,42 +76,34 @@ Status ParallelEngineGroup::ResolveGroupId(int group_query_id,
   return OkStatus();
 }
 
-StatusOr<Decomposition> ParallelEngineGroup::PlanForGroup(
-    const QueryGraph& query, DecompositionStrategy strategy) const {
-  // One plan for every shard: the replicated trees must agree on node
-  // numbering and cut vertices or the exchange's homing would scatter
-  // siblings. Shard 0's statistics stand in for the group's (each shard
-  // observes only its own edge subset; planning quality, not correctness).
-  const StreamWorksEngine& engine0 = shards_[0]->engine;
-  const SummaryStatistics* stats =
-      (options_.collect_statistics &&
-       engine0.statistics().num_edges_observed() > 0)
-          ? &engine0.statistics()
-          : nullptr;
-  SelectivityEstimator estimator(stats);
-  QueryPlanner planner(&estimator);
-  return planner.Plan(query, strategy);
-}
-
 StatusOr<int> ParallelEngineGroup::RegisterQuery(
     const QueryGraph& query, DecompositionStrategy strategy,
     Timestamp window, MatchCallback callback) {
+  QuiesceAll();
   if (mode_ == ShardingMode::kBroadcastData) {
-    Shard& shard = *shards_[static_cast<size_t>(next_shard_)];
-    auto lock = Quiesce(&shard);
+    // Every shard stores the whole stream, so every shard retains what one
+    // engine holding all the group's queries would, not just its own.
+    size_t live_queries = 0;
+    for (auto& shard : shards_) live_queries += shard->engine.num_queries();
+    const Timestamp retention = StreamWorksEngine::RetentionAfterRegistering(
+        shards_[0]->engine.graph().retention(), window, live_queries);
     SW_ASSIGN_OR_RETURN(
         const int local_id,
-        shard.engine.RegisterQuery(query, strategy, window,
-                                   std::move(callback)));
+        shards_[static_cast<size_t>(next_shard_)]->engine.RegisterQuery(
+            query, strategy, window, std::move(callback)));
+    for (auto& shard : shards_) shard->engine.set_retention(retention);
     const int group_id =
         next_shard_ + local_id * static_cast<int>(shards_.size());
     next_shard_ = (next_shard_ + 1) % static_cast<int>(shards_.size());
     return group_id;
   }
 
-  QuiesceAll();
+  // One plan for every shard: the replicated trees must agree on node
+  // numbering and cut vertices or the exchange's homing would scatter
+  // siblings. Shard 0's statistics stand in for the group's (each shard
+  // observes only its own edge subset; planning quality, not correctness).
   SW_ASSIGN_OR_RETURN(const Decomposition planned,
-                      PlanForGroup(query, strategy));
+                      shards_[0]->engine.PlanWithCurrentStats(query, strategy));
   // Replicate onto every shard. Identical registration sequences keep the
   // per-engine ids aligned, so the group id is the engine id.
   auto first = shards_[0]->engine.RegisterQuery(query, planned, window,
@@ -146,20 +138,8 @@ void ParallelEngineGroup::BackfillQueryDistributed(int query_id) {
   for (auto& shard : shards_) {
     shard->engine.set_suppress_completions(true);
   }
-  const int n = num_shards();
-  for (int s = 0; s < n; ++s) {
-    StreamWorksEngine& engine = shards_[static_cast<size_t>(s)]->engine;
-    const DynamicGraph& graph = engine.graph();
-    for (size_t i = 0; i < graph.num_stored_edges(); ++i) {
-      const EdgeId id = graph.stored_edge_id(i);
-      const EdgeRecord& record = graph.edge_record(id);
-      // Anchor each edge once group-wide: on its source-owner shard, the
-      // same shard that gets run_anchors during live ingest.
-      if (partitioner_->OwnerShard(graph.external_id(record.src), n) != s) {
-        continue;
-      }
-      engine.BackfillQueryEdge(query_id, id);
-    }
+  for (auto& shard : shards_) {
+    shard->engine.BackfillOwnedEdges(query_id);
     PumpExchange();
   }
   for (auto& shard : shards_) {
@@ -223,34 +203,13 @@ StatusOr<QueryRuntimeInfo> ParallelEngineGroup::query_info(
   if (group_query_id < 0 || !shards_[0]->engine.has_query(group_query_id)) {
     return Status::NotFound("unknown or unregistered group query id");
   }
-  // Completions are counted where they are delivered: the callback home.
-  const size_t home =
-      static_cast<size_t>(group_query_id % num_shards());
-  QueryRuntimeInfo info = shards_[home]->engine.query_info(group_query_id);
+  QueryRuntimeInfo info;
   info.query_id = group_query_id;
-  info.live_partial_matches = 0;
-  info.peak_partial_matches = 0;
-  // Every shard runs a replica of the same tree shape, so the per-node
-  // counters sum element-wise; start from zeroed nodes and fold each
-  // shard's contribution in (including the home's, re-read below).
-  for (SjNodeRuntime& node : info.nodes) {
-    node.matches_inserted = 0;
-    node.probes = 0;
-    node.join_attempts = 0;
-    node.joins_succeeded = 0;
-    node.live_partial_matches = 0;
-  }
-  for (auto& shard : shards_) {
-    const QueryRuntimeInfo per = shard->engine.query_info(group_query_id);
-    info.live_partial_matches += per.live_partial_matches;
-    info.peak_partial_matches += per.peak_partial_matches;
-    for (size_t n = 0; n < info.nodes.size() && n < per.nodes.size(); ++n) {
-      info.nodes[n].matches_inserted += per.nodes[n].matches_inserted;
-      info.nodes[n].probes += per.nodes[n].probes;
-      info.nodes[n].join_attempts += per.nodes[n].join_attempts;
-      info.nodes[n].joins_succeeded += per.nodes[n].joins_succeeded;
-      info.nodes[n].live_partial_matches += per.nodes[n].live_partial_matches;
-    }
+  for (int s = 0; s < num_shards(); ++s) {
+    MergeShardQueryInfo(
+        s, num_shards(),
+        shards_[static_cast<size_t>(s)]->engine.query_info(group_query_id),
+        &info);
   }
   return info;
 }
@@ -273,58 +232,18 @@ void ParallelEngineGroup::EnqueueTask(Shard* shard, ShardTask task,
   if (was_empty) shard->cv_consumer.notify_one();
 }
 
-bool ParallelEngineGroup::AdmitPartitionedEdge(const StreamEdge& edge) {
-  // The checks AddEdge would apply, against *group* state: shards see only
-  // the edges incident to their owned vertices, so an endpoint-label clash
-  // the owner shard would reject could slip into the other endpoint's
-  // shard (which has never seen the clashing vertex) and corrupt results.
-  // Validating once here keeps every shard's vertex records globally
-  // consistent — and rejects exactly the edges a single engine rejects.
-  if (edge.ts < 0 || edge.ts < group_watermark_) {
-    ++group_rejected_;
-    return false;
-  }
-  // Mirror AddEdge's sequential endpoint checks, including the side effect
-  // that an edge rejected on its dst label has still recorded its src.
-  auto [src_it, src_new] =
-      admitted_vertex_labels_.try_emplace(edge.src, edge.src_label);
-  if (!src_new && src_it->second != edge.src_label) {
-    ++group_rejected_;
-    return false;
-  }
-  auto [dst_it, dst_new] =
-      admitted_vertex_labels_.try_emplace(edge.dst, edge.dst_label);
-  if (!dst_new && dst_it->second != edge.dst_label) {
-    ++group_rejected_;
-    return false;
-  }
-  return true;
-}
-
-void ParallelEngineGroup::PartitionedIngest(const StreamEdge& edge) {
-  if (!AdmitPartitionedEdge(edge)) return;
-  const EdgeId id = next_global_edge_id_++;
-  group_watermark_ = edge.ts;
-  ++edges_since_epoch_;
-  const int n = num_shards();
-  const int src_owner = partitioner_->OwnerShard(edge.src, n);
-  const int dst_owner = partitioner_->OwnerShard(edge.dst, n);
-  ShardTask task;
-  task.kind = ShardTask::Kind::kEdge;
-  task.run_anchors = true;  // the src owner anchors; exactly one shard
-  task.edge = edge;
-  task.edge_id = id;
-  EnqueueTask(shards_[static_cast<size_t>(src_owner)].get(),
-              std::move(task), /*bounded=*/true);
-  if (dst_owner != src_owner) {
-    ShardTask copy;
-    copy.kind = ShardTask::Kind::kEdge;
-    copy.run_anchors = false;
-    copy.edge = edge;
-    copy.edge_id = id;
-    EnqueueTask(shards_[static_cast<size_t>(dst_owner)].get(),
-                std::move(copy), /*bounded=*/true);
-  }
+void ParallelEngineGroup::RouteEdge(const StreamEdge& edge) {
+  const bool admitted =
+      ingest_.Route(edge, [&](int shard, EdgeId id, bool run_anchors) {
+        ShardTask task;
+        task.kind = ShardTask::Kind::kEdge;
+        task.run_anchors = run_anchors;
+        task.edge = edge;
+        task.edge_id = id;
+        EnqueueTask(shards_[static_cast<size_t>(shard)].get(),
+                    std::move(task), /*bounded=*/true);
+      });
+  if (admitted) ++edges_since_epoch_;
 }
 
 void ParallelEngineGroup::EpochFlush() {
@@ -332,19 +251,19 @@ void ParallelEngineGroup::EpochFlush() {
   // Drain every queue and everything the exchange spawned, so no in-flight
   // match still needs a neighbourhood the watermark broadcast may evict.
   WaitDrained();
-  if (group_watermark_ <= last_broadcast_watermark_) return;
-  last_broadcast_watermark_ = group_watermark_;
+  if (!ingest_.watermark_uncommitted()) return;
+  ingest_.MarkWatermarkCommitted();
   for (auto& shard : shards_) {
     ShardTask task;
     task.kind = ShardTask::Kind::kWatermark;
-    task.watermark = group_watermark_;
+    task.watermark = ingest_.watermark();
     EnqueueTask(shard.get(), std::move(task), /*bounded=*/false);
   }
 }
 
 void ParallelEngineGroup::ProcessEdge(const StreamEdge& edge) {
   if (mode_ == ShardingMode::kPartitionedData) {
-    PartitionedIngest(edge);
+    RouteEdge(edge);
     if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
     return;
   }
@@ -360,7 +279,7 @@ void ParallelEngineGroup::ProcessBatch(const EdgeBatch& batch) {
   if (batch.empty()) return;
   if (mode_ == ShardingMode::kPartitionedData) {
     for (const StreamEdge& edge : batch) {
-      PartitionedIngest(edge);
+      RouteEdge(edge);
       // One huge batch must not suspend eviction for its whole duration —
       // keep the same per-kEpochEdges bound the single-edge path has.
       if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
@@ -516,7 +435,7 @@ uint64_t ParallelEngineGroup::total_completions() const {
 }
 
 uint64_t ParallelEngineGroup::total_rejected() const {
-  uint64_t total = group_rejected_;
+  uint64_t total = ingest_.rejected();
   for (const auto& shard : shards_) {
     total += shard->engine.metrics().edges_rejected;
   }
@@ -538,8 +457,8 @@ WindowSnapshot ParallelEngineGroup::ExportWindow() {
     return shards_[0]->engine.ExportWindow();
   }
   WindowSnapshot merged;
-  merged.next_edge_id = next_global_edge_id_;
-  merged.watermark = group_watermark_;
+  merged.next_edge_id = ingest_.next_edge_id();
+  merged.watermark = ingest_.watermark();
   for (auto& shard : shards_) {
     WindowSnapshot per = shard->engine.ExportWindow();
     merged.edges.insert(merged.edges.end(), per.edges.begin(),
@@ -562,39 +481,28 @@ WindowSnapshot ParallelEngineGroup::ExportWindow() {
 
 Status ParallelEngineGroup::RestoreWindow(const WindowSnapshot& snapshot) {
   QuiesceAll();
-  const int n = num_shards();
   for (const PersistedEdge& pe : snapshot.edges) {
-    if (mode_ == ShardingMode::kBroadcastData) {
-      for (auto& shard : shards_) {
-        SW_RETURN_IF_ERROR(shard->engine.RestoreWindowEdge(pe.edge, pe.id));
+    Status restored = OkStatus();
+    const auto restore_on = [&](int shard, bool) {
+      if (restored.ok()) {
+        restored = shards_[static_cast<size_t>(shard)]->engine
+                       .RestoreWindowEdge(pe.edge, pe.id);
       }
-      continue;
+    };
+    if (mode_ == ShardingMode::kBroadcastData) {
+      for (int s = 0; s < num_shards(); ++s) restore_on(s, true);
+    } else {
+      ingest_.ForEachOwner(pe.edge, restore_on);
     }
-    const int src_owner = partitioner_->OwnerShard(pe.edge.src, n);
-    const int dst_owner = partitioner_->OwnerShard(pe.edge.dst, n);
-    SW_RETURN_IF_ERROR(
-        shards_[static_cast<size_t>(src_owner)]->engine.RestoreWindowEdge(
-            pe.edge, pe.id));
-    if (dst_owner != src_owner) {
-      SW_RETURN_IF_ERROR(
-          shards_[static_cast<size_t>(dst_owner)]->engine.RestoreWindowEdge(
-              pe.edge, pe.id));
-    }
-    // Rebuild group admission state so a post-recovery label clash on a
-    // retained vertex is rejected exactly as before the crash. (Vertices
-    // whose every edge was evicted pre-snapshot lose their recorded
-    // label; admission for them starts fresh — documented.)
-    admitted_vertex_labels_.try_emplace(pe.edge.src, pe.edge.src_label);
-    admitted_vertex_labels_.try_emplace(pe.edge.dst, pe.edge.dst_label);
+    SW_RETURN_IF_ERROR(restored);
   }
   for (auto& shard : shards_) {
     shard->engine.FinishWindowRestore(snapshot.next_edge_id,
                                       snapshot.watermark);
   }
   if (mode_ == ShardingMode::kPartitionedData) {
-    next_global_edge_id_ = snapshot.next_edge_id;
-    group_watermark_ = snapshot.watermark;
-    last_broadcast_watermark_ = snapshot.watermark;
+    ingest_.Restore(snapshot.edges, snapshot.next_edge_id,
+                    snapshot.watermark);
   }
   return OkStatus();
 }
@@ -611,17 +519,8 @@ std::vector<ShardStatsSnapshot> ParallelEngineGroup::ShardStats() {
   std::vector<ShardStatsSnapshot> out;
   out.reserve(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    const StreamWorksEngine& engine = shards_[s]->engine;
-    ShardStatsSnapshot snap;
-    snap.shard = static_cast<int>(s);
-    snap.retained_edges = engine.graph().num_stored_edges();
-    snap.retained_vertices = engine.graph().num_vertices();
-    snap.evicted_edges = engine.graph().num_evicted_edges();
-    snap.edges_processed = engine.metrics().edges_processed;
-    snap.completions = engine.metrics().completions;
-    snap.live_partial_matches = engine.total_live_partial_matches();
-    snap.exchange = shards_[s]->exchange.counters();
-    out.push_back(snap);
+    out.push_back(shards_[s]->engine.shard_stats());
+    out.back().shard = static_cast<int>(s);  // broadcast engines are shard 0
   }
   return out;
 }

@@ -6,7 +6,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "streamworks/core/engine.h"
@@ -31,18 +30,6 @@ enum class ShardingMode {
   /// a single engine's (the exchange relocates each exactly-once event, it
   /// never duplicates or drops one).
   kPartitionedData,
-};
-
-/// Point-in-time per-shard load/traffic counters (call sites: ShardStats).
-struct ShardStatsSnapshot {
-  int shard = 0;
-  uint64_t retained_edges = 0;    ///< Edges currently stored in the window.
-  uint64_t retained_vertices = 0;
-  uint64_t evicted_edges = 0;
-  uint64_t edges_processed = 0;   ///< Ingested copies (not group-unique).
-  uint64_t completions = 0;       ///< Matches this shard delivered.
-  uint64_t live_partial_matches = 0;
-  ExchangeCounters exchange;      ///< All zero in broadcast mode.
 };
 
 /// Multi-core query execution (the paper's demo ran many concurrent
@@ -86,12 +73,13 @@ class ParallelEngineGroup {
   ParallelEngineGroup& operator=(const ParallelEngineGroup&) = delete;
 
   /// Registers a query and returns a group-wide query id. May be called
-  /// mid-stream; the affected shard(s) are quiesced so the new SJ-Tree is
-  /// backfilled from a consistent window. Broadcast mode places the query
-  /// on the next shard round-robin; partitioned mode plans once (against
-  /// shard 0's statistics), replicates the tree onto every shard, and runs
-  /// a distributed backfill through the exchange. Not thread-safe against
-  /// other control calls or the producer; one control thread.
+  /// mid-stream; the group is quiesced so the new SJ-Tree is backfilled
+  /// from a consistent window. Broadcast mode places the query on the next
+  /// shard round-robin and keeps every shard at the retention one engine
+  /// with all the group's queries would have; partitioned mode plans once
+  /// (against shard 0's statistics), replicates the tree onto every shard,
+  /// and runs a distributed backfill through the exchange. Not thread-safe
+  /// against other control calls or the producer; one control thread.
   StatusOr<int> RegisterQuery(const QueryGraph& query,
                               DecompositionStrategy strategy,
                               Timestamp window, MatchCallback callback);
@@ -227,21 +215,14 @@ class ParallelEngineGroup {
   void QuiesceAll();
 
   // --- Partitioned-mode internals (control thread only) ---------------------
-  /// Group-level admission: the checks DynamicGraph::AddEdge would apply,
-  /// evaluated against group state, so shards only ever see valid edges
-  /// and agree on every vertex's label (a shard seeing only one endpoint
-  /// could otherwise record a clashing label the owner shard rejected).
-  bool AdmitPartitionedEdge(const StreamEdge& edge);
-  void PartitionedIngest(const StreamEdge& edge);
+  /// Admits `edge` group-wide and enqueues it on its endpoint owners.
+  void RouteEdge(const StreamEdge& edge);
   /// Drains everything, then broadcasts the group watermark so shards
   /// evict and expire consistently.
   void EpochFlush();
   /// Control-thread fixpoint over the shard outboxes (used while quiesced:
   /// distributed backfill of a mid-stream registration).
   void PumpExchange();
-  /// Plans once for the whole group against shard 0's statistics.
-  StatusOr<Decomposition> PlanForGroup(const QueryGraph& query,
-                                       DecompositionStrategy strategy) const;
   /// Distributed, completion-suppressed window replay for a mid-stream
   /// registration (all shards quiesced).
   void BackfillQueryDistributed(int query_id);
@@ -270,12 +251,8 @@ class ParallelEngineGroup {
   std::condition_variable drained_cv_;
 
   // Partitioned ingest state (control thread only).
-  EdgeId next_global_edge_id_ = 0;
-  Timestamp group_watermark_ = -1;
-  Timestamp last_broadcast_watermark_ = -1;
+  GroupIngest ingest_;
   int edges_since_epoch_ = 0;
-  uint64_t group_rejected_ = 0;
-  std::unordered_map<ExternalVertexId, LabelId> admitted_vertex_labels_;
 };
 
 }  // namespace streamworks

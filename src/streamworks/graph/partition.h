@@ -1,11 +1,15 @@
 #ifndef STREAMWORKS_GRAPH_PARTITION_H_
 #define STREAMWORKS_GRAPH_PARTITION_H_
 
+#include <atomic>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "streamworks/common/hash.h"
 #include "streamworks/common/logging.h"
 #include "streamworks/common/types.h"
+#include "streamworks/graph/stream_edge.h"
 
 namespace streamworks {
 
@@ -50,6 +54,88 @@ class HashModuloPartitioner final : public Partitioner {
 
  private:
   uint64_t seed_;
+};
+
+/// The ingest rules a vertex-partitioned group applies once, for the whole
+/// group, before an edge reaches a shard. Both deployments route through
+/// one: ParallelEngineGroup on threads and DistributedBackend in front of
+/// worker daemons. It admits or rejects each edge, numbers admitted edges
+/// with group-global ids, hands each one to its endpoint owners, and
+/// tracks the watermark the next epoch boundary commits.
+///
+/// Admission applies DynamicGraph::AddEdge's checks to group state. A
+/// shard stores only the edges incident to the vertices it owns, so an
+/// endpoint-label clash the owner would reject could otherwise reach the
+/// other endpoint's shard, which has never seen the clashing vertex.
+/// Checking once here keeps every shard's vertex records consistent and
+/// rejects exactly the edges a single engine rejects.
+///
+/// Not thread-safe, except rejected().
+class GroupIngest {
+ public:
+  /// `partitioner` must outlive this object.
+  GroupIngest(const Partitioner* partitioner, int num_shards)
+      : partitioner_(partitioner), num_shards_(num_shards) {}
+
+  /// Admits `edge` and hands it to its endpoint owners as
+  /// `to_shard(shard, global_id, run_anchors)` (see ForEachOwner). Returns
+  /// false for a rejected edge, which consumes no id.
+  template <typename ToShard>
+  bool Route(const StreamEdge& edge, ToShard&& to_shard) {
+    if (!Admit(edge)) return false;
+    const EdgeId id = next_edge_id_++;
+    watermark_ = edge.ts;
+    ForEachOwner(edge, [&](int shard, bool run_anchors) {
+      to_shard(shard, id, run_anchors);
+    });
+    return true;
+  }
+
+  /// Calls `fn(shard, run_anchors)` for the source owner of `edge`, which
+  /// alone runs its anchors, so the edge anchors local search once
+  /// group-wide; then for the destination owner if it is another shard.
+  template <typename Fn>
+  void ForEachOwner(const StreamEdge& edge, Fn&& fn) const {
+    const int src_owner = partitioner_->OwnerShard(edge.src, num_shards_);
+    const int dst_owner = partitioner_->OwnerShard(edge.dst, num_shards_);
+    fn(src_owner, true);
+    if (dst_owner != src_owner) fn(dst_owner, false);
+  }
+
+  /// True once admitted edges have raised the watermark past the last
+  /// commit. The epoch boundary then broadcasts watermark() to every shard
+  /// and calls MarkWatermarkCommitted.
+  bool watermark_uncommitted() const {
+    return watermark_ > committed_watermark_;
+  }
+  void MarkWatermarkCommitted() { committed_watermark_ = watermark_; }
+
+  /// Rebuilds admission state from a restored window, so a label clash on
+  /// a retained vertex is rejected exactly as before the crash. A vertex
+  /// whose every edge was evicted before the snapshot loses its label and
+  /// is admitted afresh.
+  void Restore(const std::vector<PersistedEdge>& edges, EdgeId next_edge_id,
+               Timestamp watermark);
+
+  EdgeId next_edge_id() const { return next_edge_id_; }
+  Timestamp watermark() const { return watermark_; }
+  /// Label admission recorded for `v`; kInvalidLabelId if never admitted.
+  LabelId vertex_label(ExternalVertexId v) const;
+  /// Edges rejected so far. Safe to read from any thread.
+  uint64_t rejected() const {
+    return rejected_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  bool Admit(const StreamEdge& edge);
+
+  const Partitioner* partitioner_;
+  int num_shards_;
+  std::unordered_map<ExternalVertexId, LabelId> vertex_labels_;
+  EdgeId next_edge_id_ = 0;
+  Timestamp watermark_ = -1;
+  Timestamp committed_watermark_ = -1;
+  std::atomic<uint64_t> rejected_{0};
 };
 
 }  // namespace streamworks

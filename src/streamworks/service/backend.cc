@@ -86,20 +86,25 @@ std::vector<ShardLoadSnapshot> ParallelGroupBackend::ShardLoads() {
            : "broadcast");
   std::vector<ShardLoadSnapshot> out;
   for (const ShardStatsSnapshot& s : group_->ShardStats()) {
-    ShardLoadSnapshot load;
-    load.shard = s.shard;
-    load.sharding = sharding;
-    load.retained_edges = s.retained_edges;
-    load.retained_vertices = s.retained_vertices;
-    load.evicted_edges = s.evicted_edges;
-    load.edges_processed = s.edges_processed;
-    load.completions = s.completions;
-    load.live_partial_matches = s.live_partial_matches;
-    load.matches_forwarded = s.exchange.total_sent();
-    load.matches_received = s.exchange.total_received();
-    out.push_back(std::move(load));
+    out.push_back(ToShardLoad(s, sharding));
   }
   return out;
+}
+
+ShardLoadSnapshot ToShardLoad(const ShardStatsSnapshot& stats,
+                              const std::string& sharding) {
+  ShardLoadSnapshot load;
+  load.shard = stats.shard;
+  load.sharding = sharding;
+  load.retained_edges = stats.retained_edges;
+  load.retained_vertices = stats.retained_vertices;
+  load.evicted_edges = stats.evicted_edges;
+  load.edges_processed = stats.edges_processed;
+  load.completions = stats.completions;
+  load.live_partial_matches = stats.live_partial_matches;
+  load.matches_forwarded = stats.exchange.total_sent();
+  load.matches_received = stats.exchange.total_received();
+  return load;
 }
 
 }  // namespace streamworks

@@ -99,4 +99,31 @@ StatusOr<Match> MatchExchange::Localize(DynamicGraph* graph,
   return m;
 }
 
+void MergeShardQueryInfo(int shard, int num_shards,
+                         const QueryRuntimeInfo& per_shard,
+                         QueryRuntimeInfo* group) {
+  if (shard == CallbackHomeShard(group->query_id, num_shards)) {
+    group->name = per_shard.name;
+    group->window = per_shard.window;
+    group->completions = per_shard.completions;
+  }
+  group->live_partial_matches += per_shard.live_partial_matches;
+  group->peak_partial_matches += per_shard.peak_partial_matches;
+  if (group->nodes.size() < per_shard.nodes.size()) {
+    group->nodes.resize(per_shard.nodes.size());
+  }
+  for (size_t n = 0; n < per_shard.nodes.size(); ++n) {
+    const SjNodeRuntime& from = per_shard.nodes[n];
+    SjNodeRuntime& to = group->nodes[n];
+    to.node = from.node;
+    to.is_leaf = from.is_leaf;
+    to.query_edges = from.query_edges;
+    to.matches_inserted += from.matches_inserted;
+    to.probes += from.probes;
+    to.join_attempts += from.join_attempts;
+    to.joins_succeeded += from.joins_succeeded;
+    to.live_partial_matches += from.live_partial_matches;
+  }
+}
+
 }  // namespace streamworks

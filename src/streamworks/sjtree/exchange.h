@@ -2,6 +2,7 @@
 #define STREAMWORKS_SJTREE_EXCHANGE_H_
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -84,6 +85,64 @@ struct ExchangeCounters {
     return received_expansions + received_inserts + received_completions;
   }
 };
+
+/// Runtime counters of one SJ-Tree decomposition node — the per-node
+/// match-rate/selectivity visibility an operator (or a future adaptive
+/// re-planner) watches for drift. Selectivities derive at render time:
+/// joins_succeeded/join_attempts is the node's join selectivity,
+/// matches_inserted/probes its per-probe yield.
+struct SjNodeRuntime {
+  int node = -1;
+  bool is_leaf = false;
+  int query_edges = 0;  ///< Edges of the query covered by this node.
+  uint64_t matches_inserted = 0;
+  uint64_t probes = 0;
+  uint64_t join_attempts = 0;
+  uint64_t joins_succeeded = 0;
+  uint64_t live_partial_matches = 0;
+};
+
+/// Snapshot of one registered query's state.
+struct QueryRuntimeInfo {
+  int query_id = -1;
+  std::string name;
+  Timestamp window = 0;
+  uint64_t completions = 0;
+  size_t live_partial_matches = 0;
+  size_t peak_partial_matches = 0;
+  /// Per-decomposition-node counters, indexed by node id. In a
+  /// vertex-partitioned group these are element-wise sums across shards
+  /// (every shard runs a replica of the same tree shape).
+  std::vector<SjNodeRuntime> nodes;
+};
+
+/// Point-in-time load and traffic counters of one shard's engine.
+struct ShardStatsSnapshot {
+  int shard = 0;
+  uint64_t retained_edges = 0;    ///< Edges currently stored in the window.
+  uint64_t retained_vertices = 0;
+  uint64_t evicted_edges = 0;
+  uint64_t edges_processed = 0;   ///< Ingested copies (not group-unique).
+  uint64_t completions = 0;       ///< Matches this shard delivered.
+  uint64_t live_partial_matches = 0;
+  ExchangeCounters exchange;      ///< All zero outside shard mode.
+};
+
+/// The shard that delivers every completion of `query_id` in a
+/// vertex-partitioned group, which keeps each query's callbacks on one
+/// thread.
+inline int CallbackHomeShard(int query_id, int num_shards) {
+  return query_id % num_shards;
+}
+
+/// Folds shard `shard`'s view of a query replicated on all `num_shards`
+/// shards into `group`, whose query_id must be set. The callback-home
+/// shard counts every completion, so it supplies name, window and
+/// completions; partial-match gauges and per-node counters sum, since
+/// every shard runs a replica of the same tree.
+void MergeShardQueryInfo(int shard, int num_shards,
+                         const QueryRuntimeInfo& per_shard,
+                         QueryRuntimeInfo* group);
 
 /// Per-shard outbox of forwarded matches plus the wire translation.
 ///

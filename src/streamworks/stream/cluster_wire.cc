@@ -1,5 +1,6 @@
 #include "streamworks/stream/cluster_wire.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
@@ -358,7 +359,7 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       }
       ack.nodes.reserve(n);
       for (uint32_t i = 0; i < n && r->ok; ++i) {
-        CtrlNodeRuntime node;
+        SjNodeRuntime node;
         node.node = r->I32("info-ack node id");
         node.is_leaf = r->U8("info-ack node leaf") != 0;
         node.query_edges = r->I32("info-ack node edges");
@@ -462,7 +463,7 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       break;
     }
     case CtrlType::kStatsAck: {
-      CtrlStatsAck& ack = frame->stats_ack;
+      ShardStatsSnapshot& ack = frame->stats_ack;
       ack.retained_edges = r->U64("stats retained edges");
       ack.retained_vertices = r->U64("stats retained vertices");
       ack.evicted_edges = r->U64("stats evicted");
@@ -629,11 +630,13 @@ std::string EncodeBatchFrame(const CtrlBatch& batch,
   return FinishFrame(std::move(body));
 }
 
-std::string EncodeExchangeFrame(const CtrlExchange& exchange,
+namespace {
+
+std::string EncodeExchangeItems(std::span<const CtrlExchangeItem> chunk,
                                 const LabelNameFn& label_name) {
   LabelTable table(label_name);
   std::string items;
-  for (const CtrlExchangeItem& ci : exchange.items) {
+  for (const CtrlExchangeItem& ci : chunk) {
     PutU32(&items, static_cast<uint32_t>(ci.dest));
     items.push_back(static_cast<char>(ci.item.kind));
     PutU32(&items, static_cast<uint32_t>(ci.item.query_id));
@@ -644,9 +647,29 @@ std::string EncodeExchangeFrame(const CtrlExchange& exchange,
   }
   std::string body = BodyFor(CtrlType::kExchange);
   table.Encode(&body);
-  PutU32(&body, static_cast<uint32_t>(exchange.items.size()));
+  PutU32(&body, static_cast<uint32_t>(chunk.size()));
   body.append(items);
   return FinishFrame(std::move(body));
+}
+
+}  // namespace
+
+std::string EncodeExchangeFrame(const CtrlExchange& exchange,
+                                const LabelNameFn& label_name) {
+  return EncodeExchangeItems(exchange.items, label_name);
+}
+
+std::vector<std::string> EncodeExchangeFrames(
+    std::span<const CtrlExchangeItem> items, const LabelNameFn& label_name) {
+  std::vector<std::string> frames;
+  for (size_t begin = 0; begin < items.size();
+       begin += kMaxExchangeItemsPerFrame) {
+    frames.push_back(EncodeExchangeItems(
+        items.subspan(begin, std::min(items.size() - begin,
+                                      kMaxExchangeItemsPerFrame)),
+        label_name));
+  }
+  return frames;
 }
 
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier) {
@@ -697,7 +720,7 @@ std::string EncodeInfoAckFrame(const CtrlInfoAck& ack) {
   PutU64(&body, ack.live_partial_matches);
   PutU64(&body, ack.peak_partial_matches);
   PutU32(&body, static_cast<uint32_t>(ack.nodes.size()));
-  for (const CtrlNodeRuntime& node : ack.nodes) {
+  for (const SjNodeRuntime& node : ack.nodes) {
     PutU32(&body, static_cast<uint32_t>(node.node));
     body.push_back(node.is_leaf ? 1 : 0);
     PutU32(&body, static_cast<uint32_t>(node.query_edges));
@@ -714,7 +737,7 @@ std::string EncodeStatsFrame() {
   return FinishFrame(BodyFor(CtrlType::kStats));
 }
 
-std::string EncodeStatsAckFrame(const CtrlStatsAck& ack) {
+std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack) {
   std::string body = BodyFor(CtrlType::kStatsAck);
   PutU64(&body, ack.retained_edges);
   PutU64(&body, ack.retained_vertices);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -157,36 +158,11 @@ struct CtrlInfo {
   int32_t query_id = -1;
 };
 
-struct CtrlNodeRuntime {
-  int32_t node = -1;
-  bool is_leaf = false;
-  int32_t query_edges = 0;
-  uint64_t matches_inserted = 0;
-  uint64_t probes = 0;
-  uint64_t join_attempts = 0;
-  uint64_t joins_succeeded = 0;
-  uint64_t live_partial_matches = 0;
-};
-
-struct CtrlInfoAck {
+/// A worker's replica of one query, as its engine reports it. The
+/// query_id is not on the wire (the request names it).
+struct CtrlInfoAck : QueryRuntimeInfo {
   bool ok = false;
   std::string error;
-  std::string name;
-  Timestamp window = 0;
-  uint64_t completions = 0;
-  uint64_t live_partial_matches = 0;
-  uint64_t peak_partial_matches = 0;
-  std::vector<CtrlNodeRuntime> nodes;
-};
-
-struct CtrlStatsAck {
-  uint64_t retained_edges = 0;
-  uint64_t retained_vertices = 0;
-  uint64_t evicted_edges = 0;
-  uint64_t edges_processed = 0;
-  uint64_t completions = 0;
-  uint64_t live_partial_matches = 0;
-  ExchangeCounters exchange;
 };
 
 /// A worker's full metric snapshot: health header plus every series its
@@ -223,7 +199,7 @@ struct CtrlFrame {
   CtrlCompletion completion;
   CtrlInfo info;
   CtrlInfoAck info_ack;
-  CtrlStatsAck stats_ack;
+  ShardStatsSnapshot stats_ack;  ///< Its `shard` is not on the wire.
   CtrlMetricsReport metrics_report;
 };
 
@@ -266,6 +242,13 @@ std::string EncodeBatchFrame(const CtrlBatch& batch,
                              const LabelNameFn& label_name);
 std::string EncodeExchangeFrame(const CtrlExchange& exchange,
                                 const LabelNameFn& label_name);
+/// Exchange frames carry at most this many items, so one drain of a hot
+/// shard never approaches the frame-body cap.
+inline constexpr size_t kMaxExchangeItemsPerFrame = 512;
+/// Encodes `items`, in order, as kExchange frames of at most
+/// kMaxExchangeItemsPerFrame items each.
+std::vector<std::string> EncodeExchangeFrames(
+    std::span<const CtrlExchangeItem> items, const LabelNameFn& label_name);
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier);
 std::string EncodeBarrierAckFrame(const CtrlBarrierAck& ack);
 std::string EncodeCommitFrame(const CtrlCommit& commit);
@@ -274,7 +257,7 @@ std::string EncodeCompletionFrame(const CtrlCompletion& completion,
 std::string EncodeInfoFrame(const CtrlInfo& info);
 std::string EncodeInfoAckFrame(const CtrlInfoAck& ack);
 std::string EncodeStatsFrame();
-std::string EncodeStatsAckFrame(const CtrlStatsAck& ack);
+std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack);
 std::string EncodeMetricsRequestFrame();
 std::string EncodeMetricsReportFrame(const CtrlMetricsReport& report);
 

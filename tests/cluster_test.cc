@@ -37,11 +37,13 @@ namespace fs = std::filesystem;
 /// One worker daemon on its own thread, with an abrupt-stop story: Kill()
 /// stops the serve loop and joins, but (like a kill -9) performs no
 /// protocol goodbye — the coordinator discovers the death as a link
-/// failure. A fresh WorkerHarness on the same data_dir is the restart.
+/// failure. A fresh WorkerHarness on the same data_dir and port is the
+/// restart.
 class WorkerHarness {
  public:
-  explicit WorkerHarness(std::string data_dir) {
+  explicit WorkerHarness(std::string data_dir, int port = 0) {
     WorkerOptions options;
+    options.port = port;
     options.data_dir = std::move(data_dir);
     options.poll_interval_ms = 20;
     daemon_ = std::make_unique<WorkerDaemon>(std::move(options));
@@ -622,6 +624,69 @@ TEST(ClusterTest, WorkerKillAndRestartContinuesExactlyOnce) {
   stop1.store(true);
   t0b.join();
   t1.join();
+  fs::remove_all(root);
+}
+
+void ExpectSameInfo(const QueryRuntimeInfo& actual,
+                    const QueryRuntimeInfo& expected) {
+  EXPECT_EQ(actual.query_id, expected.query_id);
+  EXPECT_EQ(actual.name, expected.name);
+  EXPECT_EQ(actual.window, expected.window);
+  EXPECT_EQ(actual.completions, expected.completions);
+  EXPECT_EQ(actual.live_partial_matches, expected.live_partial_matches);
+  EXPECT_EQ(actual.peak_partial_matches, expected.peak_partial_matches);
+  ASSERT_EQ(actual.nodes.size(), expected.nodes.size());
+  for (size_t n = 0; n < actual.nodes.size(); ++n) {
+    const SjNodeRuntime& a = actual.nodes[n];
+    const SjNodeRuntime& e = expected.nodes[n];
+    EXPECT_EQ(a.node, e.node);
+    EXPECT_EQ(a.is_leaf, e.is_leaf);
+    EXPECT_EQ(a.query_edges, e.query_edges);
+    EXPECT_EQ(a.matches_inserted, e.matches_inserted) << "node " << n;
+    EXPECT_EQ(a.probes, e.probes) << "node " << n;
+    EXPECT_EQ(a.join_attempts, e.join_attempts) << "node " << n;
+    EXPECT_EQ(a.joins_succeeded, e.joins_succeeded) << "node " << n;
+    EXPECT_EQ(a.live_partial_matches, e.live_partial_matches) << "node " << n;
+  }
+}
+
+// Info is a control call like Register and Unregister: after a worker
+// restart it reconnects (replay + resend) instead of failing on the dead
+// link, and reports what it reported before the kill. The fail-fast
+// ShardLoads then sees the worker again.
+TEST(ClusterTest, InfoReconnectsARestartedWorker) {
+  const std::string root =
+      (fs::temp_directory_path() / "sw_cluster_info_restart_test").string();
+  fs::remove_all(root);
+  {
+    ClusterFixture cluster(2, root);
+    ASSERT_TRUE(cluster.ok);
+    MatchSink sink;
+    auto id = cluster.backend->Register(
+        BuildWormChain(&cluster.interner),
+        DecompositionStrategy::kLeftDeepEdgeOrder, 50, sink.Callback());
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(cluster.backend
+                    ->FeedBatch(TestStream(&cluster.interner, 400), nullptr)
+                    .ok());
+    cluster.backend->Flush();
+    auto before = cluster.backend->Info(*id);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
+    EXPECT_GT(before->completions, 0u);
+
+    // Kill worker 0 (no drain) and restart it on its port and frame log.
+    const int port0 = cluster.workers[0]->port();
+    cluster.workers[0].reset();
+    cluster.workers[0] =
+        std::make_unique<WorkerHarness>(root + "/worker0", port0);
+    ASSERT_TRUE(cluster.workers[0]->Start().ok());
+
+    auto after = cluster.backend->Info(*id);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ExpectSameInfo(*after, *before);
+    EXPECT_EQ(cluster.backend->ShardLoads().size(), 2u);
+    cluster.backend->Stop();
+  }
   fs::remove_all(root);
 }
 

@@ -96,6 +96,80 @@ TEST(ParallelEngineGroupTest, MatchesSingleEngineAcrossShardCounts) {
   }
 }
 
+// Broadcast shards each store the whole stream, so each must retain what
+// one engine holding every query retains: also when a long-window query
+// registers mid-stream on a shard that so far held only a short window,
+// or no query at all.
+TEST(ParallelEngineGroupTest, BroadcastShardsRetainOneEnginesWindow) {
+  Interner interner;
+  RandomStreamOptions opt;
+  opt.seed = 7;
+  opt.num_edges = 3000;
+  const auto edges = GenerateUniformStream(opt, &interner);
+  Rng rng(7);
+  std::vector<QueryGraph> queries;
+  for (int i = 0; i < 3; ++i) {
+    queries.push_back(GenerateRandomConnectedQuery(rng, 3, 2,
+                                                   opt.num_vertex_labels,
+                                                   opt.num_edge_labels,
+                                                   &interner)
+                          .value());
+  }
+  const Timestamp windows[] = {5, 200, 200};
+  const size_t register_before[] = {0, edges.size() / 2,
+                                    3 * edges.size() / 4};
+
+  // Runs the schedule: query q registers just before edge
+  // register_before[q]; each query's matches land in its own multiset.
+  using Sigs = std::vector<std::multiset<uint64_t>>;
+  const auto run = [&](const auto& register_query, const auto& feed) {
+    Sigs sigs(queries.size());
+    for (size_t e = 0, q = 0; e < edges.size(); ++e) {
+      for (; q < queries.size() && register_before[q] == e; ++q) {
+        register_query(queries[q], windows[q],
+                       [&sigs, q](const CompleteMatch& cm) {
+                         sigs[q].insert(cm.match.MappingSignature());
+                       });
+      }
+      feed(edges[e]);
+    }
+    return sigs;
+  };
+
+  StreamWorksEngine engine(&interner);
+  const Sigs expected = run(
+      [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
+        ASSERT_TRUE(engine
+                        .RegisterQuery(query,
+                                       DecompositionStrategy::kLeftDeepEdgeOrder,
+                                       window, std::move(cb))
+                        .ok());
+      },
+      [&](const StreamEdge& e) { ASSERT_TRUE(engine.ProcessEdge(e).ok()); });
+  for (const auto& sigs : expected) EXPECT_FALSE(sigs.empty());
+
+  for (const int shards : {2, 4}) {
+    ParallelEngineGroup group(&interner, shards);
+    const Sigs actual = run(
+        [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
+          ASSERT_TRUE(group
+                          .RegisterQuery(
+                              query, DecompositionStrategy::kLeftDeepEdgeOrder,
+                              window, std::move(cb))
+                          .ok());
+        },
+        [&](const StreamEdge& e) { group.ProcessEdge(e); });
+    group.Flush();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(actual[q], expected[q]) << "shards=" << shards << " query " << q;
+    }
+    for (const ShardStatsSnapshot& s : group.ShardStats()) {
+      EXPECT_EQ(s.retained_edges, engine.graph().num_stored_edges())
+          << "shards=" << shards << " shard " << s.shard;
+    }
+  }
+}
+
 TEST(ParallelEngineGroupTest, FlushIsIdempotentAndGroupReusable) {
   Interner interner;
   ParallelEngineGroup group(&interner, 2);

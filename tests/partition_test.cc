@@ -13,6 +13,7 @@
 
 #include "streamworks/common/interner.h"
 #include "streamworks/core/parallel.h"
+#include "streamworks/graph/dynamic_graph.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/graph/random_graphs.h"
 
@@ -102,6 +103,90 @@ TEST(PartitionerTest, HashModuloIsDeterministicInRangeAndSeedSensitive) {
   // Mixed hash: every shard gets a non-trivial share of a dense id space.
   for (int s = 0; s < 7; ++s) {
     EXPECT_GT(load[s], 1000 / 7 / 2) << "shard " << s << " starved";
+  }
+}
+
+// Both partitioned deployments admit through GroupIngest, so this test
+// covers the in-process group and the cluster coordinator alike: every
+// edge is accepted or rejected exactly as DynamicGraph::AddEdge decides,
+// under the same id, and every vertex ends with the same label; this
+// includes AddEdge's rule that an edge rejected on its dst label has still
+// recorded its src.
+TEST(GroupIngestTest, AdmitsExactlyWhatOneGraphAdmits) {
+  Interner interner;
+  const LabelId a = interner.Intern("A");
+  const LabelId b = interner.Intern("B");
+  const LabelId x = interner.Intern("x");
+  const auto edge = [&](uint64_t src, LabelId src_label, uint64_t dst,
+                        LabelId dst_label, Timestamp ts) {
+    return StreamEdge{src, dst, src_label, dst_label, x, ts};
+  };
+  std::vector<StreamEdge> stream = {
+      edge(1, a, 2, a, 0),
+      edge(3, b, 2, b, 1),   // dst clash, yet vertex 3 is recorded as B
+      edge(3, a, 4, a, 2),   // src clash against that record
+      edge(7, a, 8, a, 5),
+      edge(5, a, 6, a, 4),   // time regression
+      edge(5, a, 6, a, -1),  // negative time
+  };
+  // A random tail: each vertex mostly keeps one label, and a few edges
+  // step back in time.
+  Rng rng(31);
+  Timestamp now = 5;
+  const auto label = [&](uint64_t v) {
+    return (v % 2 == 0) != rng.NextBool(0.1) ? a : b;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const uint64_t src = rng.NextBounded(40);
+    const uint64_t dst = rng.NextBounded(40);
+    now += static_cast<Timestamp>(rng.NextBounded(2));
+    const Timestamp ts =
+        rng.NextBool(0.03) ? now - 1 - static_cast<Timestamp>(rng.NextBounded(3))
+                           : now;
+    stream.push_back(edge(src, label(src), dst, label(dst), ts));
+  }
+
+  HashModuloPartitioner partitioner;
+  GroupIngest ingest(&partitioner, 3);
+  DynamicGraph graph(&interner);
+  uint64_t rejected = 0;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    const StreamEdge& e = stream[i];
+    const auto added = graph.AddEdge(e);
+    int copies = 0;
+    int anchors = 0;
+    EdgeId routed_id = kInvalidEdgeId;
+    const bool admitted =
+        ingest.Route(e, [&](int shard, EdgeId id, bool run_anchors) {
+          EXPECT_EQ(shard, partitioner.OwnerShard(run_anchors ? e.src : e.dst,
+                                                  3));
+          ++copies;
+          anchors += run_anchors ? 1 : 0;
+          routed_id = id;
+        });
+    ASSERT_EQ(admitted, added.ok()) << "edge " << i;
+    if (!admitted) {
+      ++rejected;
+      EXPECT_EQ(copies, 0) << "edge " << i;
+      continue;
+    }
+    EXPECT_EQ(routed_id, added.value()) << "edge " << i;
+    EXPECT_EQ(anchors, 1) << "edge " << i;
+    EXPECT_EQ(copies, partitioner.OwnerShard(e.src, 3) ==
+                              partitioner.OwnerShard(e.dst, 3)
+                          ? 1
+                          : 2)
+        << "edge " << i;
+  }
+  EXPECT_EQ(ingest.rejected(), rejected);
+  EXPECT_GT(rejected, 4u);
+  EXPECT_LT(rejected, stream.size() / 2);
+  EXPECT_EQ(ingest.watermark(), graph.watermark());
+  for (uint64_t v = 0; v < 40; ++v) {
+    const VertexId id = graph.FindVertex(v);
+    EXPECT_EQ(ingest.vertex_label(v),
+              id == kInvalidVertexId ? kInvalidLabelId : graph.vertex_label(id))
+        << "vertex " << v;
   }
 }
 
