@@ -6,7 +6,9 @@
 // location) primitives that join pairwise up to the root; this bench prints
 // the primitive-pairs decomposition (which reproduces that shape: 2-edge
 // wedge leaves), then streams and reports how many matches each tree level
-// held, demonstrating the progressive assembly of §3.1's intuitions.
+// held, demonstrating the progressive assembly of §3.1's intuitions. The
+// query's completions and peak partials also go to
+// bench-results/bench_fig2.json.
 
 #include <iostream>
 #include <set>
@@ -86,6 +88,10 @@ void Run() {
             << "stream: " << FormatCount(edges.size()) << " edges in "
             << FormatDouble(seconds, 3) << "s ("
             << bench::Rate(edges.size(), seconds) << " edges/s)\n";
+  const QueryRuntimeInfo info = engine.query_info(qid);
+  bench::WriteCountsJson(
+      "fig2", edges.size(),
+      {{info.name, info.completions, info.peak_partial_matches}});
 }
 
 }  // namespace

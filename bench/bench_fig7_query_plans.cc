@@ -4,7 +4,8 @@
 // series shows the fraction of the query matched over time (the paper's
 // percentage annotations) and the partial-match population each plan pays
 // to get there. Completions must be identical; populations and runtime
-// must not be.
+// must not be. Each plan's completions and peak partials also go to
+// bench-results/bench_fig7.json.
 
 #include <iostream>
 #include <memory>
@@ -110,7 +111,10 @@ void Run() {
   table.Row({"strategy", "mappings", "peak partials", "join attempts",
              "seconds"});
   table.Separator();
+  std::vector<bench::QueryCounts> counts;
   for (const Plan& plan : plans) {
+    counts.push_back({std::string(DecompositionStrategyName(plan.strategy)),
+                      plan.completions, plan.tree->PeakTotalPartialMatches()});
     uint64_t attempts = 0;
     for (int n = 0; n < plan.tree->decomposition().num_nodes(); ++n) {
       attempts += plan.tree->node_stats(n).join_attempts;
@@ -123,6 +127,7 @@ void Run() {
   std::cout << "\nexpected shape: identical mappings across plans; "
                "selectivity-informed plans hold far fewer partial matches "
                "than the uninformed left-deep baseline\n";
+  bench::WriteCountsJson("fig7", edges.size(), counts);
 }
 
 }  // namespace

@@ -62,8 +62,11 @@ PAIRS = [
     ("bench_net_fanout.json", "BENCH_net_fanout.json"),
     ("bench_recovery.json", "BENCH_recovery.json"),
     ("bench_cluster.json", "BENCH_cluster.json"),
+    ("bench_fig2.json", "BENCH_fig2.json"),
     ("bench_fig3.json", "BENCH_fig3.json"),
     ("bench_fig5.json", "BENCH_fig5.json"),
+    ("bench_fig6.json", "BENCH_fig6.json"),
+    ("bench_fig7.json", "BENCH_fig7.json"),
     ("bench_sharding.json", "BENCH_sharding.json"),
 ]
 
@@ -352,6 +355,25 @@ def self_test():
     sharding_regrown["rows"][0]["sum_retained"] = 149988
     sharding_rerouted = json.loads(json.dumps(sharding_base))
     sharding_rerouted["rows"][1]["forwarded"] += 1
+    # fig7's rows are query plans, not queries; each plan's counts gate
+    # exactly like a query's.
+    plans_base = {
+        "bench": "fig7",
+        "edges": 40006,
+        "rows": [
+            {"scenario": "left_deep_edge_order", "completions": 6,
+             "peak_partials": 397},
+            {"scenario": "primitive_pairs", "completions": 6,
+             "peak_partials": 77},
+        ],
+    }
+    plans_same = json.loads(json.dumps(plans_base))
+    plans_regrown = json.loads(json.dumps(plans_base))
+    plans_regrown["rows"][1]["peak_partials"] += 1
+    plans_ok = gate_throughput(plans_same, plans_base, 0.25, "self-test",
+                               report)
+    plans_bad = gate_throughput(plans_regrown, plans_base, 0.25, "self-test",
+                                report)
     sharding_ok = gate_throughput(sharding_same, sharding_base, 0.25,
                                   "self-test", report)
     sharding_bad_window = gate_throughput(sharding_regrown, sharding_base,
@@ -388,6 +410,8 @@ def self_test():
         (counts_ok == 0, "identical counts pass"),
         (counts_bad == 1, "a count off by one fails at any tolerance"),
         (counts_missing == 1, "a count missing from the fresh row fails"),
+        (plans_ok == 0, "identical per-plan counts pass"),
+        (plans_bad == 1, "one plan's peak partials off by one fails"),
         (sharding_ok == 0, "identical sharding counts pass"),
         (sharding_bad_window == 2,
          "a changed retained-edge max and sum fail as two counts"),

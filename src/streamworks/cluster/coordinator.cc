@@ -104,12 +104,23 @@ void DistributedBackend::Stop() {
   }
 }
 
-void DistributedBackend::SyncLabelNames() {
+Status DistributedBackend::SyncLabelNames(std::span<const StreamEdge> edges) {
   std::lock_guard<std::mutex> lock(label_mu_);
   while (label_names_.size() < interner_->size()) {
     label_names_.push_back(
         interner_->Name(static_cast<LabelId>(label_names_.size())));
   }
+  // Refuse here, before the edges are enqueued: once admission numbers
+  // an edge, its Batch frame must encode, because the coordinator retains
+  // that frame and resends it after every reconnect.
+  for (const StreamEdge& e : edges) {
+    for (const LabelId id : {e.src_label, e.dst_label, e.edge_label}) {
+      if (id < label_names_.size()) {
+        SW_RETURN_IF_ERROR(CheckStringLength(label_names_[id]));
+      }
+    }
+  }
+  return OkStatus();
 }
 
 std::string_view DistributedBackend::CachedLabelName(LabelId id) {
@@ -197,11 +208,11 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
         }
         by_dest[item.dest].push_back(item);
       }
-      const LabelNameFn name = [this](LabelId id) -> std::string_view {
-        return wire_interner_.Name(id);
-      };
+      const LabelNameFn name = InternerNames(wire_interner_);
       for (const auto& [dest, items] : by_dest) {
-        for (std::string& relayed : EncodeExchangeFrames(items, name)) {
+        SW_ASSIGN_OR_RETURN(std::vector<std::string> frames,
+                            EncodeExchangeFrames(items, name));
+        for (std::string& relayed : frames) {
           SW_RETURN_IF_ERROR(SendStateFrame(
               &workers_[static_cast<size_t>(dest)], std::move(relayed)));
         }
@@ -367,8 +378,8 @@ StatusOr<size_t> DistributedBackend::RunEpoch() {
   };
   for (size_t i = 0; i < workers_.size(); ++i) {
     if (batches[i].edges.empty()) continue;
-    SW_RETURN_IF_ERROR(
-        SendStateFrame(&workers_[i], EncodeBatchFrame(batches[i], name)));
+    SW_ASSIGN_OR_RETURN(std::string frame, EncodeBatchFrame(batches[i], name));
+    SW_RETURN_IF_ERROR(SendStateFrame(&workers_[i], std::move(frame)));
   }
   const uint64_t batch_us = PipelineMetrics::NowMicros() - batch_start;
   EpochPhases phases;
@@ -425,10 +436,7 @@ StatusOr<int> DistributedBackend::Register(const QueryGraph& query,
                                            DecompositionStrategy strategy,
                                            Timestamp window,
                                            MatchCallback callback) {
-  SyncLabelNames();
   std::lock_guard<std::mutex> lock(cluster_mu_);
-  SW_RETURN_IF_ERROR(DrainPending());
-
   CtrlRegister reg;
   reg.expect_id = next_query_id_;
   reg.strategy = static_cast<uint8_t>(strategy);
@@ -446,7 +454,10 @@ StatusOr<int> DistributedBackend::Register(const QueryGraph& query,
     edge.label = interner_->Name(e.label);
     reg.edges.push_back(std::move(edge));
   }
-  const std::string frame = EncodeRegisterFrame(reg);
+  // A name or label the wire cannot carry is refused here, before the
+  // frame is retained: a retained frame is resent after every reconnect.
+  SW_ASSIGN_OR_RETURN(const std::string frame, EncodeRegisterFrame(reg));
+  SW_RETURN_IF_ERROR(DrainPending());
   for (WorkerState& w : workers_) {
     SW_RETURN_IF_ERROR(SendStateFrame(&w, frame));
   }
@@ -534,7 +545,7 @@ StatusOr<QueryRuntimeInfo> DistributedBackend::Info(int query_id) {
 }
 
 Status DistributedBackend::Feed(const StreamEdge& edge) {
-  SyncLabelNames();
+  SW_RETURN_IF_ERROR(SyncLabelNames({&edge, 1}));
   std::unique_lock<std::mutex> lock(pending_mu_);
   space_cv_.wait(lock, [this] {
     return stop_ || pending_.size() < options_.max_pending_edges;
@@ -551,7 +562,7 @@ Status DistributedBackend::FeedBatch(const EdgeBatch& batch,
   // Asynchronous ingest: admission rejections surface only in the
   // aggregate counter, per the backend contract.
   if (rejected_out != nullptr) *rejected_out = 0;
-  SyncLabelNames();
+  SW_RETURN_IF_ERROR(SyncLabelNames(batch));
   std::unique_lock<std::mutex> lock(pending_mu_);
   for (const StreamEdge& edge : batch) {
     space_cv_.wait(lock, [this] {

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -234,8 +235,10 @@ class DistributedBackend : public QueryBackend {
   Status DrainPending();
 
   /// Copies newly interned names out of the service interner into the
-  /// thread-safe cache the pump's encoders read. Control-thread only.
-  void SyncLabelNames();
+  /// thread-safe cache the pump's encoders read, then refuses `edges`
+  /// (InvalidArgument) if one carries a label longer than the control
+  /// wire's kMaxStringBytes. Control-thread only.
+  Status SyncLabelNames(std::span<const StreamEdge> edges);
   std::string_view CachedLabelName(LabelId id);
 
   void PumpLoop();

@@ -125,7 +125,9 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
       SW_RETURN_IF_ERROR(FlushOutbox(link));
       SW_RETURN_IF_ERROR(completion_send_error_);
       if (frame.type == CtrlType::kRegister) {
-        SW_RETURN_IF_ERROR(link->SendFrame(EncodeRegisterAckFrame(ack)));
+        SW_ASSIGN_OR_RETURN(const std::string ack_frame,
+                            EncodeRegisterAckFrame(ack));
+        SW_RETURN_IF_ERROR(link->SendFrame(ack_frame));
       }
       continue;
     }
@@ -267,34 +269,15 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
   return OkStatus();
 }
 
-std::string WorkerDaemon::ReencodeStateFrame(const CtrlFrame& frame) const {
-  const LabelNameFn name = [this](LabelId id) -> std::string_view {
-    return interner_.Name(id);
-  };
-  switch (frame.type) {
-    case CtrlType::kRegister:
-      return EncodeRegisterFrame(frame.reg);
-    case CtrlType::kEndBackfill:
-      return EncodeEndBackfillFrame();
-    case CtrlType::kUnregister:
-      return EncodeUnregisterFrame(frame.unregister);
-    case CtrlType::kBatch:
-      return EncodeBatchFrame(frame.batch, name);
-    case CtrlType::kExchange:
-      return EncodeExchangeFrame(frame.exchange, name);
-    case CtrlType::kCommit:
-      return EncodeCommitFrame(frame.commit);
-    default:
-      return std::string();
-  }
-}
-
 Status WorkerDaemon::ApplyStateFrame(const CtrlFrame& frame,
                                      CtrlRegisterAck* register_ack_out) {
   if (log_ != nullptr && !replaying_) {
     // Log before apply: a crash after the append replays the frame; a
     // crash before it leaves the coordinator's resend buffer responsible.
-    SW_RETURN_IF_ERROR(log_->Append(ReencodeStateFrame(frame)));
+    // The record is the frame re-encoded exactly as the wire carried it.
+    SW_ASSIGN_OR_RETURN(const std::string record,
+                        EncodeCtrlFrame(frame, InternerNames(interner_)));
+    SW_RETURN_IF_ERROR(log_->Append(record));
   }
   switch (frame.type) {
     case CtrlType::kRegister:
@@ -407,10 +390,9 @@ Status WorkerDaemon::FlushOutbox(PeerLink* link) {
     out.push_back(std::move(wire));
   }
   counters_.exchange_items_sent += out.size();
-  const LabelNameFn name = [this](LabelId id) -> std::string_view {
-    return interner_.Name(id);
-  };
-  for (std::string& frame : EncodeExchangeFrames(out, name)) {
+  SW_ASSIGN_OR_RETURN(std::vector<std::string> frames,
+                      EncodeExchangeFrames(out, InternerNames(interner_)));
+  for (std::string& frame : frames) {
     if (replaying_) {
       pending_out_.push_back(std::move(frame));
     } else {
@@ -429,20 +411,19 @@ void WorkerDaemon::OnCompletion(const CompleteMatch& cm) {
   completion.query_id = cm.query_id;
   completion.completed_at = cm.completed_at;
   completion.match = MatchExchange::ToWire(engine_->graph(), cm.match);
-  const LabelNameFn name = [this](LabelId id) -> std::string_view {
-    return interner_.Name(id);
-  };
-  std::string frame = EncodeCompletionFrame(completion, name);
+  StatusOr<std::string> frame =
+      EncodeCompletionFrame(completion, InternerNames(interner_));
   ++counters_.completions_sent;
-  if (replaying_) {
-    pending_out_.push_back(std::move(frame));
+  Status sent = frame.status();
+  if (frame.ok() && replaying_) {
+    pending_out_.push_back(std::move(frame).value());
     return;
   }
-  if (live_link_ != nullptr) {
-    const Status sent = live_link_->SendFrame(frame);
-    if (!sent.ok() && completion_send_error_.ok()) {
-      completion_send_error_ = sent;
-    }
+  if (frame.ok() && live_link_ != nullptr) {
+    sent = live_link_->SendFrame(frame.value());
+  }
+  if (!sent.ok() && completion_send_error_.ok()) {
+    completion_send_error_ = sent;
   }
 }
 
@@ -454,7 +435,8 @@ Status WorkerDaemon::SendInfoAck(PeerLink* link, const CtrlInfo& info) {
   } else {
     ack.error = "unknown or unregistered query id";
   }
-  return link->SendFrame(EncodeInfoAckFrame(ack));
+  SW_ASSIGN_OR_RETURN(const std::string frame, EncodeInfoAckFrame(ack));
+  return link->SendFrame(frame);
 }
 
 Status WorkerDaemon::SendStatsAck(PeerLink* link) {
@@ -469,7 +451,9 @@ Status WorkerDaemon::SendMetricsReport(PeerLink* link) {
   report.exchange_items_sent = counters_.exchange_items_sent;
   report.completions_sent = counters_.completions_sent;
   report.samples = registry_.ExportSamples();
-  return link->SendFrame(EncodeMetricsReportFrame(report));
+  SW_ASSIGN_OR_RETURN(const std::string frame,
+                      EncodeMetricsReportFrame(report));
+  return link->SendFrame(frame);
 }
 
 std::string WorkerDaemon::RenderWorkerHealth() const {

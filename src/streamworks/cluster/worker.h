@@ -138,9 +138,6 @@ class WorkerDaemon {
   /// during replay).
   void OnCompletion(const CompleteMatch& cm);
 
-  /// Re-encodes `frame` exactly as the wire carried it, for the log.
-  std::string ReencodeStateFrame(const CtrlFrame& frame) const;
-
   Status SendInfoAck(PeerLink* link, const CtrlInfo& info);
   Status SendStatsAck(PeerLink* link);
   /// Snapshots the registry + cursors into a CRC'd MetricsReport frame.

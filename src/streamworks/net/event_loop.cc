@@ -21,6 +21,11 @@ namespace {
 
 constexpr std::string_view kTerminator = ".\n";
 
+/// Matches the stream pump pops per queue-lock acquisition while
+/// coalescing a drain pass (one lock + one write per chunk, not per
+/// match).
+constexpr size_t kPumpDrainChunk = 256;
+
 /// One framed error response (used for protocol-level refusals that never
 /// reach the interpreter).
 std::string ErrFrame(std::string_view message) {
@@ -633,7 +638,7 @@ bool EventLoop::PumpConnection(
       // which is then formatted into wbuf and flushed below in a single
       // write — not one lock and one send per EVENT line.
       drained.clear();
-      const size_t n = queue->DrainUpTo(&drained, options_->pump_drain_chunk);
+      const size_t n = queue->DrainUpTo(&drained, kPumpDrainChunk);
       if (n > 0) {
         for (const CompleteMatch& cm : drained) {
           conn->wbuf += "EVENT MATCH ";

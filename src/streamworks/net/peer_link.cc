@@ -135,16 +135,6 @@ Status PeerLink::SendFrame(std::string_view frame) {
   return OkStatus();
 }
 
-bool PeerLink::HasBufferedFrame() const {
-  if (rbuf_.size() < kCtrlFrameHeaderBytes) return false;
-  const size_t body_len =
-      static_cast<size_t>(static_cast<unsigned char>(rbuf_[4])) |
-      static_cast<size_t>(static_cast<unsigned char>(rbuf_[5])) << 8 |
-      static_cast<size_t>(static_cast<unsigned char>(rbuf_[6])) << 16 |
-      static_cast<size_t>(static_cast<unsigned char>(rbuf_[7])) << 24;
-  return rbuf_.size() >= kCtrlFrameHeaderBytes + body_len;
-}
-
 StatusOr<CtrlFrame> PeerLink::ReadFrame(Interner* interner, int timeout_ms) {
   Timer timer;
   for (;;) {

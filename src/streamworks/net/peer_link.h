@@ -65,10 +65,6 @@ class PeerLink {
   /// (a desynchronized peer must reconnect and handshake).
   StatusOr<CtrlFrame> ReadFrame(Interner* interner, int timeout_ms);
 
-  /// True if a whole frame is already buffered (ReadFrame would not
-  /// touch the socket).
-  bool HasBufferedFrame() const;
-
   bool connected() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
   void Close() { fd_.reset(); rbuf_.clear(); }

@@ -10,6 +10,13 @@
 
 namespace streamworks {
 
+namespace {
+
+/// listen(2) backlog of every listener.
+constexpr int kListenBacklog = 16;
+
+}  // namespace
+
 int ServerOptions::ResolvedIoLoops() const {
   if (io_loops > 0) return io_loops;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -31,17 +38,17 @@ Status SocketServer::Start() {
   if (options_.tcp_port >= 0) {
     SW_ASSIGN_OR_RETURN(tcp_listener_,
                         ListenTcp(options_.tcp_host, options_.tcp_port,
-                                  options_.backlog));
+                                  kListenBacklog));
     SW_ASSIGN_OR_RETURN(bound_tcp_port_, BoundTcpPort(tcp_listener_.get()));
   }
   if (!options_.unix_path.empty()) {
     SW_ASSIGN_OR_RETURN(unix_listener_,
-                        ListenUnix(options_.unix_path, options_.backlog));
+                        ListenUnix(options_.unix_path, kListenBacklog));
   }
   if (options_.http_port >= 0) {
     SW_ASSIGN_OR_RETURN(http_listener_,
                         ListenTcp(options_.http_host, options_.http_port,
-                                  options_.backlog));
+                                  kListenBacklog));
     SW_ASSIGN_OR_RETURN(bound_http_port_, BoundTcpPort(http_listener_.get()));
     HttpHandler::Providers providers;
     providers.registry = options_.registry;

@@ -24,7 +24,6 @@ struct ServerOptions {
   /// Unix-domain listener path; empty disables. The server unlinks the
   /// path on shutdown.
   std::string unix_path;
-  int backlog = 16;
   /// Accepts beyond this are refused with "ERR server full".
   size_t max_connections = 64;
   /// IO loops (epoll event loops) the acceptor shards connections across,
@@ -45,10 +44,6 @@ struct ServerOptions {
   /// with ERR and its declared bytes are skipped, so the stream stays in
   /// sync and the connection survives.
   size_t max_frame_body_bytes = kDefaultMaxFrameBodyBytes;
-  /// Matches the stream pump pops per queue-lock acquisition while
-  /// coalescing a drain pass (one lock + one write per chunk, not per
-  /// match).
-  size_t pump_drain_chunk = 256;
   /// Stream-pump drain cadence while any subscription is streaming.
   int pump_interval_ms = 2;
   /// When > 0, SO_SNDBUF for accepted connections. Tests shrink it so a

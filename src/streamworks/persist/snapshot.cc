@@ -7,14 +7,12 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
-#include "streamworks/common/binio.h"
-#include "streamworks/common/logging.h"
+#include "streamworks/common/codec.h"
 #include "streamworks/common/str_util.h"
 #include "streamworks/common/unique_fd.h"
+#include "streamworks/graph/edge_record.h"
 #include "streamworks/persist/crc32.h"
 #include "streamworks/persist/fs_util.h"
 
@@ -29,125 +27,25 @@ std::string SnapshotName(uint64_t wal_seq) {
   return SeqFileName("snap-", wal_seq, ".snap");
 }
 
-/// Strings (labels, session names, tags) can be tenant-controlled, so an
-/// over-u16 length must fail the snapshot with a Status — never abort
-/// the process (one hostile SESSION name would otherwise take every
-/// tenant down at the next snapshot).
-Status PutString(std::string* out, std::string_view s);
-
-/// First-seen-order label string table shared by the whole file (the
-/// FEEDB idiom, file-scoped instead of frame-scoped).
-class LabelTable {
- public:
-  explicit LabelTable(const Interner& interner) : interner_(interner) {}
-
-  uint32_t IndexOf(LabelId id) {
-    auto [it, inserted] = index_.try_emplace(id, ids_.size());
-    if (inserted) ids_.push_back(id);
-    return static_cast<uint32_t>(it->second);
-  }
-
-  Status Encode(std::string* out) const {
-    PutU32(out, static_cast<uint32_t>(ids_.size()));
-    for (LabelId id : ids_) {
-      const std::string& name = interner_.Name(id);
-      SW_RETURN_IF_ERROR(PutString(out, name));
-    }
-    return OkStatus();
-  }
-
- private:
-  const Interner& interner_;
-  std::unordered_map<LabelId, size_t> index_;
-  std::vector<LabelId> ids_;
-};
-
-Status PutString(std::string* out, std::string_view s) {
-  if (s.size() > std::numeric_limits<uint16_t>::max()) {
-    return Status::InvalidArgument(
-        StrCat("string of ", s.size(),
-               " bytes exceeds the snapshot format's u16 length"));
-  }
-  PutU16(out, static_cast<uint16_t>(s.size()));
-  out->append(s);
-  return OkStatus();
-}
-
-/// Bounds-checked read cursor: every declared length is validated against
-/// the bytes actually present before anything dereferences — a corrupted
-/// (or hostile) snapshot must fail decoding, never crash the loader.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  bool Take(size_t n, const char** out) {
-    if (bytes_.size() - pos_ < n) return false;
-    *out = bytes_.data() + pos_;
-    pos_ += n;
-    return true;
-  }
-  bool U8(uint8_t* v) {
-    const char* p;
-    if (!Take(1, &p)) return false;
-    *v = static_cast<uint8_t>(*p);
-    return true;
-  }
-  bool U16(uint16_t* v) {
-    const char* p;
-    if (!Take(2, &p)) return false;
-    *v = GetU16(p);
-    return true;
-  }
-  bool U32(uint32_t* v) {
-    const char* p;
-    if (!Take(4, &p)) return false;
-    *v = GetU32(p);
-    return true;
-  }
-  bool U64(uint64_t* v) {
-    const char* p;
-    if (!Take(8, &p)) return false;
-    *v = GetU64(p);
-    return true;
-  }
-  bool I64(int64_t* v) {
-    const char* p;
-    if (!Take(8, &p)) return false;
-    *v = GetI64(p);
-    return true;
-  }
-  bool String(std::string_view* out) {
-    uint16_t len;
-    const char* p;
-    if (!U16(&len) || !Take(len, &p)) return false;
-    *out = std::string_view(p, len);
-    return true;
-  }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
+/// A window edge: its ingest id, then the shared edge record.
+constexpr size_t kSnapshotEdgeBytes = 8 + kEdgeRecordBytes;
 
 }  // namespace
 
 StatusOr<std::string> EncodeSnapshot(const SnapshotContents& contents,
                                      const Interner& interner) {
-  LabelTable table(interner);
-
-  // Pre-intern every label so the table is complete before it is
-  // encoded; record per-edge / per-query indexes as we go.
+  // One label table for the whole file. The edges and sessions go to
+  // their own buffers first so the table is complete before it is
+  // written. Strings (labels, session names, tags) can be
+  // tenant-controlled, so one past the u16 length fails the snapshot
+  // with a Status, never the process.
+  LabelTableWriter table;
   std::string edges;
+  edges.reserve(8 + contents.window.edges.size() * kSnapshotEdgeBytes);
   PutU64(&edges, contents.window.edges.size());
   for (const PersistedEdge& pe : contents.window.edges) {
     PutU64(&edges, pe.id);
-    PutU64(&edges, pe.edge.src);
-    PutU64(&edges, pe.edge.dst);
-    PutU32(&edges, table.IndexOf(pe.edge.src_label));
-    PutU32(&edges, table.IndexOf(pe.edge.dst_label));
-    PutU32(&edges, table.IndexOf(pe.edge.edge_label));
-    PutI64(&edges, pe.edge.ts);
+    PutEdgeRecord(&edges, pe.edge, &table);
   }
 
   std::string sessions;
@@ -187,7 +85,7 @@ StatusOr<std::string> EncodeSnapshot(const SnapshotContents& contents,
   PutU64(&out, contents.wal_seq);
   PutU64(&out, contents.window.next_edge_id);
   PutI64(&out, contents.window.watermark);
-  SW_RETURN_IF_ERROR(table.Encode(&out));
+  SW_RETURN_IF_ERROR(table.Write(&out, InternerNames(interner)));
   out.append(edges);
   out.append(sessions);
   PutU32(&out, Crc32(out));
@@ -209,156 +107,100 @@ StatusOr<SnapshotContents> DecodeSnapshot(std::string_view bytes,
     return corrupt("CRC mismatch");
   }
 
-  Cursor cur(bytes.substr(4, bytes.size() - 4 - 4));
+  // Every declared length is bounds-checked against the bytes present,
+  // even past a good CRC: a forged one must fail decoding, never crash
+  // the loader.
+  WireReader r(bytes.substr(4, bytes.size() - 4 - 4));
   SnapshotContents contents;
-  uint32_t version;
-  if (!cur.U32(&version)) return corrupt("truncated header");
-  if (version != kSnapshotVersion) return corrupt("unsupported version");
-  if (!cur.U64(&contents.wal_seq) ||
-      !cur.U64(&contents.window.next_edge_id) ||
-      !cur.I64(&contents.window.watermark)) {
-    return corrupt("truncated header");
+  if (r.U32("version") != kSnapshotVersion) {
+    return corrupt("unsupported version");
   }
+  contents.wal_seq = r.U64("header");
+  contents.window.next_edge_id = r.U64("header");
+  contents.window.watermark = r.I64("header");
+  const std::vector<LabelId> labels = ReadLabelTable(&r, interner);
 
-  uint32_t n_labels;
-  if (!cur.U32(&n_labels)) return corrupt("truncated string-table count");
-  // Each entry costs at least its 2-byte length; a count beyond
-  // remaining/2 is a lie — reject before it sizes anything.
-  if (n_labels > cur.remaining() / 2) {
-    return corrupt("string-table count exceeds body");
-  }
-  std::vector<LabelId> labels;
-  labels.reserve(n_labels);
-  for (uint32_t i = 0; i < n_labels; ++i) {
-    std::string_view name;
-    // String() bounds-checks the declared length against the bytes
-    // present — an entry running past the body fails here even though
-    // the file-level CRC already passed (defense against a forged CRC).
-    if (!cur.String(&name)) return corrupt("truncated string table");
-    labels.push_back(interner->Intern(name));
-  }
-  const auto label_at = [&](uint32_t idx, LabelId* out) {
-    if (idx >= labels.size()) return false;
-    *out = labels[idx];
-    return true;
-  };
-
-  uint64_t n_edges;
-  if (!cur.U64(&n_edges)) return corrupt("truncated edge count");
-  constexpr size_t kEdgeBytes = 8 + 8 + 8 + 4 + 4 + 4 + 8;
-  if (n_edges > cur.remaining() / kEdgeBytes) {
-    return corrupt("edge count exceeds body");
-  }
-  contents.window.edges.reserve(n_edges);
-  EdgeId prev_id = 0;
+  const uint64_t n_edges = r.U64("edge count");
+  const std::string_view records =
+      r.Records(n_edges, kSnapshotEdgeBytes, "edge");
+  if (!r.ok()) return corrupt(r.error());
+  contents.window.edges.resize(n_edges);
   for (uint64_t i = 0; i < n_edges; ++i) {
-    PersistedEdge pe;
-    uint32_t src_label, dst_label, edge_label;
-    uint64_t id;
-    if (!cur.U64(&id) || !cur.U64(&pe.edge.src) || !cur.U64(&pe.edge.dst) ||
-        !cur.U32(&src_label) || !cur.U32(&dst_label) ||
-        !cur.U32(&edge_label) || !cur.I64(&pe.edge.ts)) {
-      return corrupt("truncated edge record");
-    }
-    pe.id = id;
-    if (i > 0 && id <= prev_id) {
+    const char* p = records.data() + i * kSnapshotEdgeBytes;
+    PersistedEdge& pe = contents.window.edges[i];
+    pe.id = GetU64(p);
+    if (i > 0 && pe.id <= contents.window.edges[i - 1].id) {
       return corrupt("window edge ids not ascending");
     }
-    prev_id = id;
-    if (!label_at(src_label, &pe.edge.src_label) ||
-        !label_at(dst_label, &pe.edge.dst_label) ||
-        !label_at(edge_label, &pe.edge.edge_label)) {
+    if (!GetEdgeRecord(p + 8, labels, &pe.edge)) {
       return corrupt("edge label index out of string-table range");
     }
-    contents.window.edges.push_back(pe);
   }
 
-  uint32_t n_sessions;
-  if (!cur.U32(&n_sessions)) return corrupt("truncated session count");
-  if (n_sessions > cur.remaining()) {
-    return corrupt("session count exceeds body");
-  }
-  for (uint32_t s = 0; s < n_sessions; ++s) {
+  const uint32_t n_sessions = r.U32("session count");
+  if (!r.Fits(n_sessions, 1, "session")) return corrupt(r.error());
+  for (uint32_t s = 0; s < n_sessions && r.ok(); ++s) {
     PersistedSession ps;
-    std::string_view name;
-    if (!cur.String(&name)) return corrupt("truncated session name");
-    ps.name = std::string(name);
-    uint32_t n_subs;
-    if (!cur.U32(&n_subs)) return corrupt("truncated subscription count");
-    if (n_subs > cur.remaining()) {
-      return corrupt("subscription count exceeds body");
-    }
-    for (uint32_t q = 0; q < n_subs; ++q) {
+    ps.name = r.String("session name");
+    const uint32_t n_subs = r.U32("subscription count");
+    if (!r.Fits(n_subs, 1, "subscription")) return corrupt(r.error());
+    for (uint32_t q = 0; q < n_subs && r.ok(); ++q) {
       PersistedSubscription sub;
-      std::string_view tag, query_name, strategy_name, policy_name;
-      if (!cur.String(&tag) || !cur.String(&query_name)) {
-        return corrupt("truncated subscription names");
-      }
-      sub.tag = std::string(tag);
-      uint16_t nv;
-      if (!cur.U16(&nv)) return corrupt("truncated query vertex count");
+      sub.tag = r.String("subscription tag");
+      const std::string query_name = r.String("query name");
+      const uint16_t nv = r.U16("query vertex count");
+      if (!r.ok()) break;
       // The builder SW_CHECKs its size cap; a forged-CRC snapshot must
       // fail decoding here, never abort the recovering process.
       if (nv == 0 || nv > kMaxQuerySize) {
         return corrupt("query vertex count out of range");
       }
       QueryGraphBuilder builder(interner);
-      for (uint16_t v = 0; v < nv; ++v) {
-        uint32_t label_idx;
-        LabelId label;
-        if (!cur.U32(&label_idx) || !label_at(label_idx, &label)) {
-          return corrupt("bad query vertex label");
-        }
-        builder.AddVertex(interner->Name(label));
+      for (uint16_t v = 0; v < nv && r.ok(); ++v) {
+        const LabelId label =
+            TableLabel(&r, labels, r.U32("query vertex label"));
+        if (r.ok()) builder.AddVertex(interner->Name(label));
       }
-      uint16_t ne;
-      if (!cur.U16(&ne)) return corrupt("truncated query edge count");
+      const uint16_t ne = r.U16("query edge count");
+      if (!r.ok()) break;
       if (ne == 0 || ne > kMaxQuerySize) {
         return corrupt("query edge count out of range");
       }
-      for (uint16_t e = 0; e < ne; ++e) {
-        uint16_t src, dst;
-        uint32_t label_idx;
-        LabelId label;
-        if (!cur.U16(&src) || !cur.U16(&dst) || !cur.U32(&label_idx) ||
-            !label_at(label_idx, &label)) {
-          return corrupt("bad query edge");
-        }
+      for (uint16_t e = 0; e < ne && r.ok(); ++e) {
+        const uint16_t src = r.U16("query edge");
+        const uint16_t dst = r.U16("query edge");
+        const LabelId label = TableLabel(&r, labels, r.U32("query edge"));
+        if (!r.ok()) break;
         if (src >= nv || dst >= nv) {
           return corrupt("query edge endpoint out of range");
         }
         builder.AddEdge(src, dst, interner->Name(label));
       }
+      if (!r.ok()) break;
       auto built = builder.Build(query_name);
       if (!built.ok()) {
         return corrupt(StrCat("unbuildable query '", query_name,
                               "': ", built.status().message()));
       }
       sub.query = std::move(built).value();
-      uint8_t paused;
-      if (!cur.I64(&sub.window) || !cur.String(&strategy_name) ||
-          !cur.U64(&sub.queue_capacity) || !cur.String(&policy_name) ||
-          !cur.U8(&paused)) {
-        return corrupt("truncated subscription options");
-      }
-      bool strategy_found = false;
-      for (DecompositionStrategy st : kAllDecompositionStrategies) {
-        if (DecompositionStrategyName(st) == strategy_name) {
-          sub.strategy = st;
-          strategy_found = true;
-          break;
-        }
-      }
-      if (!strategy_found) return corrupt("unknown strategy name");
+      sub.window = r.I64("subscription options");
+      const std::string strategy_name = r.String("subscription options");
+      sub.queue_capacity = r.U64("subscription options");
+      const std::string policy_name = r.String("subscription options");
+      sub.paused = r.U8("subscription options") != 0;
+      if (!r.ok()) break;
+      auto strategy = ParseDecompositionStrategy(strategy_name);
+      if (!strategy.ok()) return corrupt("unknown strategy name");
+      sub.strategy = strategy.value();
       auto policy = ParseOverflowPolicy(policy_name);
       if (!policy.ok()) return corrupt("unknown overflow policy");
       sub.policy = policy.value();
-      sub.paused = paused != 0;
       ps.subscriptions.push_back(std::move(sub));
     }
     contents.service.sessions.push_back(std::move(ps));
   }
-  if (cur.remaining() != 0) return corrupt("trailing bytes");
+  if (!r.ok()) return corrupt(r.error());
+  if (r.remaining() != 0) return corrupt("trailing bytes");
   return contents;
 }
 

@@ -31,17 +31,19 @@ struct SnapshotContents {
 ///   wal_seq  u64
 ///   next_edge_id u64
 ///   watermark    i64
-///   string table  u32 n + n x {u16 len, bytes}   — every label name,
-///                 interned once per file (the FEEDB string-table idiom)
-///   window edges  u64 n + n x {id u64, src u64, dst u64,
-///                 src_label u32, dst_label u32, edge_label u32, ts i64}
-///                 (the FEEDB record layout + the ingest id), ascending id
+///   label table   u32 n + n x {u16 len, bytes}   — every label name,
+///                 once per file
+///   window edges  u64 n + n x {id u64, 36-byte edge record}, ascending id
 ///   sessions      u32 n + per session {name, u32 n_subs + per sub
 ///                 {tag, query_name, u16 nv + nv x u32 vertex_label,
 ///                  u16 ne + ne x {u16 src, u16 dst, u32 label},
 ///                  window i64, strategy name, capacity u64, policy name,
 ///                  paused u8}}     — strings as {u16 len, bytes}
 ///   crc      u32      CRC-32 of every byte above
+///
+/// The label table and the string rule are common/codec.h's and the edge
+/// record is graph/edge_record.h's, shared with FEEDB and the cluster
+/// control frames.
 ///
 /// Files are written to a temp name and atomically renamed, so a reader
 /// never sees a half-written snapshot under the final name; the trailing

@@ -23,6 +23,15 @@ std::string_view DecompositionStrategyName(DecompositionStrategy strategy) {
   return "unknown";
 }
 
+StatusOr<DecompositionStrategy> ParseDecompositionStrategy(
+    std::string_view name) {
+  for (DecompositionStrategy s : kAllDecompositionStrategies) {
+    if (DecompositionStrategyName(s) == name) return s;
+  }
+  return Status::InvalidArgument("unknown decomposition strategy: " +
+                                 std::string(name));
+}
+
 double QueryPlanner::Cardinality(const QueryGraph& query,
                                  Bitset64 edges) const {
   if (estimator_ == nullptr) return 1.0;

@@ -46,6 +46,11 @@ inline constexpr std::array<DecompositionStrategy, 4>
 /// Short stable name ("left_deep_edge_order", ...) for tables and CLI.
 std::string_view DecompositionStrategyName(DecompositionStrategy strategy);
 
+/// Inverse of DecompositionStrategyName. InvalidArgument on an unknown
+/// name.
+StatusOr<DecompositionStrategy> ParseDecompositionStrategy(
+    std::string_view name);
+
 /// Turns query graphs into validated SJ-Tree decompositions under a chosen
 /// strategy, using a SelectivityEstimator fed by stream summarisation
 /// (§4.3). With a null estimator, informed strategies degenerate to

@@ -41,14 +41,6 @@ size_t Tokenize(std::string_view line,
   return count;
 }
 
-StatusOr<DecompositionStrategy> ParseStrategy(std::string_view name) {
-  for (DecompositionStrategy s : kAllDecompositionStrategies) {
-    if (DecompositionStrategyName(s) == name) return s;
-  }
-  return Status::InvalidArgument("unknown decomposition strategy: " +
-                                 std::string(name));
-}
-
 }  // namespace
 
 CommandInterpreter::CommandInterpreter(QueryService* service,
@@ -297,7 +289,7 @@ Status CommandInterpreter::HandleSubmit(Tokens tokens) {
                           ParseOverflowPolicy(value));
       options.policy = policy;
     } else if (key == "STRATEGY") {
-      SW_ASSIGN_OR_RETURN(options.strategy, ParseStrategy(value));
+      SW_ASSIGN_OR_RETURN(options.strategy, ParseDecompositionStrategy(value));
     } else {
       return Status::InvalidArgument("unknown SUBMIT option: " +
                                      std::string(key));

@@ -4,6 +4,15 @@
 
 namespace streamworks {
 
+namespace {
+
+/// Result-queue capacity and overflow policy when SubmitOptions doesn't
+/// pick them.
+constexpr size_t kDefaultQueueCapacity = 1024;
+constexpr OverflowPolicy kDefaultOverflowPolicy = OverflowPolicy::kDropOldest;
+
+}  // namespace
+
 std::string_view SubscriptionStateName(SubscriptionState state) {
   switch (state) {
     case SubscriptionState::kActive:
@@ -19,7 +28,6 @@ std::string_view SubscriptionStateName(SubscriptionState state) {
 QueryService::QueryService(QueryBackend* backend, ServiceLimits limits)
     : backend_(backend), limits_(limits) {
   SW_CHECK_GT(limits_.max_queries_per_session, 0);
-  SW_CHECK_GT(limits_.default_queue_capacity, 0u);
 }
 
 QueryService::~QueryService() {
@@ -114,9 +122,8 @@ StatusOr<int> QueryService::Submit(int session_id, const QueryGraph& query,
 
   const size_t capacity = options.queue_capacity > 0
                               ? options.queue_capacity
-                              : limits_.default_queue_capacity;
-  const OverflowPolicy policy =
-      options.policy.value_or(limits_.default_policy);
+                              : kDefaultQueueCapacity;
+  const OverflowPolicy policy = options.policy.value_or(kDefaultOverflowPolicy);
   auto delivery = std::make_shared<DeliveryState>(capacity, policy);
   {
     std::lock_guard<std::mutex> registry_lock(queue_registry_mu_);

@@ -42,10 +42,6 @@ struct ServiceLimits {
   /// subscriptions; a Submit that finds the budget already exhausted is
   /// rejected. 0 = unlimited.
   size_t live_partial_match_budget = 1u << 20;
-  /// Result-queue capacity when SubmitOptions doesn't pick one.
-  size_t default_queue_capacity = 1024;
-  /// Overflow policy when SubmitOptions doesn't pick one.
-  OverflowPolicy default_policy = OverflowPolicy::kDropOldest;
   /// Age-based reclamation of detached-and-drained subscriptions in
   /// still-open sessions, in *control epochs* (each Feed/FeedBatch call
   /// advances the epoch by one). A long-lived tenant that detaches a
@@ -61,8 +57,8 @@ struct ServiceLimits {
 struct SubmitOptions {
   Timestamp window = kMaxTimestamp;
   DecompositionStrategy strategy = DecompositionStrategy::kSelectivityLeftDeep;
-  size_t queue_capacity = 0;  ///< 0 = service default.
-  std::optional<OverflowPolicy> policy;
+  size_t queue_capacity = 0;  ///< 0 = the service default, 1024.
+  std::optional<OverflowPolicy> policy;  ///< Unset = drop oldest.
   /// Client-visible subscription name, persisted with the subscription so
   /// a recovered session can be re-attached by name (the interpreter
   /// passes its "<sub>" token). Optional; "" stays anonymous.

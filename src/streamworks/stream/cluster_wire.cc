@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstring>
-#include <limits>
 
-#include "streamworks/common/binio.h"
+#include "streamworks/common/logging.h"
 #include "streamworks/common/str_util.h"
+#include "streamworks/graph/edge_record.h"
 #include "streamworks/persist/crc32.h"
 
 namespace streamworks {
@@ -16,53 +15,35 @@ namespace {
 
 // --- Encode helpers ----------------------------------------------------------
 
-/// Wraps a finished body (type byte + payload) into a framed message.
-std::string FinishFrame(std::string body) {
-  std::string frame;
-  frame.reserve(kCtrlFrameHeaderBytes + body.size());
-  frame.append(kCtrlFrameMagic, sizeof(kCtrlFrameMagic));
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
+/// Starts a control frame: the shared frame header, then the type byte.
+std::string StartFrame(CtrlType type) {
+  std::string frame = BeginFrame(kCtrlFrameMagic);
+  frame.push_back(static_cast<char>(type));
   return frame;
 }
 
-std::string BodyFor(CtrlType type) {
-  std::string body;
-  body.push_back(static_cast<char>(type));
-  return body;
+/// Seals a control frame. Control bodies stay far below the u32 length
+/// prefix (a peer refuses anything past kDefaultMaxFrameBodyBytes), so
+/// sealing one cannot fail.
+std::string FinishFrame(std::string frame) {
+  const Status sealed = EndFrame(&frame);
+  SW_CHECK(sealed.ok()) << sealed.ToString();
+  return frame;
 }
 
-void PutString(std::string* out, std::string_view s) {
-  PutU16(out, static_cast<uint16_t>(s.size()));
-  out->append(s);
+/// A frame whose payload opens with a label table: `rest` was written
+/// first, filling `table`, and follows the table.
+StatusOr<std::string> LabeledFrame(CtrlType type, const LabelTableWriter& table,
+                                   const LabelNameFn& label_name,
+                                   std::string_view rest) {
+  std::string frame = StartFrame(type);
+  SW_RETURN_IF_ERROR(table.Write(&frame, label_name));
+  frame.append(rest);
+  return FinishFrame(std::move(frame));
 }
-
-/// First-seen-order label table over a frame's label ids (FEEDB's scheme:
-/// a handful of distinct labels per frame, so linear scan beats a map).
-class LabelTable {
- public:
-  explicit LabelTable(const LabelNameFn& name) : name_(name) {}
-
-  uint32_t IndexOf(LabelId id) {
-    for (size_t i = 0; i < ids_.size(); ++i) {
-      if (ids_[i] == id) return static_cast<uint32_t>(i);
-    }
-    ids_.push_back(id);
-    return static_cast<uint32_t>(ids_.size() - 1);
-  }
-
-  void Encode(std::string* out) const {
-    PutU32(out, static_cast<uint32_t>(ids_.size()));
-    for (LabelId id : ids_) PutString(out, name_(id));
-  }
-
- private:
-  const LabelNameFn& name_;
-  std::vector<LabelId> ids_;
-};
 
 void EncodeWireMatch(std::string* out, const WireMatch& match,
-                     LabelTable* table) {
+                     LabelTableWriter* table) {
   out->push_back(static_cast<char>(match.vertices.size()));
   for (const WireVertexBinding& v : match.vertices) {
     out->push_back(static_cast<char>(v.qv));
@@ -79,106 +60,7 @@ void EncodeWireMatch(std::string* out, const WireMatch& match,
 
 // --- Decode helpers ----------------------------------------------------------
 
-/// Bounds-checked little-endian reader over one frame body. Every getter
-/// fails closed: once `ok` drops the cursor stops moving and returns
-/// zeros, so decoders can read a whole payload and check ok once.
-struct Reader {
-  const char* p;
-  const char* end;
-  bool ok = true;
-  std::string err;
-
-  Reader(const char* begin, const char* stop) : p(begin), end(stop) {}
-
-  bool Need(size_t n, std::string_view what) {
-    if (!ok) return false;
-    if (static_cast<size_t>(end - p) < n) {
-      ok = false;
-      err = StrCat("truncated ", what);
-      return false;
-    }
-    return true;
-  }
-
-  void Fail(std::string_view why) {
-    if (ok) {
-      ok = false;
-      err = std::string(why);
-    }
-  }
-
-  uint8_t U8(std::string_view what) {
-    if (!Need(1, what)) return 0;
-    return static_cast<uint8_t>(*p++);
-  }
-  uint16_t U16(std::string_view what) {
-    if (!Need(2, what)) return 0;
-    const uint16_t v = GetU16(p);
-    p += 2;
-    return v;
-  }
-  uint32_t U32(std::string_view what) {
-    if (!Need(4, what)) return 0;
-    const uint32_t v = GetU32(p);
-    p += 4;
-    return v;
-  }
-  uint64_t U64(std::string_view what) {
-    if (!Need(8, what)) return 0;
-    const uint64_t v = GetU64(p);
-    p += 8;
-    return v;
-  }
-  int32_t I32(std::string_view what) {
-    return static_cast<int32_t>(U32(what));
-  }
-  int64_t I64(std::string_view what) {
-    return static_cast<int64_t>(U64(what));
-  }
-  std::string_view Bytes(size_t n, std::string_view what) {
-    if (!Need(n, what)) return {};
-    const std::string_view v(p, n);
-    p += n;
-    return v;
-  }
-  std::string String(std::string_view what) {
-    const uint16_t len = U16(what);
-    return std::string(Bytes(len, what));
-  }
-  size_t remaining() const { return static_cast<size_t>(end - p); }
-};
-
-/// Decodes a frame-local label table, interning each entry once.
-std::vector<LabelId> DecodeLabelTable(Reader* r, Interner* interner) {
-  std::vector<LabelId> labels;
-  const uint32_t n = r->U32("string-table count");
-  if (!r->ok) return labels;
-  // Each entry costs at least its u16 length, so a count beyond
-  // remaining/2 is a lie — reject before reserving.
-  if (n > r->remaining() / 2) {
-    r->Fail("string-table count exceeds body");
-    return labels;
-  }
-  labels.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint16_t len = r->U16("string length");
-    const std::string_view bytes = r->Bytes(len, "string bytes");
-    if (!r->ok) return labels;
-    labels.push_back(interner->Intern(bytes));
-  }
-  return labels;
-}
-
-LabelId TableLabel(Reader* r, const std::vector<LabelId>& table,
-                   uint32_t index) {
-  if (index >= table.size()) {
-    r->Fail("label index out of string-table range");
-    return kInvalidLabelId;
-  }
-  return table[index];
-}
-
-WireMatch DecodeWireMatch(Reader* r, const std::vector<LabelId>& table) {
+WireMatch DecodeWireMatch(WireReader* r, const std::vector<LabelId>& table) {
   WireMatch match;
   const uint8_t nv = r->U8("match vertex count");
   if (nv > kMaxQuerySize) {
@@ -186,7 +68,7 @@ WireMatch DecodeWireMatch(Reader* r, const std::vector<LabelId>& table) {
     return match;
   }
   match.vertices.reserve(nv);
-  for (uint8_t i = 0; i < nv && r->ok; ++i) {
+  for (uint8_t i = 0; i < nv && r->ok(); ++i) {
     WireVertexBinding v;
     v.qv = r->U8("vertex binding qv");
     v.vertex = r->U64("vertex binding external id");
@@ -200,7 +82,7 @@ WireMatch DecodeWireMatch(Reader* r, const std::vector<LabelId>& table) {
     return match;
   }
   match.edges.reserve(ne);
-  for (uint8_t i = 0; i < ne && r->ok; ++i) {
+  for (uint8_t i = 0; i < ne && r->ok(); ++i) {
     WireEdgeBinding e;
     e.qe = r->U8("edge binding qe");
     e.edge = r->U64("edge binding id");
@@ -211,9 +93,10 @@ WireMatch DecodeWireMatch(Reader* r, const std::vector<LabelId>& table) {
   return match;
 }
 
-constexpr size_t kBatchRecordBytes = 8 + 8 + 8 + 4 + 4 + 4 + 8 + 1;
+/// A Batch edge: global id u64, the shared edge record, anchor bit u8.
+constexpr size_t kBatchRecordBytes = 8 + kEdgeRecordBytes + 1;
 
-void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
+void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
   switch (frame->type) {
     case CtrlType::kHello: {
       CtrlHello& h = frame->hello;
@@ -241,11 +124,11 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
         return;
       }
       reg.vertex_labels.reserve(nv);
-      for (uint8_t i = 0; i < nv && r->ok; ++i) {
+      for (uint8_t i = 0; i < nv && r->ok(); ++i) {
         reg.vertex_labels.push_back(r->String("register vertex label"));
       }
       reg.edges.reserve(ne);
-      for (uint8_t i = 0; i < ne && r->ok; ++i) {
+      for (uint8_t i = 0; i < ne && r->ok(); ++i) {
         CtrlQueryEdge e;
         e.src = r->U8("register edge src");
         e.dst = r->U8("register edge dst");
@@ -270,40 +153,32 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       frame->unregister.query_id = r->I32("unregister id");
       break;
     case CtrlType::kBatch: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
+      const std::vector<LabelId> table = ReadLabelTable(r, interner);
       const uint32_t n = r->U32("batch edge count");
-      if (!r->ok) return;
-      if (r->remaining() != n * kBatchRecordBytes) {
-        r->Fail("body length does not match batch edge records");
-        return;
-      }
-      frame->batch.edges.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        CtrlShardEdge se;
-        se.global_id = r->U64("batch edge gid");
-        se.edge.src = r->U64("batch edge src");
-        se.edge.dst = r->U64("batch edge dst");
-        se.edge.src_label = TableLabel(r, table, r->U32("batch src label"));
-        se.edge.dst_label = TableLabel(r, table, r->U32("batch dst label"));
-        se.edge.edge_label = TableLabel(r, table, r->U32("batch edge label"));
-        se.edge.ts = r->I64("batch edge ts");
-        se.run_anchors = r->U8("batch anchor bit") != 0;
-        frame->batch.edges.push_back(se);
+      const std::string_view records =
+          r->Records(n, kBatchRecordBytes, "batch edge");
+      if (!r->ok()) return;
+      frame->batch.edges.resize(n);
+      for (uint32_t i = 0; i < n; ++i) {
+        const char* p = records.data() + i * kBatchRecordBytes;
+        CtrlShardEdge& se = frame->batch.edges[i];
+        se.global_id = GetU64(p);
+        if (!GetEdgeRecord(p + 8, table, &se.edge)) {
+          r->Fail("label index out of string-table range");
+          return;
+        }
+        se.run_anchors = p[8 + kEdgeRecordBytes] != 0;
       }
       break;
     }
     case CtrlType::kExchange: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
+      const std::vector<LabelId> table = ReadLabelTable(r, interner);
       const uint32_t n = r->U32("exchange item count");
-      if (!r->ok) return;
-      // An item costs at least its fixed header; bound before reserving.
+      // An item costs at least its fixed header.
       constexpr size_t kMinItemBytes = 4 + 1 + 4 + 4 + 4 + 4 + 1 + 1;
-      if (n > r->remaining() / kMinItemBytes) {
-        r->Fail("exchange item count exceeds body");
-        return;
-      }
+      if (!r->Fits(n, kMinItemBytes, "exchange item")) return;
       frame->exchange.items.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
+      for (uint32_t i = 0; i < n && r->ok(); ++i) {
         CtrlExchangeItem ci;
         ci.dest = r->I32("exchange dest");
         const uint8_t kind = r->U8("exchange kind");
@@ -332,7 +207,7 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       frame->commit.watermark = r->I64("commit watermark");
       break;
     case CtrlType::kCompletion: {
-      const std::vector<LabelId> table = DecodeLabelTable(r, interner);
+      const std::vector<LabelId> table = ReadLabelTable(r, interner);
       frame->completion.query_id = r->I32("completion query id");
       frame->completion.completed_at = r->I64("completion ts");
       frame->completion.match = DecodeWireMatch(r, table);
@@ -351,24 +226,19 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       ack.live_partial_matches = r->U64("info-ack live");
       ack.peak_partial_matches = r->U64("info-ack peak");
       const uint32_t n = r->U32("info-ack node count");
-      if (!r->ok) return;
       constexpr size_t kNodeBytes = 4 + 1 + 4 + 5 * 8;
-      if (r->remaining() != n * kNodeBytes) {
-        r->Fail("body length does not match info-ack node records");
-        return;
-      }
-      ack.nodes.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
-        SjNodeRuntime node;
-        node.node = r->I32("info-ack node id");
-        node.is_leaf = r->U8("info-ack node leaf") != 0;
-        node.query_edges = r->I32("info-ack node edges");
-        node.matches_inserted = r->U64("info-ack node inserted");
-        node.probes = r->U64("info-ack node probes");
-        node.join_attempts = r->U64("info-ack node attempts");
-        node.joins_succeeded = r->U64("info-ack node joins");
-        node.live_partial_matches = r->U64("info-ack node live");
-        ack.nodes.push_back(node);
+      // One bounds check for the run; reads inside it cannot fail.
+      WireReader nodes(r->Records(n, kNodeBytes, "info-ack node"));
+      ack.nodes.resize(r->ok() ? n : 0);
+      for (SjNodeRuntime& node : ack.nodes) {
+        node.node = nodes.I32("info-ack node id");
+        node.is_leaf = nodes.U8("info-ack node leaf") != 0;
+        node.query_edges = nodes.I32("info-ack node edges");
+        node.matches_inserted = nodes.U64("info-ack node inserted");
+        node.probes = nodes.U64("info-ack node probes");
+        node.join_attempts = nodes.U64("info-ack node attempts");
+        node.joins_succeeded = nodes.U64("info-ack node joins");
+        node.live_partial_matches = nodes.U64("info-ack node live");
       }
       break;
     }
@@ -378,12 +248,14 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
     case CtrlType::kMetricsReport: {
       // Verify the trailing CRC-32 before trusting any field: a report
       // that parses but lies would silently skew every federated series.
-      if (r->remaining() < 4) {
+      const std::string_view rest = r->rest();
+      if (rest.size() < 4) {
         r->Fail("metrics report shorter than its CRC");
         return;
       }
-      const size_t payload_len = r->remaining() - 4;
-      if (Crc32(r->p, payload_len) != GetU32(r->p + payload_len)) {
+      const size_t payload_len = rest.size() - 4;
+      if (Crc32(rest.substr(0, payload_len)) !=
+          GetU32(rest.data() + payload_len)) {
         r->Fail("metrics report CRC mismatch");
         return;
       }
@@ -393,15 +265,10 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
       rep.exchange_items_sent = r->U64("metrics exchange sent");
       rep.completions_sent = r->U64("metrics completions sent");
       const uint32_t n = r->U32("metrics sample count");
-      if (!r->ok) return;
-      // A sample costs at least kind + three u16 lengths; bound before
-      // reserving.
-      if (n > r->remaining() / 7) {
-        r->Fail("metrics sample count exceeds body");
-        return;
-      }
+      // A sample costs at least kind + three u16 lengths.
+      if (!r->Fits(n, 7, "metrics sample")) return;
       rep.samples.reserve(n);
-      for (uint32_t i = 0; i < n && r->ok; ++i) {
+      for (uint32_t i = 0; i < n && r->ok(); ++i) {
         MetricSample s;
         const uint8_t kind = r->U8("metrics sample kind");
         if (kind > static_cast<uint8_t>(MetricSample::Kind::kHistogram)) {
@@ -412,12 +279,9 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
         s.name = r->String("metrics sample name");
         s.help = r->String("metrics sample help");
         const uint16_t nl = r->U16("metrics label count");
-        if (nl > r->remaining() / 4) {
-          r->Fail("metrics label count exceeds body");
-          return;
-        }
+        if (!r->Fits(nl, 4, "metrics label")) return;
         s.labels.reserve(nl);
-        for (uint16_t l = 0; l < nl && r->ok; ++l) {
+        for (uint16_t l = 0; l < nl && r->ok(); ++l) {
           std::string key = r->String("metrics label key");
           std::string value = r->String("metrics label value");
           s.labels.emplace_back(std::move(key), std::move(value));
@@ -439,7 +303,7 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
             }
             std::array<uint64_t, Histogram::kNumBuckets> counts{};
             int last = -1;
-            for (uint8_t b = 0; b < nb && r->ok; ++b) {
+            for (uint8_t b = 0; b < nb && r->ok(); ++b) {
               const uint8_t idx = r->U8("metrics histogram bucket index");
               if (idx >= Histogram::kNumBuckets ||
                   static_cast<int>(idx) <= last) {
@@ -454,7 +318,7 @@ void DecodeBody(Reader* r, Interner* interner, CtrlFrame* frame) {
             break;
           }
         }
-        if (!r->ok) return;
+        if (!r->ok()) return;
         rep.samples.push_back(std::move(s));
       }
       // The verified CRC trailer; consuming it satisfies the whole-body
@@ -504,138 +368,104 @@ bool IsCtrlFrameStart(std::string_view buf) {
 CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
                                  Interner* interner) {
   CtrlDecodeResult result;
-  if (buf.size() < kCtrlFrameHeaderBytes) return result;  // kNeedMore
-  if (std::memcmp(buf.data(), kCtrlFrameMagic, sizeof(kCtrlFrameMagic)) != 0) {
-    result.status = FrameDecodeStatus::kMalformed;
-    result.frame_bytes = 0;  // no length to skip by; stream is lost
-    result.error = "bad control-frame magic (stream desynchronized)";
-    return result;
-  }
-  const size_t body_len = GetU32(buf.data() + 4);
-  const size_t frame_bytes = kCtrlFrameHeaderBytes + body_len;
-  if (body_len > max_body_bytes) {
-    result.status = FrameDecodeStatus::kOversized;
-    result.frame_bytes = frame_bytes;
-    result.error = StrCat("control frame body of ", body_len,
-                          " bytes exceeds ", max_body_bytes);
-    return result;
-  }
-  if (buf.size() < frame_bytes) return result;  // kNeedMore
+  WireReader r(ReadFrameHeader(buf, kCtrlFrameMagic, max_body_bytes,
+                               "control-frame", &result));
+  if (result.status != FrameDecodeStatus::kOk) return result;
 
-  const char* const body = buf.data() + kCtrlFrameHeaderBytes;
-  Reader r(body, body + body_len);
   const uint8_t type = r.U8("frame type");
   if (type < static_cast<uint8_t>(CtrlType::kHello) ||
       type > static_cast<uint8_t>(CtrlType::kMetricsReport)) {
     result.status = FrameDecodeStatus::kMalformed;
-    result.frame_bytes = frame_bytes;
     result.error = StrCat("unknown control frame type ", type);
     return result;
   }
   result.frame.type = static_cast<CtrlType>(type);
   DecodeBody(&r, interner, &result.frame);
-  if (r.ok && r.remaining() != 0) {
+  if (r.ok() && r.remaining() != 0) {
     r.Fail("trailing bytes after payload");
   }
-  if (!r.ok) {
+  if (!r.ok()) {
     result.status = FrameDecodeStatus::kMalformed;
-    result.frame_bytes = frame_bytes;
-    result.error = StrCat("malformed control frame: ", r.err);
-    return result;
+    result.error = StrCat("malformed control frame: ", r.error());
   }
-  result.status = FrameDecodeStatus::kOk;
-  result.frame_bytes = frame_bytes;
   return result;
 }
 
 std::string EncodeHelloFrame(const CtrlHello& hello) {
-  std::string body = BodyFor(CtrlType::kHello);
-  PutU32(&body, hello.protocol);
-  PutU32(&body, static_cast<uint32_t>(hello.num_shards));
-  PutU32(&body, static_cast<uint32_t>(hello.shard_index));
-  PutU64(&body, hello.partitioner_seed);
-  PutU64(&body, hello.exchange_items_received);
-  PutU64(&body, hello.completions_received);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kHello);
+  PutU32(&frame, hello.protocol);
+  PutU32(&frame, static_cast<uint32_t>(hello.num_shards));
+  PutU32(&frame, static_cast<uint32_t>(hello.shard_index));
+  PutU64(&frame, hello.partitioner_seed);
+  PutU64(&frame, hello.exchange_items_received);
+  PutU64(&frame, hello.completions_received);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeHelloAckFrame(const CtrlHelloAck& ack) {
-  std::string body = BodyFor(CtrlType::kHelloAck);
-  PutU64(&body, ack.applied_frames);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kHelloAck);
+  PutU64(&frame, ack.applied_frames);
+  return FinishFrame(std::move(frame));
 }
 
-std::string EncodeRegisterFrame(const CtrlRegister& reg) {
-  std::string body = BodyFor(CtrlType::kRegister);
-  PutU32(&body, static_cast<uint32_t>(reg.expect_id));
-  body.push_back(static_cast<char>(reg.strategy));
-  PutI64(&body, reg.window);
-  PutString(&body, reg.name);
-  body.push_back(static_cast<char>(reg.vertex_labels.size()));
-  body.push_back(static_cast<char>(reg.edges.size()));
-  for (const std::string& label : reg.vertex_labels) PutString(&body, label);
-  for (const CtrlQueryEdge& e : reg.edges) {
-    body.push_back(static_cast<char>(e.src));
-    body.push_back(static_cast<char>(e.dst));
-    PutString(&body, e.label);
+StatusOr<std::string> EncodeRegisterFrame(const CtrlRegister& reg) {
+  std::string frame = StartFrame(CtrlType::kRegister);
+  PutU32(&frame, static_cast<uint32_t>(reg.expect_id));
+  frame.push_back(static_cast<char>(reg.strategy));
+  PutI64(&frame, reg.window);
+  SW_RETURN_IF_ERROR(PutString(&frame, reg.name));
+  frame.push_back(static_cast<char>(reg.vertex_labels.size()));
+  frame.push_back(static_cast<char>(reg.edges.size()));
+  for (const std::string& label : reg.vertex_labels) {
+    SW_RETURN_IF_ERROR(PutString(&frame, label));
   }
-  return FinishFrame(std::move(body));
+  for (const CtrlQueryEdge& e : reg.edges) {
+    frame.push_back(static_cast<char>(e.src));
+    frame.push_back(static_cast<char>(e.dst));
+    SW_RETURN_IF_ERROR(PutString(&frame, e.label));
+  }
+  return FinishFrame(std::move(frame));
 }
 
-std::string EncodeRegisterAckFrame(const CtrlRegisterAck& ack) {
-  std::string body = BodyFor(CtrlType::kRegisterAck);
-  PutU32(&body, static_cast<uint32_t>(ack.id));
-  body.push_back(ack.ok ? 1 : 0);
-  PutString(&body, ack.error);
-  return FinishFrame(std::move(body));
+StatusOr<std::string> EncodeRegisterAckFrame(const CtrlRegisterAck& ack) {
+  std::string frame = StartFrame(CtrlType::kRegisterAck);
+  PutU32(&frame, static_cast<uint32_t>(ack.id));
+  frame.push_back(ack.ok ? 1 : 0);
+  SW_RETURN_IF_ERROR(PutString(&frame, ack.error));
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeEndBackfillFrame() {
-  return FinishFrame(BodyFor(CtrlType::kEndBackfill));
+  return FinishFrame(StartFrame(CtrlType::kEndBackfill));
 }
 
 std::string EncodeUnregisterFrame(const CtrlUnregister& unregister) {
-  std::string body = BodyFor(CtrlType::kUnregister);
-  PutU32(&body, static_cast<uint32_t>(unregister.query_id));
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kUnregister);
+  PutU32(&frame, static_cast<uint32_t>(unregister.query_id));
+  return FinishFrame(std::move(frame));
 }
 
-std::string EncodeBatchFrame(const CtrlBatch& batch,
-                             const LabelNameFn& label_name) {
-  LabelTable table(label_name);
-  struct Indexes {
-    uint32_t src, dst, edge;
-  };
-  std::vector<Indexes> indexes;
-  indexes.reserve(batch.edges.size());
+StatusOr<std::string> EncodeBatchFrame(const CtrlBatch& batch,
+                                       const LabelNameFn& label_name) {
+  LabelTableWriter table;
+  std::string records;
+  records.reserve(4 + batch.edges.size() * kBatchRecordBytes);
+  PutU32(&records, static_cast<uint32_t>(batch.edges.size()));
   for (const CtrlShardEdge& se : batch.edges) {
-    indexes.push_back({table.IndexOf(se.edge.src_label),
-                       table.IndexOf(se.edge.dst_label),
-                       table.IndexOf(se.edge.edge_label)});
+    PutU64(&records, se.global_id);
+    PutEdgeRecord(&records, se.edge, &table);
+    records.push_back(se.run_anchors ? 1 : 0);
   }
-  std::string body = BodyFor(CtrlType::kBatch);
-  table.Encode(&body);
-  PutU32(&body, static_cast<uint32_t>(batch.edges.size()));
-  for (size_t i = 0; i < batch.edges.size(); ++i) {
-    const CtrlShardEdge& se = batch.edges[i];
-    PutU64(&body, se.global_id);
-    PutU64(&body, se.edge.src);
-    PutU64(&body, se.edge.dst);
-    PutU32(&body, indexes[i].src);
-    PutU32(&body, indexes[i].dst);
-    PutU32(&body, indexes[i].edge);
-    PutI64(&body, se.edge.ts);
-    body.push_back(se.run_anchors ? 1 : 0);
-  }
-  return FinishFrame(std::move(body));
+  return LabeledFrame(CtrlType::kBatch, table, label_name, records);
 }
 
 namespace {
 
-std::string EncodeExchangeItems(std::span<const CtrlExchangeItem> chunk,
-                                const LabelNameFn& label_name) {
-  LabelTable table(label_name);
+StatusOr<std::string> EncodeExchangeItems(
+    std::span<const CtrlExchangeItem> chunk, const LabelNameFn& label_name) {
+  LabelTableWriter table;
   std::string items;
+  PutU32(&items, static_cast<uint32_t>(chunk.size()));
   for (const CtrlExchangeItem& ci : chunk) {
     PutU32(&items, static_cast<uint32_t>(ci.dest));
     items.push_back(static_cast<char>(ci.item.kind));
@@ -645,163 +475,201 @@ std::string EncodeExchangeItems(std::span<const CtrlExchangeItem> chunk,
     PutU32(&items, static_cast<uint32_t>(ci.item.node));
     EncodeWireMatch(&items, ci.item.match, &table);
   }
-  std::string body = BodyFor(CtrlType::kExchange);
-  table.Encode(&body);
-  PutU32(&body, static_cast<uint32_t>(chunk.size()));
-  body.append(items);
-  return FinishFrame(std::move(body));
+  return LabeledFrame(CtrlType::kExchange, table, label_name, items);
 }
 
 }  // namespace
 
-std::string EncodeExchangeFrame(const CtrlExchange& exchange,
-                                const LabelNameFn& label_name) {
+StatusOr<std::string> EncodeExchangeFrame(const CtrlExchange& exchange,
+                                          const LabelNameFn& label_name) {
   return EncodeExchangeItems(exchange.items, label_name);
 }
 
-std::vector<std::string> EncodeExchangeFrames(
+StatusOr<std::vector<std::string>> EncodeExchangeFrames(
     std::span<const CtrlExchangeItem> items, const LabelNameFn& label_name) {
   std::vector<std::string> frames;
   for (size_t begin = 0; begin < items.size();
        begin += kMaxExchangeItemsPerFrame) {
-    frames.push_back(EncodeExchangeItems(
-        items.subspan(begin, std::min(items.size() - begin,
-                                      kMaxExchangeItemsPerFrame)),
-        label_name));
+    const size_t n = std::min(items.size() - begin, kMaxExchangeItemsPerFrame);
+    SW_ASSIGN_OR_RETURN(
+        std::string frame,
+        EncodeExchangeItems(items.subspan(begin, n), label_name));
+    frames.push_back(std::move(frame));
   }
   return frames;
 }
 
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier) {
-  std::string body = BodyFor(CtrlType::kBarrier);
-  PutU32(&body, barrier.round);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kBarrier);
+  PutU32(&frame, barrier.round);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeBarrierAckFrame(const CtrlBarrierAck& ack) {
-  std::string body = BodyFor(CtrlType::kBarrierAck);
-  PutU32(&body, ack.round);
-  PutU64(&body, ack.applied_frames);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kBarrierAck);
+  PutU32(&frame, ack.round);
+  PutU64(&frame, ack.applied_frames);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeCommitFrame(const CtrlCommit& commit) {
-  std::string body = BodyFor(CtrlType::kCommit);
-  PutI64(&body, commit.watermark);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kCommit);
+  PutI64(&frame, commit.watermark);
+  return FinishFrame(std::move(frame));
 }
 
-std::string EncodeCompletionFrame(const CtrlCompletion& completion,
-                                  const LabelNameFn& label_name) {
-  LabelTable table(label_name);
+StatusOr<std::string> EncodeCompletionFrame(const CtrlCompletion& completion,
+                                            const LabelNameFn& label_name) {
+  LabelTableWriter table;
   std::string payload;
   PutU32(&payload, static_cast<uint32_t>(completion.query_id));
   PutI64(&payload, completion.completed_at);
   EncodeWireMatch(&payload, completion.match, &table);
-  std::string body = BodyFor(CtrlType::kCompletion);
-  table.Encode(&body);
-  body.append(payload);
-  return FinishFrame(std::move(body));
+  return LabeledFrame(CtrlType::kCompletion, table, label_name, payload);
 }
 
 std::string EncodeInfoFrame(const CtrlInfo& info) {
-  std::string body = BodyFor(CtrlType::kInfo);
-  PutU32(&body, static_cast<uint32_t>(info.query_id));
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kInfo);
+  PutU32(&frame, static_cast<uint32_t>(info.query_id));
+  return FinishFrame(std::move(frame));
 }
 
-std::string EncodeInfoAckFrame(const CtrlInfoAck& ack) {
-  std::string body = BodyFor(CtrlType::kInfoAck);
-  body.push_back(ack.ok ? 1 : 0);
-  PutString(&body, ack.error);
-  PutString(&body, ack.name);
-  PutI64(&body, ack.window);
-  PutU64(&body, ack.completions);
-  PutU64(&body, ack.live_partial_matches);
-  PutU64(&body, ack.peak_partial_matches);
-  PutU32(&body, static_cast<uint32_t>(ack.nodes.size()));
+StatusOr<std::string> EncodeInfoAckFrame(const CtrlInfoAck& ack) {
+  std::string frame = StartFrame(CtrlType::kInfoAck);
+  frame.push_back(ack.ok ? 1 : 0);
+  SW_RETURN_IF_ERROR(PutString(&frame, ack.error));
+  SW_RETURN_IF_ERROR(PutString(&frame, ack.name));
+  PutI64(&frame, ack.window);
+  PutU64(&frame, ack.completions);
+  PutU64(&frame, ack.live_partial_matches);
+  PutU64(&frame, ack.peak_partial_matches);
+  PutU32(&frame, static_cast<uint32_t>(ack.nodes.size()));
   for (const SjNodeRuntime& node : ack.nodes) {
-    PutU32(&body, static_cast<uint32_t>(node.node));
-    body.push_back(node.is_leaf ? 1 : 0);
-    PutU32(&body, static_cast<uint32_t>(node.query_edges));
-    PutU64(&body, node.matches_inserted);
-    PutU64(&body, node.probes);
-    PutU64(&body, node.join_attempts);
-    PutU64(&body, node.joins_succeeded);
-    PutU64(&body, node.live_partial_matches);
+    PutU32(&frame, static_cast<uint32_t>(node.node));
+    frame.push_back(node.is_leaf ? 1 : 0);
+    PutU32(&frame, static_cast<uint32_t>(node.query_edges));
+    PutU64(&frame, node.matches_inserted);
+    PutU64(&frame, node.probes);
+    PutU64(&frame, node.join_attempts);
+    PutU64(&frame, node.joins_succeeded);
+    PutU64(&frame, node.live_partial_matches);
   }
-  return FinishFrame(std::move(body));
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeStatsFrame() {
-  return FinishFrame(BodyFor(CtrlType::kStats));
+  return FinishFrame(StartFrame(CtrlType::kStats));
 }
 
 std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack) {
-  std::string body = BodyFor(CtrlType::kStatsAck);
-  PutU64(&body, ack.retained_edges);
-  PutU64(&body, ack.retained_vertices);
-  PutU64(&body, ack.evicted_edges);
-  PutU64(&body, ack.edges_processed);
-  PutU64(&body, ack.completions);
-  PutU64(&body, ack.live_partial_matches);
-  PutU64(&body, ack.exchange.sent_expansions);
-  PutU64(&body, ack.exchange.sent_inserts);
-  PutU64(&body, ack.exchange.sent_completions);
-  PutU64(&body, ack.exchange.received_expansions);
-  PutU64(&body, ack.exchange.received_inserts);
-  PutU64(&body, ack.exchange.received_completions);
-  return FinishFrame(std::move(body));
+  std::string frame = StartFrame(CtrlType::kStatsAck);
+  PutU64(&frame, ack.retained_edges);
+  PutU64(&frame, ack.retained_vertices);
+  PutU64(&frame, ack.evicted_edges);
+  PutU64(&frame, ack.edges_processed);
+  PutU64(&frame, ack.completions);
+  PutU64(&frame, ack.live_partial_matches);
+  PutU64(&frame, ack.exchange.sent_expansions);
+  PutU64(&frame, ack.exchange.sent_inserts);
+  PutU64(&frame, ack.exchange.sent_completions);
+  PutU64(&frame, ack.exchange.received_expansions);
+  PutU64(&frame, ack.exchange.received_inserts);
+  PutU64(&frame, ack.exchange.received_completions);
+  return FinishFrame(std::move(frame));
 }
 
 std::string EncodeMetricsRequestFrame() {
-  return FinishFrame(BodyFor(CtrlType::kMetricsRequest));
+  return FinishFrame(StartFrame(CtrlType::kMetricsRequest));
 }
 
-std::string EncodeMetricsReportFrame(const CtrlMetricsReport& report) {
-  std::string body = BodyFor(CtrlType::kMetricsReport);
-  PutU64(&body, report.wal_seq);
-  PutU64(&body, report.replayed_frames);
-  PutU64(&body, report.exchange_items_sent);
-  PutU64(&body, report.completions_sent);
-  PutU32(&body, static_cast<uint32_t>(report.samples.size()));
+StatusOr<std::string> EncodeMetricsReportFrame(
+    const CtrlMetricsReport& report) {
+  std::string frame = StartFrame(CtrlType::kMetricsReport);
+  PutU64(&frame, report.wal_seq);
+  PutU64(&frame, report.replayed_frames);
+  PutU64(&frame, report.exchange_items_sent);
+  PutU64(&frame, report.completions_sent);
+  PutU32(&frame, static_cast<uint32_t>(report.samples.size()));
   for (const MetricSample& s : report.samples) {
-    body.push_back(static_cast<char>(s.kind));
-    PutString(&body, s.name);
-    PutString(&body, s.help);
-    PutU16(&body, static_cast<uint16_t>(s.labels.size()));
+    frame.push_back(static_cast<char>(s.kind));
+    SW_RETURN_IF_ERROR(PutString(&frame, s.name));
+    SW_RETURN_IF_ERROR(PutString(&frame, s.help));
+    PutU16(&frame, static_cast<uint16_t>(s.labels.size()));
     for (const auto& [key, value] : s.labels) {
-      PutString(&body, key);
-      PutString(&body, value);
+      SW_RETURN_IF_ERROR(PutString(&frame, key));
+      SW_RETURN_IF_ERROR(PutString(&frame, value));
     }
     switch (s.kind) {
       case MetricSample::Kind::kCounter:
-        PutU64(&body, s.counter);
+        PutU64(&frame, s.counter);
         break;
       case MetricSample::Kind::kGauge:
-        PutU64(&body, std::bit_cast<uint64_t>(s.gauge));
+        PutU64(&frame, std::bit_cast<uint64_t>(s.gauge));
         break;
       case MetricSample::Kind::kHistogram: {
         uint8_t occupied = 0;
         for (int b = 0; b < Histogram::kNumBuckets; ++b) {
           if (s.histogram.bucket_count(b) != 0) ++occupied;
         }
-        body.push_back(static_cast<char>(occupied));
+        frame.push_back(static_cast<char>(occupied));
         for (int b = 0; b < Histogram::kNumBuckets; ++b) {
           const uint64_t count = s.histogram.bucket_count(b);
           if (count == 0) continue;
-          body.push_back(static_cast<char>(b));
-          PutU64(&body, count);
+          frame.push_back(static_cast<char>(b));
+          PutU64(&frame, count);
         }
-        PutU64(&body, s.histogram.sum());
+        PutU64(&frame, s.histogram.sum());
         break;
       }
     }
   }
   // CRC over the payload (everything after the type byte); the decoder
   // verifies it before reading a single field.
-  PutU32(&body, Crc32(body.data() + 1, body.size() - 1));
-  return FinishFrame(std::move(body));
+  PutU32(&frame, Crc32(std::string_view(frame).substr(kFrameHeaderBytes + 1)));
+  return FinishFrame(std::move(frame));
+}
+
+StatusOr<std::string> EncodeCtrlFrame(const CtrlFrame& frame,
+                                      const LabelNameFn& label_name) {
+  switch (frame.type) {
+    case CtrlType::kHello:
+      return EncodeHelloFrame(frame.hello);
+    case CtrlType::kHelloAck:
+      return EncodeHelloAckFrame(frame.hello_ack);
+    case CtrlType::kRegister:
+      return EncodeRegisterFrame(frame.reg);
+    case CtrlType::kRegisterAck:
+      return EncodeRegisterAckFrame(frame.register_ack);
+    case CtrlType::kEndBackfill:
+      return EncodeEndBackfillFrame();
+    case CtrlType::kUnregister:
+      return EncodeUnregisterFrame(frame.unregister);
+    case CtrlType::kBatch:
+      return EncodeBatchFrame(frame.batch, label_name);
+    case CtrlType::kExchange:
+      return EncodeExchangeFrame(frame.exchange, label_name);
+    case CtrlType::kBarrier:
+      return EncodeBarrierFrame(frame.barrier);
+    case CtrlType::kBarrierAck:
+      return EncodeBarrierAckFrame(frame.barrier_ack);
+    case CtrlType::kCommit:
+      return EncodeCommitFrame(frame.commit);
+    case CtrlType::kCompletion:
+      return EncodeCompletionFrame(frame.completion, label_name);
+    case CtrlType::kInfo:
+      return EncodeInfoFrame(frame.info);
+    case CtrlType::kInfoAck:
+      return EncodeInfoAckFrame(frame.info_ack);
+    case CtrlType::kStats:
+      return EncodeStatsFrame();
+    case CtrlType::kStatsAck:
+      return EncodeStatsAckFrame(frame.stats_ack);
+    case CtrlType::kMetricsRequest:
+      return EncodeMetricsRequestFrame();
+    case CtrlType::kMetricsReport:
+      return EncodeMetricsReportFrame(frame.metrics_report);
+  }
+  return Status::InvalidArgument("unknown control frame type");
 }
 
 }  // namespace streamworks

@@ -2,12 +2,12 @@
 #define STREAMWORKS_STREAM_CLUSTER_WIRE_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "streamworks/common/codec.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/statusor.h"
 #include "streamworks/common/types.h"
@@ -25,11 +25,14 @@ namespace streamworks {
 ///
 ///   [0xFC 'C' 'T' '1'] [body_len u32 LE] [type u8] [payload ...]
 ///
-/// Payloads carry labels by *string* (per-frame string table, FEEDB
-/// style: u32 count, then {u16 len, bytes} entries) because LabelIds are
-/// per-process artifacts; vertices cross the wire by external id and
-/// edges by their group-global ingest id, exactly like the in-process
-/// MatchExchange wire form they transport.
+/// Payloads carry labels by *string* (a per-frame label table) because
+/// LabelIds are per-process artifacts; vertices cross the wire by
+/// external id and edges by their group-global ingest id, exactly like
+/// the in-process MatchExchange wire form they transport. The frame
+/// header, strings and the label table are common/codec.h's and the
+/// Batch frame's edge record is graph/edge_record.h's, shared with FEEDB
+/// and snapshots; an encoder refuses (InvalidArgument) a string longer
+/// than kMaxStringBytes.
 ///
 /// A subset of the frame types is *state-bearing*: applying one mutates a
 /// worker's engine. Workers assign those frames a dense sequence number
@@ -38,7 +41,6 @@ namespace streamworks {
 /// coordinator only for the suffix it never saw (see cluster/worker.h
 /// for the recovery contract).
 inline constexpr char kCtrlFrameMagic[4] = {'\xFC', 'C', 'T', '1'};
-inline constexpr size_t kCtrlFrameHeaderBytes = 8;  ///< magic + body_len
 inline constexpr uint32_t kCtrlProtocolVersion = 1;
 
 enum class CtrlType : uint8_t {
@@ -207,11 +209,8 @@ struct CtrlFrame {
 /// the fuzz harness) share one discipline: kNeedMore consumes nothing;
 /// kOk/kOversized consume `frame_bytes`; kMalformed with frame_bytes == 0
 /// means the magic itself was wrong and the stream is desynchronized.
-struct CtrlDecodeResult {
-  FrameDecodeStatus status = FrameDecodeStatus::kNeedMore;
-  size_t frame_bytes = 0;
+struct CtrlDecodeResult : FrameOutcome {
   CtrlFrame frame;
-  std::string error;
 };
 
 /// True if `buf` begins with the control-frame magic's lead byte.
@@ -224,42 +223,45 @@ bool IsCtrlFrameStart(std::string_view buf);
 CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
                                  Interner* interner);
 
-/// Resolves a LabelId to its string for encoding. An std::function rather
-/// than an Interner because the coordinator's ingest pump encodes off the
-/// control thread and reads a thread-safe name cache instead of the
-/// shared (non-thread-safe) interner.
-using LabelNameFn = std::function<std::string_view(LabelId)>;
-
 // --- Encoders (one per frame type; all return a complete framed message) ----
+//
+// Frames that carry strings return StatusOr: InvalidArgument when a
+// string is longer than kMaxStringBytes. The rest cannot fail.
 
 std::string EncodeHelloFrame(const CtrlHello& hello);
 std::string EncodeHelloAckFrame(const CtrlHelloAck& ack);
-std::string EncodeRegisterFrame(const CtrlRegister& reg);
-std::string EncodeRegisterAckFrame(const CtrlRegisterAck& ack);
+StatusOr<std::string> EncodeRegisterFrame(const CtrlRegister& reg);
+StatusOr<std::string> EncodeRegisterAckFrame(const CtrlRegisterAck& ack);
 std::string EncodeEndBackfillFrame();
 std::string EncodeUnregisterFrame(const CtrlUnregister& unregister);
-std::string EncodeBatchFrame(const CtrlBatch& batch,
-                             const LabelNameFn& label_name);
-std::string EncodeExchangeFrame(const CtrlExchange& exchange,
-                                const LabelNameFn& label_name);
+StatusOr<std::string> EncodeBatchFrame(const CtrlBatch& batch,
+                                       const LabelNameFn& label_name);
+StatusOr<std::string> EncodeExchangeFrame(const CtrlExchange& exchange,
+                                          const LabelNameFn& label_name);
 /// Exchange frames carry at most this many items, so one drain of a hot
 /// shard never approaches the frame-body cap.
 inline constexpr size_t kMaxExchangeItemsPerFrame = 512;
 /// Encodes `items`, in order, as kExchange frames of at most
 /// kMaxExchangeItemsPerFrame items each.
-std::vector<std::string> EncodeExchangeFrames(
+StatusOr<std::vector<std::string>> EncodeExchangeFrames(
     std::span<const CtrlExchangeItem> items, const LabelNameFn& label_name);
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier);
 std::string EncodeBarrierAckFrame(const CtrlBarrierAck& ack);
 std::string EncodeCommitFrame(const CtrlCommit& commit);
-std::string EncodeCompletionFrame(const CtrlCompletion& completion,
-                                  const LabelNameFn& label_name);
+StatusOr<std::string> EncodeCompletionFrame(const CtrlCompletion& completion,
+                                            const LabelNameFn& label_name);
 std::string EncodeInfoFrame(const CtrlInfo& info);
-std::string EncodeInfoAckFrame(const CtrlInfoAck& ack);
+StatusOr<std::string> EncodeInfoAckFrame(const CtrlInfoAck& ack);
 std::string EncodeStatsFrame();
 std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack);
 std::string EncodeMetricsRequestFrame();
-std::string EncodeMetricsReportFrame(const CtrlMetricsReport& report);
+StatusOr<std::string> EncodeMetricsReportFrame(const CtrlMetricsReport& report);
+
+/// Encodes the live payload of `frame` (the one `frame.type` names) with
+/// that type's encoder: the inverse of DecodeCtrlFrame, which a worker's
+/// frame log and the byte-stability checks rely on.
+StatusOr<std::string> EncodeCtrlFrame(const CtrlFrame& frame,
+                                      const LabelNameFn& label_name);
 
 }  // namespace streamworks
 

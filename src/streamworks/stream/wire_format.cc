@@ -1,28 +1,12 @@
 #include "streamworks/stream/wire_format.h"
 
 #include <cstdint>
-#include <cstring>
-#include <limits>
-#include <unordered_map>
 #include <vector>
 
-#include "streamworks/common/binio.h"
 #include "streamworks/common/str_util.h"
+#include "streamworks/graph/edge_record.h"
 
 namespace streamworks {
-
-namespace {
-
-FrameDecodeResult Fail(FrameDecodeStatus status, size_t frame_bytes,
-                       std::string error) {
-  FrameDecodeResult r;
-  r.status = status;
-  r.frame_bytes = frame_bytes;
-  r.error = std::move(error);
-  return r;
-}
-
-}  // namespace
 
 bool IsFrameStart(std::string_view buf) {
   return !buf.empty() && buf[0] == kFeedFrameMagic[0];
@@ -30,63 +14,20 @@ bool IsFrameStart(std::string_view buf) {
 
 StatusOr<std::string> EncodeFeedFrame(const EdgeBatch& batch,
                                       const Interner& interner) {
-  // String table: first-seen order over the batch's label ids, so the
-  // frame stays byte-stable for a given batch. Real streams carry a
-  // handful of distinct labels, so a linear scan beats a hash map on the
-  // per-edge encode path.
-  std::vector<LabelId> table;
-  const auto index_of = [&](LabelId id) -> uint32_t {
-    for (size_t i = 0; i < table.size(); ++i) {
-      if (table[i] == id) return static_cast<uint32_t>(i);
-    }
-    table.push_back(id);
-    return static_cast<uint32_t>(table.size() - 1);
-  };
-  // Pre-resolve indexes in edge order (also sizes the table).
-  struct Record {
-    uint32_t src_label, dst_label, edge_label;
-  };
-  std::vector<Record> records;
-  records.reserve(batch.size());
-  for (const StreamEdge& e : batch) {
-    records.push_back({index_of(e.src_label), index_of(e.dst_label),
-                       index_of(e.edge_label)});
-  }
+  // Records first: they fill the label table the body opens with.
+  LabelTableWriter table;
+  std::string records;
+  records.reserve(batch.size() * kEdgeRecordBytes);
+  for (const StreamEdge& e : batch) PutEdgeRecord(&records, e, &table);
 
-  std::string body;
-  body.reserve(8 + table.size() * 16 + batch.size() * kFeedFrameEdgeBytes);
-  PutU32(&body, static_cast<uint32_t>(table.size()));
-  for (LabelId id : table) {
-    const std::string& name = interner.Name(id);
-    if (name.size() > std::numeric_limits<uint16_t>::max()) {
-      return Status::InvalidArgument(
-          StrCat("label of ", name.size(),
-                 " bytes exceeds the frame's u16 string length"));
-    }
-    PutU16(&body, static_cast<uint16_t>(name.size()));
-    body.append(name);
-  }
-  PutU32(&body, static_cast<uint32_t>(batch.size()));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const StreamEdge& e = batch[i];
-    PutU64(&body, e.src);
-    PutU64(&body, e.dst);
-    PutU32(&body, records[i].src_label);
-    PutU32(&body, records[i].dst_label);
-    PutU32(&body, records[i].edge_label);
-    PutU64(&body, static_cast<uint64_t>(e.ts));
-  }
-
-  if (body.size() > std::numeric_limits<uint32_t>::max()) {
-    return Status::InvalidArgument(
-        StrCat("frame body of ", body.size(),
-               " bytes exceeds the u32 length prefix; split the batch"));
-  }
-  std::string frame;
-  frame.reserve(kFeedFrameHeaderBytes + body.size());
-  frame.append(kFeedFrameMagic, sizeof(kFeedFrameMagic));
-  PutU32(&frame, static_cast<uint32_t>(body.size()));
-  frame.append(body);
+  std::string frame = BeginFrame(kFeedFrameMagic);
+  // One allocation in the common case: labels are short.
+  frame.reserve(kFrameHeaderBytes + 4 + table.size() * 16 + 4 +
+                records.size());
+  SW_RETURN_IF_ERROR(table.Write(&frame, InternerNames(interner)));
+  PutU32(&frame, static_cast<uint32_t>(batch.size()));
+  frame.append(records);
+  SW_RETURN_IF_ERROR(EndFrame(&frame));
   return frame;
 }
 
@@ -118,79 +59,29 @@ FrameDecodeResult DecodeFeedFrame(std::string_view buf,
                                   size_t max_body_bytes,
                                   Interner* interner) {
   FrameDecodeResult result;
-  if (buf.size() < kFeedFrameHeaderBytes) return result;  // kNeedMore
-  if (std::memcmp(buf.data(), kFeedFrameMagic, sizeof(kFeedFrameMagic)) !=
-      0) {
-    // The lead byte promised a frame but the magic is wrong: there is no
-    // length to skip by, so the stream position is lost for good.
-    return Fail(FrameDecodeStatus::kMalformed, 0,
-                "bad frame magic (stream desynchronized)");
-  }
-  const size_t body_len = GetU32(buf.data() + 4);
-  const size_t frame_bytes = kFeedFrameHeaderBytes + body_len;
-  if (body_len > max_body_bytes) {
-    return Fail(FrameDecodeStatus::kOversized, frame_bytes,
-                StrCat("frame body of ", body_len, " bytes exceeds ",
-                       max_body_bytes));
-  }
-  if (buf.size() < frame_bytes) return result;  // kNeedMore
+  WireReader r(ReadFrameHeader(buf, kFeedFrameMagic, max_body_bytes, "frame",
+                               &result));
+  if (result.status != FrameDecodeStatus::kOk) return result;
 
-  const char* p = buf.data() + kFeedFrameHeaderBytes;
-  const char* const end = p + body_len;
-  const auto malformed = [&](std::string_view why) {
-    return Fail(FrameDecodeStatus::kMalformed, frame_bytes,
-                StrCat("malformed frame: ", why));
-  };
-
-  if (end - p < 4) return malformed("truncated string-table count");
-  const uint32_t n_labels = GetU32(p);
-  p += 4;
-  // A table entry costs at least its 2-byte length, so a count beyond
-  // remaining/2 is a lie — reject before reserving (an attacker-chosen
-  // n_labels must never size an allocation).
-  if (n_labels > static_cast<size_t>(end - p) / 2) {
-    return malformed("string-table count exceeds body");
-  }
-  // Intern each table entry once; every edge in the frame reuses the ids.
-  std::vector<LabelId> labels;
-  labels.reserve(n_labels);
-  for (uint32_t i = 0; i < n_labels; ++i) {
-    if (end - p < 2) return malformed("truncated string length");
-    const uint16_t len = GetU16(p);
-    p += 2;
-    if (end - p < len) return malformed("truncated string bytes");
-    labels.push_back(interner->Intern(std::string_view(p, len)));
-    p += len;
-  }
-
-  if (end - p < 4) return malformed("truncated edge count");
-  const uint32_t n_edges = GetU32(p);
-  p += 4;
-  if (static_cast<size_t>(end - p) != n_edges * kFeedFrameEdgeBytes) {
-    return malformed(StrCat("body length does not match ", n_edges,
-                            " edge records"));
-  }
-  result.batch.reserve(n_edges);
-  for (uint32_t i = 0; i < n_edges; ++i) {
-    StreamEdge e;
-    e.src = GetU64(p);
-    e.dst = GetU64(p + 8);
-    const uint32_t src_label = GetU32(p + 16);
-    const uint32_t dst_label = GetU32(p + 20);
-    const uint32_t edge_label = GetU32(p + 24);
-    e.ts = static_cast<Timestamp>(GetU64(p + 28));
-    p += kFeedFrameEdgeBytes;
-    if (src_label >= labels.size() || dst_label >= labels.size() ||
-        edge_label >= labels.size()) {
-      return malformed("label index out of string-table range");
+  const std::vector<LabelId> labels = ReadLabelTable(&r, interner);
+  const uint32_t n_edges = r.U32("edge count");
+  const std::string_view records = r.Records(n_edges, kEdgeRecordBytes, "edge");
+  if (r.ok() && r.remaining() != 0) r.Fail("trailing bytes after edges");
+  if (r.ok()) {
+    result.batch.reserve(n_edges);
+    for (uint32_t i = 0; i < n_edges; ++i) {
+      StreamEdge e;
+      if (!GetEdgeRecord(records.data() + i * kEdgeRecordBytes, labels, &e)) {
+        r.Fail("label index out of string-table range");
+        break;
+      }
+      result.batch.push_back(e);
     }
-    e.src_label = labels[src_label];
-    e.dst_label = labels[dst_label];
-    e.edge_label = labels[edge_label];
-    result.batch.push_back(e);
   }
-  result.status = FrameDecodeStatus::kOk;
-  result.frame_bytes = frame_bytes;
+  if (!r.ok()) {
+    result.status = FrameDecodeStatus::kMalformed;
+    result.error = StrCat("malformed frame: ", r.error());
+  }
   return result;
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 
+#include "streamworks/common/codec.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/statusor.h"
 #include "streamworks/graph/stream_edge.h"
@@ -23,17 +24,13 @@ namespace streamworks {
 ///   magic      4 bytes   0xFB 'F' 'B' '1'
 ///   body_len   u32       byte length of everything after this field
 ///   body:
-///     n_labels u32       string table size
-///     n_labels x { len u16, bytes[len] }     label strings, no terminator
+///     label table        u32 n + n x { len u16, bytes[len] }
 ///     n_edges  u32
-///     n_edges  x {
-///       src        u64   external vertex id
-///       dst        u64
-///       src_label  u32   index into this frame's string table
-///       dst_label  u32
-///       edge_label u32
-///       ts         i64   event timestamp
-///     }                                      (36 bytes per edge record)
+///     n_edges  x edge record (36 bytes: src u64, dst u64, three u32
+///                label-table indexes, ts i64)
+///
+/// The label table and the frame header are common/codec.h's, the edge
+/// record graph/edge_record.h's.
 ///
 /// The leading 0xFB byte cannot begin a text protocol line (commands are
 /// ASCII), which is what lets a server demultiplex binary frames and text
@@ -41,8 +38,6 @@ namespace streamworks {
 /// interned once per frame on receipt — because LabelIds are private to
 /// each process's Interner.
 inline constexpr char kFeedFrameMagic[4] = {'\xFB', 'F', 'B', '1'};
-inline constexpr size_t kFeedFrameHeaderBytes = 8;
-inline constexpr size_t kFeedFrameEdgeBytes = 36;
 inline constexpr size_t kDefaultMaxFrameBodyBytes = 8u * 1024 * 1024;
 
 /// True when `buf` begins with the frame-magic lead byte — i.e. the bytes
@@ -67,22 +62,10 @@ StatusOr<std::string> EncodeFeedFrame(const EdgeBatch& batch,
 Status ParseFeedFields(std::span<const std::string_view> fields,
                        Interner* interner, StreamEdge* edge);
 
-enum class FrameDecodeStatus {
-  kNeedMore,   ///< The buffer holds a frame prefix; read more bytes.
-  kOk,         ///< One whole frame decoded into `batch`.
-  kOversized,  ///< body_len exceeds the limit; skip `frame_bytes` total.
-  kMalformed,  ///< Structurally invalid body (or bad magic: frame_bytes 0).
-};
-
-struct FrameDecodeResult {
-  FrameDecodeStatus status = FrameDecodeStatus::kNeedMore;
-  /// Total frame size (header + body). For kOk: how many bytes to
-  /// consume. For kOversized / kMalformed: how many bytes to skip to stay
-  /// in sync — except frame_bytes == 0 (magic mismatch), where the stream
-  /// position is unrecoverable.
-  size_t frame_bytes = 0;
-  EdgeBatch batch;    ///< Valid for kOk.
-  std::string error;  ///< Human-readable cause for kOversized/kMalformed.
+/// The outcome of decoding one FEEDB frame (status, frame_bytes and error
+/// are FrameOutcome's) and, for kOk, its batch.
+struct FrameDecodeResult : FrameOutcome {
+  EdgeBatch batch;  ///< Valid for kOk.
 };
 
 /// Attempts to decode one frame from the head of `buf` (which must begin

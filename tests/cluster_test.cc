@@ -499,6 +499,74 @@ TEST(ClusterTest, RegistrationValidationFailsCleanly) {
   cluster.backend->Stop();
 }
 
+// A string the control wire cannot carry (its length prefix is a u16)
+// must be refused before the coordinator retains a frame holding it: a
+// retained frame is resent after every reconnect, so one bad frame would
+// break the link for good.
+TEST(ClusterTest, RegisterRefusesANameTheWireCannotCarry) {
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  MatchSink sink;
+  QueryGraphBuilder b(&cluster.interner);
+  const auto s = b.AddVertex("Host");
+  const auto t = b.AddVertex("Host");
+  b.AddEdge(s, t, "synProbe");
+  auto long_name = b.Build(std::string(70000, 'q'));
+  ASSERT_TRUE(long_name.ok());
+  const auto refused = cluster.backend->Register(
+      *long_name, DecompositionStrategy::kLeftDeepEdgeOrder, 100,
+      sink.Callback());
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+
+  const QueryGraph probe = BuildProbe(&cluster.interner);
+  auto id = cluster.backend->Register(
+      probe, DecompositionStrategy::kLeftDeepEdgeOrder, 100, sink.Callback());
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  EXPECT_EQ(*id, 0) << "a refused registration must not consume an id";
+  const EdgeBatch edges = TestStream(&cluster.interner, 200);
+  ASSERT_TRUE(cluster.backend->FeedBatch(edges, nullptr).ok());
+  cluster.backend->Flush();
+  const std::vector<std::string> expected =
+      SingleEngineReference(&cluster.interner, {{probe, 100}}, edges);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(sink.Sorted(), expected);
+  cluster.backend->Stop();
+}
+
+TEST(ClusterTest, FeedRefusesALabelTheWireCannotCarry) {
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  MatchSink sink;
+  const QueryGraph probe = BuildProbe(&cluster.interner);
+  ASSERT_TRUE(cluster.backend
+                  ->Register(probe, DecompositionStrategy::kLeftDeepEdgeOrder,
+                             100, sink.Callback())
+                  .ok());
+  StreamEdge bad;
+  bad.src = 1'000'000;
+  bad.dst = 1'000'001;
+  bad.src_label = cluster.interner.Intern(std::string(70000, 'L'));
+  bad.dst_label = cluster.interner.Intern("Host");
+  bad.edge_label = cluster.interner.Intern("synProbe");
+  bad.ts = 1;
+  // Refused before anything is enqueued: the batch as a whole, and the
+  // single edge.
+  const EdgeBatch bad_batch = {bad};
+  ASSERT_EQ(cluster.backend->FeedBatch(bad_batch, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_EQ(cluster.backend->Feed(bad).code(), StatusCode::kInvalidArgument);
+
+  const EdgeBatch edges = TestStream(&cluster.interner, 200);
+  ASSERT_TRUE(cluster.backend->FeedBatch(edges, nullptr).ok());
+  cluster.backend->Flush();
+  const std::vector<std::string> expected =
+      SingleEngineReference(&cluster.interner, {{probe, 100}}, edges);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(sink.Sorted(), expected);
+  cluster.backend->Stop();
+}
+
 TEST(ClusterTest, FreshCoordinatorRefusesWorkersWithPriorState) {
   const std::string root =
       (fs::temp_directory_path() / "sw_cluster_refuse_test").string();

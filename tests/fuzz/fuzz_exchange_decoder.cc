@@ -24,84 +24,25 @@ void Check(bool ok) {
   if (!ok) __builtin_trap();
 }
 
-streamworks::LabelNameFn NameFn(const streamworks::Interner& interner) {
-  return [&interner](streamworks::LabelId id) -> std::string_view {
-    return interner.Name(id);
-  };
-}
-
 // Re-encodes an accepted frame and requires the copy to decode to the
-// same type — the discipline the worker's log replay depends on
-// (ReencodeStateFrame round-trips every state frame through this codec).
+// same type — the discipline the worker's log replay depends on (it logs
+// every state frame re-encoded through EncodeCtrlFrame).
 void CheckReencode(const streamworks::CtrlFrame& frame,
                    const streamworks::Interner& interner,
                    size_t max_body_bytes) {
-  using streamworks::CtrlType;
-  std::string encoded;
-  switch (frame.type) {
-    case CtrlType::kHello:
-      encoded = EncodeHelloFrame(frame.hello);
-      break;
-    case CtrlType::kHelloAck:
-      encoded = EncodeHelloAckFrame(frame.hello_ack);
-      break;
-    case CtrlType::kRegister:
-      encoded = EncodeRegisterFrame(frame.reg);
-      break;
-    case CtrlType::kRegisterAck:
-      encoded = EncodeRegisterAckFrame(frame.register_ack);
-      break;
-    case CtrlType::kEndBackfill:
-      encoded = streamworks::EncodeEndBackfillFrame();
-      break;
-    case CtrlType::kUnregister:
-      encoded = EncodeUnregisterFrame(frame.unregister);
-      break;
-    case CtrlType::kBatch:
-      encoded = EncodeBatchFrame(frame.batch, NameFn(interner));
-      break;
-    case CtrlType::kExchange:
-      encoded = EncodeExchangeFrame(frame.exchange, NameFn(interner));
-      break;
-    case CtrlType::kBarrier:
-      encoded = EncodeBarrierFrame(frame.barrier);
-      break;
-    case CtrlType::kBarrierAck:
-      encoded = EncodeBarrierAckFrame(frame.barrier_ack);
-      break;
-    case CtrlType::kCommit:
-      encoded = EncodeCommitFrame(frame.commit);
-      break;
-    case CtrlType::kCompletion:
-      encoded = EncodeCompletionFrame(frame.completion, NameFn(interner));
-      break;
-    case CtrlType::kInfo:
-      encoded = EncodeInfoFrame(frame.info);
-      break;
-    case CtrlType::kInfoAck:
-      encoded = EncodeInfoAckFrame(frame.info_ack);
-      break;
-    case CtrlType::kStats:
-      encoded = streamworks::EncodeStatsFrame();
-      break;
-    case CtrlType::kStatsAck:
-      encoded = EncodeStatsAckFrame(frame.stats_ack);
-      break;
-    case CtrlType::kMetricsRequest:
-      encoded = streamworks::EncodeMetricsRequestFrame();
-      break;
-    case CtrlType::kMetricsReport:
-      encoded = EncodeMetricsReportFrame(frame.metrics_report);
-      break;
-  }
+  // Decoded strings came through u16 length prefixes, so every accepted
+  // frame re-encodes.
+  const auto encoded =
+      streamworks::EncodeCtrlFrame(frame, streamworks::InternerNames(interner));
+  Check(encoded.ok());
   streamworks::Interner fresh;
   const streamworks::CtrlDecodeResult again =
-      streamworks::DecodeCtrlFrame(encoded, max_body_bytes, &fresh);
+      streamworks::DecodeCtrlFrame(*encoded, max_body_bytes, &fresh);
   // An oversized re-encode is possible under the tiny limit; anything
   // else must decode to the same frame type, whole-buffer.
   if (again.status == streamworks::FrameDecodeStatus::kOversized) return;
   Check(again.status == streamworks::FrameDecodeStatus::kOk);
-  Check(again.frame_bytes == encoded.size());
+  Check(again.frame_bytes == encoded->size());
   Check(again.frame.type == frame.type);
 }
 
@@ -113,7 +54,7 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
     case streamworks::FrameDecodeStatus::kOk:
       // The link consumes frame_bytes: it must cover at least the header
       // and never exceed what was actually in the buffer.
-      Check(result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       Check(result.frame_bytes <= buf.size());
       CheckReencode(result.frame, interner, max_body_bytes);
       break;
@@ -123,13 +64,13 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
       break;
     case streamworks::FrameDecodeStatus::kOversized:
       // Skip count must cover the header it is skipping past.
-      Check(result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
     case streamworks::FrameDecodeStatus::kMalformed:
       // frame_bytes == 0 is the unrecoverable bad-magic answer; any other
       // value must be a self-consistent skip.
       Check(result.frame_bytes == 0 ||
-            result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+            result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
   }
 }

@@ -30,7 +30,7 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
     case streamworks::FrameDecodeStatus::kOk: {
       // The demux consumes frame_bytes: it must cover at least the header
       // and never exceed what was actually in the buffer.
-      Check(result.frame_bytes >= streamworks::kFeedFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       Check(result.frame_bytes <= buf.size());
       // Round trip: a frame the decoder accepted must re-encode and
       // re-decode to the same edge count (labels re-resolve by string).
@@ -45,19 +45,19 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
     }
     case streamworks::FrameDecodeStatus::kNeedMore:
       // Only ever a prefix-of-frame answer; consuming nothing is implied.
-      Check(buf.size() < streamworks::kFeedFrameHeaderBytes ||
+      Check(buf.size() < streamworks::kFrameHeaderBytes ||
             result.frame_bytes == 0 ||
             result.frame_bytes > buf.size());
       break;
     case streamworks::FrameDecodeStatus::kOversized:
       // Resync skip must cover the header it is skipping past.
-      Check(result.frame_bytes >= streamworks::kFeedFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
     case streamworks::FrameDecodeStatus::kMalformed:
       // frame_bytes == 0 is the unrecoverable bad-magic answer; any other
       // value must be a self-consistent skip.
       Check(result.frame_bytes == 0 ||
-            result.frame_bytes >= streamworks::kFeedFrameHeaderBytes);
+            result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
   }
 }

@@ -35,7 +35,7 @@ void Check(bool ok) {
 void CheckReencode(const streamworks::CtrlFrame& frame, size_t max_body_bytes) {
   if (frame.type != streamworks::CtrlType::kMetricsReport) return;
   const std::string encoded =
-      streamworks::EncodeMetricsReportFrame(frame.metrics_report);
+      streamworks::EncodeMetricsReportFrame(frame.metrics_report).value();
   streamworks::Interner fresh;
   const streamworks::CtrlDecodeResult again =
       streamworks::DecodeCtrlFrame(encoded, max_body_bytes, &fresh);
@@ -58,7 +58,7 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
       streamworks::DecodeCtrlFrame(buf, max_body_bytes, &interner);
   switch (result.status) {
     case streamworks::FrameDecodeStatus::kOk:
-      Check(result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       Check(result.frame_bytes <= buf.size());
       CheckReencode(result.frame, max_body_bytes);
       break;
@@ -66,11 +66,11 @@ void DecodeAndCheck(std::string_view buf, size_t max_body_bytes) {
       Check(result.frame_bytes == 0 || result.frame_bytes > buf.size());
       break;
     case streamworks::FrameDecodeStatus::kOversized:
-      Check(result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+      Check(result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
     case streamworks::FrameDecodeStatus::kMalformed:
       Check(result.frame_bytes == 0 ||
-            result.frame_bytes >= streamworks::kCtrlFrameHeaderBytes);
+            result.frame_bytes >= streamworks::kFrameHeaderBytes);
       break;
   }
 }

@@ -11,6 +11,7 @@
 
 #include "streamworks/common/interner.h"
 #include "streamworks/graph/dynamic_graph.h"
+#include "streamworks/graph/edge_record.h"
 #include "streamworks/match/backtrack.h"
 #include "streamworks/sjtree/sj_tree.h"
 #include "streamworks/sjtree/exchange.h"
@@ -180,10 +181,9 @@ TEST(WireFormatTest, CorruptBodiesAreMalformedButSkippable) {
   std::string frame = EncodeFeedFrame(batch, interner).value();
   // Edge records sit at the tail; clobber the first edge's src_label
   // field (offset: header + table + 4-byte edge count + 16).
-  const size_t table_bytes = frame.size() - kFeedFrameHeaderBytes - 4 -
-                             batch.size() * kFeedFrameEdgeBytes;
-  const size_t src_label_at =
-      kFeedFrameHeaderBytes + table_bytes + 4 + 16;
+  const size_t table_bytes = frame.size() - kFrameHeaderBytes - 4 -
+                             batch.size() * kEdgeRecordBytes;
+  const size_t src_label_at = kFrameHeaderBytes + table_bytes + 4 + 16;
   frame[src_label_at] = '\x7F';
   FrameDecodeResult decoded =
       DecodeFeedFrame(frame, kDefaultMaxFrameBodyBytes, &interner);
@@ -195,7 +195,7 @@ TEST(WireFormatTest, CorruptBodiesAreMalformedButSkippable) {
   truncated.resize(truncated.size() - 1);
   // Patch the body length down by one so the frame is "complete".
   const uint32_t body_len = static_cast<uint32_t>(
-      truncated.size() - kFeedFrameHeaderBytes);
+      truncated.size() - kFrameHeaderBytes);
   for (int i = 0; i < 4; ++i) {
     truncated[4 + i] = static_cast<char>((body_len >> (8 * i)) & 0xFF);
   }
@@ -213,7 +213,7 @@ TEST(WireFormatTest, StringEntryLengthBeyondBodyIsRejected) {
   std::string frame =
       EncodeFeedFrame(WireBatch(&interner, 2), interner).value();
   // First table entry's u16 length sits right after header + n_labels.
-  const size_t len_at = kFeedFrameHeaderBytes + 4;
+  const size_t len_at = kFrameHeaderBytes + 4;
   frame[len_at] = '\xFF';
   frame[len_at + 1] = '\xFF';
   Interner scratch;
@@ -639,7 +639,8 @@ TEST(ClusterWireTest, RegisterRoundTripPreservesQueryShape) {
   reg.vertex_labels = {"User", "Host", "Host"};
   reg.edges = {{0, 1, "login"}, {1, 2, "connect"}};
   Interner interner;
-  const CtrlFrame frame = MustDecode(EncodeRegisterFrame(reg), &interner);
+  const CtrlFrame frame =
+      MustDecode(EncodeRegisterFrame(reg).value(), &interner);
   ASSERT_EQ(frame.type, CtrlType::kRegister);
   EXPECT_EQ(frame.reg.expect_id, 3);
   EXPECT_EQ(frame.reg.strategy, 1);
@@ -656,7 +657,8 @@ TEST(ClusterWireTest, RegisterRoundTripPreservesQueryShape) {
   ack.id = 3;
   ack.ok = false;
   ack.error = "window must be positive";
-  const CtrlFrame ackf = MustDecode(EncodeRegisterAckFrame(ack), &interner);
+  const CtrlFrame ackf =
+      MustDecode(EncodeRegisterAckFrame(ack).value(), &interner);
   ASSERT_EQ(ackf.type, CtrlType::kRegisterAck);
   EXPECT_EQ(ackf.register_ack.id, 3);
   EXPECT_FALSE(ackf.register_ack.ok);
@@ -682,7 +684,8 @@ TEST(ClusterWireTest, BatchRoundTripReResolvesLabelsByString) {
   Interner dec_interner;
   dec_interner.Intern("something-else");
   const CtrlFrame frame =
-      MustDecode(EncodeBatchFrame(batch, NameFn(enc_interner)), &dec_interner);
+      MustDecode(EncodeBatchFrame(batch, NameFn(enc_interner)).value(),
+                 &dec_interner);
   ASSERT_EQ(frame.type, CtrlType::kBatch);
   ASSERT_EQ(frame.batch.edges.size(), 2u);
   const CtrlShardEdge& d1 = frame.batch.edges[0];
@@ -713,8 +716,9 @@ TEST(ClusterWireTest, ExchangeRoundTripCarriesFullItem) {
   item.item.match.edges = {{0, 55, 77}};
   exchange.items = {item};
   Interner dec_interner;
-  const CtrlFrame frame = MustDecode(
-      EncodeExchangeFrame(exchange, NameFn(enc_interner)), &dec_interner);
+  const CtrlFrame frame =
+      MustDecode(EncodeExchangeFrame(exchange, NameFn(enc_interner)).value(),
+                 &dec_interner);
   ASSERT_EQ(frame.type, CtrlType::kExchange);
   ASSERT_EQ(frame.exchange.items.size(), 1u);
   const CtrlExchangeItem& d = frame.exchange.items[0];
@@ -782,7 +786,8 @@ TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   completion.match.edges = {{0, 3, 899}, {1, 4, 900}};
   Interner dec_interner;
   CtrlFrame f = MustDecode(
-      EncodeCompletionFrame(completion, NameFn(enc_interner)), &dec_interner);
+      EncodeCompletionFrame(completion, NameFn(enc_interner)).value(),
+      &dec_interner);
   ASSERT_EQ(f.type, CtrlType::kCompletion);
   EXPECT_EQ(f.completion.query_id, 4);
   EXPECT_EQ(f.completion.completed_at, 900);
@@ -806,7 +811,7 @@ TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   node.joins_succeeded = 15;
   node.live_partial_matches = 2;
   info_ack.nodes = {node};
-  f = MustDecode(EncodeInfoAckFrame(info_ack), &dec_interner);
+  f = MustDecode(EncodeInfoAckFrame(info_ack).value(), &dec_interner);
   ASSERT_EQ(f.type, CtrlType::kInfoAck);
   EXPECT_TRUE(f.info_ack.ok);
   EXPECT_EQ(f.info_ack.name, "probe");
@@ -837,7 +842,7 @@ TEST(ClusterWireTest, TruncatedFrameNeedsMoreAtEveryPrefix) {
   reg.name = "q";
   reg.vertex_labels = {"A", "B"};
   reg.edges = {{0, 1, "e"}};
-  const std::string whole = EncodeRegisterFrame(reg);
+  const std::string whole = EncodeRegisterFrame(reg).value();
   Interner interner;
   for (size_t len = 0; len < whole.size(); ++len) {
     const CtrlDecodeResult result = DecodeCtrlFrame(
@@ -865,13 +870,13 @@ TEST(ClusterWireTest, LyingInteriorCountIsMalformedNotOverread) {
   e.edge = {1, 2, enc.Intern("A"), enc.Intern("B"), enc.Intern("e"), 3};
   e.global_id = 0;
   batch.edges = {e};
-  std::string buf = EncodeBatchFrame(batch, NameFn(enc));
+  std::string buf = EncodeBatchFrame(batch, NameFn(enc)).value();
   // The edge count lives right after the 8-byte header + 1-byte type +
   // string table; easier and stronger: bump every interior byte in turn
   // and require the decoder to stay within [kOk with same size,
   // kMalformed] — never a crash, never consuming beyond the buffer.
   Interner interner;
-  for (size_t i = kCtrlFrameHeaderBytes; i < buf.size(); ++i) {
+  for (size_t i = kFrameHeaderBytes; i < buf.size(); ++i) {
     std::string corrupt = buf;
     corrupt[i] = static_cast<char>(corrupt[i] + 0x41);
     const CtrlDecodeResult result =
@@ -892,7 +897,7 @@ TEST(ClusterWireTest, OversizedBodyReportsSkipBytes) {
   Interner enc;
   e.edge = {1, 2, enc.Intern("A"), enc.Intern("B"), enc.Intern("e"), 3};
   batch.edges.assign(100, e);
-  const std::string buf = EncodeBatchFrame(batch, NameFn(enc));
+  const std::string buf = EncodeBatchFrame(batch, NameFn(enc)).value();
   Interner interner;
   const CtrlDecodeResult result = DecodeCtrlFrame(buf, /*max_body_bytes=*/64,
                                                   &interner);
@@ -968,7 +973,8 @@ TEST(ClusterWireTest, MetricsFramesRoundTrip) {
   EXPECT_EQ(req.type, CtrlType::kMetricsRequest);
 
   const CtrlMetricsReport report = SampleMetricsReport();
-  const CtrlFrame f = MustDecode(EncodeMetricsReportFrame(report), &interner);
+  const CtrlFrame f =
+      MustDecode(EncodeMetricsReportFrame(report).value(), &interner);
   ASSERT_EQ(f.type, CtrlType::kMetricsReport);
   const CtrlMetricsReport& d = f.metrics_report;
   EXPECT_EQ(d.wal_seq, 17u);
@@ -996,7 +1002,8 @@ TEST(ClusterWireTest, MetricsFramesRoundTrip) {
 }
 
 TEST(ClusterWireTest, MetricsReportTruncationNeedsMoreAtEveryPrefix) {
-  const std::string whole = EncodeMetricsReportFrame(SampleMetricsReport());
+  const std::string whole =
+      EncodeMetricsReportFrame(SampleMetricsReport()).value();
   Interner interner;
   for (size_t len = 0; len < whole.size(); ++len) {
     const CtrlDecodeResult result = DecodeCtrlFrame(
@@ -1007,14 +1014,15 @@ TEST(ClusterWireTest, MetricsReportTruncationNeedsMoreAtEveryPrefix) {
 }
 
 TEST(ClusterWireTest, MetricsReportCorruptByteIsCaughtByCrc) {
-  const std::string whole = EncodeMetricsReportFrame(SampleMetricsReport());
+  const std::string whole =
+      EncodeMetricsReportFrame(SampleMetricsReport()).value();
   Interner interner;
   for (size_t i = 0; i < whole.size(); ++i) {
     std::string corrupt = whole;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0x41);
     const CtrlDecodeResult result =
         DecodeCtrlFrame(corrupt, kDefaultMaxFrameBodyBytes, &interner);
-    if (i < kCtrlFrameHeaderBytes) {
+    if (i < kFrameHeaderBytes) {
       // Magic/body_len corruption: malformed, oversized, or starved —
       // never accepted.
       EXPECT_NE(result.status, FrameDecodeStatus::kOk) << "byte " << i;
@@ -1027,7 +1035,7 @@ TEST(ClusterWireTest, MetricsReportCorruptByteIsCaughtByCrc) {
 }
 
 TEST(ClusterWireTest, MetricsReportCrcMismatchNamesTheCheck) {
-  std::string corrupt = EncodeMetricsReportFrame(SampleMetricsReport());
+  std::string corrupt = EncodeMetricsReportFrame(SampleMetricsReport()).value();
   corrupt.back() = static_cast<char>(corrupt.back() ^ 0x01);  // CRC trailer
   Interner interner;
   const CtrlDecodeResult result =
