@@ -4,7 +4,9 @@
 // label distribution mid-way; a statically planned query keeps the join
 // order chosen for phase 1, while the adaptive engine re-plans from live
 // statistics and swaps the SJ-Tree. Both emit identical matches; the
-// adaptive engine's partial-match population tracks the drift.
+// adaptive engine's partial-match population tracks the drift. Each
+// engine's completions and replans also go to
+// bench-results/bench_ablation_adaptive.json.
 
 #include <iostream>
 #include <vector>
@@ -158,6 +160,15 @@ void RunBench() {
                "the adaptive engine (recency-weighted statistics, >=1 "
                "replan) swaps trees and keeps its phase-2 population near "
                "the phase-1 level\n";
+  bench::WriteCountsJson(
+      "ablation_adaptive", edges.size(),
+      std::vector<bench::CountsRow>{
+          {"static",
+           {{"completions", static_run.mappings},
+            {"replans", static_run.replans}}},
+          {"adaptive",
+           {{"completions", adaptive_run.mappings},
+            {"replans", adaptive_run.replans}}}});
 }
 
 }  // namespace

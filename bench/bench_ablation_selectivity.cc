@@ -3,7 +3,9 @@
 // query runs under a selective-first plan, the uninformed structural plan,
 // and an adversarial *frequent-first* plan (most common edge lowest). All
 // three emit identical matches; partial-match population and join work
-// differ by orders of magnitude on a skewed stream.
+// differ by orders of magnitude on a skewed stream. Each plan's
+// completions, peak partials, probes and join attempts also go to
+// bench-results/bench_ablation_selectivity.json.
 
 #include <iostream>
 #include <memory>
@@ -113,6 +115,7 @@ void Run() {
              "seconds"});
   table.Separator();
   uint64_t reference_matches = 0;
+  std::vector<bench::QueryCounts> counts;
   for (const Variant& variant : variants) {
     SjTree tree(&query, variant.decomposition, /*window=*/40);
     DynamicGraph graph(&interner);
@@ -131,17 +134,16 @@ void Run() {
     if (reference_matches == 0) reference_matches = matches;
     SW_CHECK_EQ(matches, reference_matches)
         << "plans must agree on the match set";
-    uint64_t attempts = 0;
-    for (int n = 0; n < tree.decomposition().num_nodes(); ++n) {
-      attempts += tree.node_stats(n).join_attempts;
-    }
+    counts.push_back(bench::CountsOf(variant.name, tree, matches));
     table.Row({variant.name, FormatCount(matches),
-               FormatCount(tree.PeakTotalPartialMatches()),
-               FormatCount(attempts), FormatDouble(seconds, 3)});
+               FormatCount(counts.back().peak_partials),
+               FormatCount(counts.back().join_attempts),
+               FormatDouble(seconds, 3)});
   }
   std::cout << "\nexpected shape: identical mappings; the frequent-first "
                "plan accumulates a partial-match population orders of "
                "magnitude larger than selective-first (the §4.1 claim)\n";
+  bench::WriteCountsJson("ablation_selectivity", edges.size(), counts);
 }
 
 }  // namespace

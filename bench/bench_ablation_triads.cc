@@ -3,6 +3,8 @@
 // strategy forced onto the independence assumption (census disabled). The
 // census knows which wedges are actually rare in the data — pairs that the
 // independence model mis-ranks — so its plans hold fewer partial matches.
+// Each plan's completions, peak partials, probes and join attempts also go
+// to bench-results/bench_ablation_triads.json.
 
 #include <iostream>
 #include <vector>
@@ -18,17 +20,16 @@ namespace streamworks {
 namespace {
 
 struct Outcome {
-  uint64_t matches = 0;
-  size_t peak_partials = 0;
-  uint64_t join_attempts = 0;
+  bench::QueryCounts counts;
   double seconds = 0;
-  std::string plan;
 };
 
-Outcome RunPlan(const QueryGraph& query, const Decomposition& decomposition,
+Outcome RunPlan(std::string name, const QueryGraph& query,
+                const Decomposition& decomposition,
                 const std::vector<StreamEdge>& edges, Interner* interner,
                 Timestamp window) {
   Outcome out;
+  uint64_t matches = 0;
   SjTree tree(&query, decomposition, window);
   DynamicGraph graph(interner);
   graph.set_retention(window);
@@ -38,14 +39,11 @@ Outcome RunPlan(const QueryGraph& query, const Decomposition& decomposition,
   for (const StreamEdge& e : edges) {
     completed.clear();
     tree.ProcessEdge(graph, graph.AddEdge(e).value(), &completed);
-    out.matches += completed.size();
+    matches += completed.size();
     if (++step % 512 == 0) tree.ExpireOldMatches(graph.watermark());
   }
   out.seconds = timer.ElapsedSeconds();
-  out.peak_partials = tree.PeakTotalPartialMatches();
-  for (int n = 0; n < tree.decomposition().num_nodes(); ++n) {
-    out.join_attempts += tree.node_stats(n).join_attempts;
-  }
+  out.counts = bench::CountsOf(std::move(name), tree, matches);
   return out;
 }
 
@@ -94,22 +92,22 @@ void Run() {
           .Plan(query, DecompositionStrategy::kPrimitivePairs)
           .value();
 
-  const Outcome a =
-      RunPlan(query, plan_informed, edges, &interner, /*window=*/60);
-  const Outcome b =
-      RunPlan(query, plan_independent, edges, &interner, /*window=*/60);
-  SW_CHECK_EQ(a.matches, b.matches);
+  const Outcome a = RunPlan("triad_census", query, plan_informed, edges,
+                            &interner, /*window=*/60);
+  const Outcome b = RunPlan("independence", query, plan_independent, edges,
+                            &interner, /*window=*/60);
+  SW_CHECK_EQ(a.counts.completions, b.counts.completions);
 
   bench::Table table({20, 12, 16, 16, 10});
   table.Row({"estimator", "mappings", "peak partials", "join attempts",
              "seconds"});
   table.Separator();
-  table.Row({"triad census", FormatCount(a.matches),
-             FormatCount(a.peak_partials), FormatCount(a.join_attempts),
-             FormatDouble(a.seconds, 3)});
-  table.Row({"independence", FormatCount(b.matches),
-             FormatCount(b.peak_partials), FormatCount(b.join_attempts),
-             FormatDouble(b.seconds, 3)});
+  for (const Outcome& o : {a, b}) {
+    table.Row({o.counts.query, FormatCount(o.counts.completions),
+               FormatCount(o.counts.peak_partials),
+               FormatCount(o.counts.join_attempts),
+               FormatDouble(o.seconds, 3)});
+  }
 
   std::cout << "\nfirst primitive chosen --\n  triad census:  "
             << QueryPlanner(&informed).ExplainPlan(
@@ -120,6 +118,8 @@ void Run() {
             << "\nexpected shape: identical mappings; the triad-informed "
                "plan pays fewer join attempts / partial matches whenever "
                "the census re-ranks the candidate wedges\n";
+  bench::WriteCountsJson("ablation_triads", edges.size(),
+                         {a.counts, b.counts});
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // incremental matcher (§3.1's "simplistic approach"). All three compute
 // identical match sets; the comparison is total runtime as the stream
 // grows, plus a batch-size sweep showing how repeated search amortises
-// (but never catches up).
+// (but never catches up). Every table row's match count also goes to
+// bench-results/bench_baseline_comparison.json.
 
 #include <iostream>
 #include <set>
@@ -100,6 +101,14 @@ void Run() {
   table.Row({"edges", "sjtree s", "naive s", "recompute s", "matches",
              "speedup"});
   table.Separator();
+  // One row per table row: its stream's edges and its match count.
+  std::vector<bench::CountsRow> counts;
+  const auto add_count = [&](std::string scenario, size_t edges,
+                             uint64_t completions) {
+    counts.push_back({std::move(scenario),
+                      {{"edges", edges}, {"completions", completions}}});
+  };
+  uint64_t total_edges = 0;
   for (const int size : {2000, 8000, 32000, 96000}) {
     Interner interner;
     const auto edges = NetflowStream(&interner, size);
@@ -110,6 +119,8 @@ void Run() {
                                              &interner);
     SW_CHECK_EQ(engine.matches, naive.matches);
     SW_CHECK_EQ(engine.matches, recompute.matches);
+    add_count(StrCat("netflow ", size), edges.size(), engine.matches);
+    total_edges += edges.size();
     table.Row({FormatCount(size), FormatDouble(engine.seconds, 3),
                FormatDouble(naive.seconds, 3),
                FormatDouble(recompute.seconds, 3),
@@ -146,6 +157,8 @@ void Run() {
       matches += matcher.ProcessBatch(b).value().size();
       enumerated += matcher.last_enumerated();
     }
+    add_count(StrCat("recompute batch ", batch), edges.size(), matches);
+    total_edges += edges.size();
     btable.Row({FormatCount(batch), FormatDouble(timer.ElapsedSeconds(), 3),
                 FormatCount(enumerated), FormatCount(matches),
                 FormatCount(exact_matches - matches)});
@@ -168,6 +181,8 @@ void Run() {
     const RunResult recompute = RunRecompute(query, 60, edges, &interner);
     SW_CHECK_EQ(engine.matches, naive.matches);
     SW_CHECK_EQ(engine.matches, recompute.matches);
+    add_count("news", edges.size(), engine.matches);
+    total_edges += edges.size();
     bench::Table ctable({12, 12, 12, 14});
     ctable.Row({"matches", "sjtree s", "naive s", "recompute s"});
     ctable.Separator();
@@ -182,6 +197,7 @@ void Run() {
                "with stream length and window content (it re-scans the "
                "whole window per tick); the SJ-Tree also beats the naive "
                "matcher as query size and neighbourhood density grow\n";
+  bench::WriteCountsJson("baseline_comparison", total_edges, counts);
 }
 
 }  // namespace

@@ -7,7 +7,7 @@
 // the primitive-pairs decomposition (which reproduces that shape: 2-edge
 // wedge leaves), then streams and reports how many matches each tree level
 // held, demonstrating the progressive assembly of §3.1's intuitions. The
-// query's completions and peak partials also go to
+// query's completions, peak partials, probes and join attempts also go to
 // bench-results/bench_fig2.json.
 
 #include <iostream>
@@ -89,9 +89,7 @@ void Run() {
             << FormatDouble(seconds, 3) << "s ("
             << bench::Rate(edges.size(), seconds) << " edges/s)\n";
   const QueryRuntimeInfo info = engine.query_info(qid);
-  bench::WriteCountsJson(
-      "fig2", edges.size(),
-      {{info.name, info.completions, info.peak_partial_matches}});
+  bench::WriteCountsJson("fig2", edges.size(), {bench::CountsOf(info)});
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // on a flow stream with injected attacks. Reports, per query: injected
 // instances, distinct detected subgraphs, raw mappings (automorphisms),
 // recall of injections, and peak partial-match population. The per-query
-// mapping counts and peak partials also go to bench-results/bench_fig3.json.
+// mapping counts, peak partials, probes and join attempts also go to
+// bench-results/bench_fig3.json.
 
 #include <iostream>
 #include <set>
@@ -88,8 +89,7 @@ void Run() {
   std::vector<bench::QueryCounts> counts;
   for (const Entry& entry : entries) {
     const QueryRuntimeInfo info = engine.query_info(entry.query_id);
-    const uint64_t peak = info.peak_partial_matches;
-    counts.push_back({entry.query.name(), entry.mappings, peak});
+    counts.push_back(bench::CountsOf(info));
     table.Row({entry.query.name(), StrCat(entry.injected),
                StrCat(entry.subgraphs.size()),
                FormatCount(entry.mappings),

@@ -2,8 +2,8 @@
 // event queries running concurrently; output is the per-location event
 // table behind the demo's map visualisation. Each query is the Fig. 2
 // pattern with the keyword vertex constrained to one topic label. The
-// per-query completions and peak partials also go to
-// bench-results/bench_fig5.json.
+// per-query completions, peak partials, probes and join attempts also go
+// to bench-results/bench_fig5.json.
 
 #include <iostream>
 
@@ -82,7 +82,7 @@ void Run() {
     const QueryRuntimeInfo info = engine.query_info(static_cast<int>(qid));
     table.Row({info.name, FormatCount(info.completions),
                FormatCount(info.peak_partial_matches)});
-    counts.push_back({info.name, info.completions, info.peak_partial_matches});
+    counts.push_back(bench::CountsOf(info));
   }
   std::cout << "\ndistinct events: " << events.size()
             << " (6 injected; extras are organic co-occurrences)\n"

@@ -2,8 +2,8 @@
 // campaign across subnetworks, rendered as the grid view — rows are
 // subnets, columns are time slices, cells are detection counts. The
 // campaign stages attacks subnet-by-subnet, so the heat should march down
-// the grid diagonally over time. The query's completions and peak
-// partials also go to bench-results/bench_fig6.json.
+// the grid diagonally over time. The query's completions, peak partials,
+// probes and join attempts also go to bench-results/bench_fig6.json.
 
 #include <iostream>
 
@@ -69,9 +69,7 @@ void Run() {
             << FormatDouble(seconds, 3) << "s ("
             << bench::Rate(edges.size(), seconds) << " edges/s)\n";
   const QueryRuntimeInfo info = engine.query_info(qid);
-  bench::WriteCountsJson(
-      "fig6", edges.size(),
-      {{info.name, info.completions, info.peak_partial_matches}});
+  bench::WriteCountsJson("fig6", edges.size(), {bench::CountsOf(info)});
 }
 
 }  // namespace

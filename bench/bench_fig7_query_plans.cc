@@ -4,8 +4,8 @@
 // series shows the fraction of the query matched over time (the paper's
 // percentage annotations) and the partial-match population each plan pays
 // to get there. Completions must be identical; populations and runtime
-// must not be. Each plan's completions and peak partials also go to
-// bench-results/bench_fig7.json.
+// must not be. Each plan's completions, peak partials, probes and join
+// attempts also go to bench-results/bench_fig7.json.
 
 #include <iostream>
 #include <memory>
@@ -113,16 +113,13 @@ void Run() {
   table.Separator();
   std::vector<bench::QueryCounts> counts;
   for (const Plan& plan : plans) {
-    counts.push_back({std::string(DecompositionStrategyName(plan.strategy)),
-                      plan.completions, plan.tree->PeakTotalPartialMatches()});
-    uint64_t attempts = 0;
-    for (int n = 0; n < plan.tree->decomposition().num_nodes(); ++n) {
-      attempts += plan.tree->node_stats(n).join_attempts;
-    }
-    table.Row({std::string(DecompositionStrategyName(plan.strategy)),
-               FormatCount(plan.completions),
-               FormatCount(plan.tree->PeakTotalPartialMatches()),
-               FormatCount(attempts), FormatDouble(plan.seconds, 3)});
+    counts.push_back(
+        bench::CountsOf(std::string(DecompositionStrategyName(plan.strategy)),
+                        *plan.tree, plan.completions));
+    table.Row({counts.back().query, FormatCount(plan.completions),
+               FormatCount(counts.back().peak_partials),
+               FormatCount(counts.back().join_attempts),
+               FormatDouble(plan.seconds, 3)});
   }
   std::cout << "\nexpected shape: identical mappings across plans; "
                "selectivity-informed plans hold far fewer partial matches "

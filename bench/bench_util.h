@@ -63,12 +63,40 @@ inline double Replay(StreamWorksEngine& engine,
   return timer.ElapsedSeconds();
 }
 
-/// One query's deterministic counts in a figure bench.
+/// One query's deterministic counts in a figure bench. `probes` and
+/// `join_attempts` sum the SJ-Tree's per-node counters: each probe visits
+/// a node store's live partial matches, so a change to how stores keep or
+/// expire them that changes what a probe sees moves these two counts.
 struct QueryCounts {
   std::string query;
   uint64_t completions = 0;
   uint64_t peak_partials = 0;
+  uint64_t probes = 0;
+  uint64_t join_attempts = 0;
 };
+
+/// The counts of a query registered with an engine.
+inline QueryCounts CountsOf(const QueryRuntimeInfo& info) {
+  QueryCounts counts{info.name, info.completions, info.peak_partial_matches};
+  for (const SjNodeRuntime& node : info.nodes) {
+    counts.probes += node.probes;
+    counts.join_attempts += node.join_attempts;
+  }
+  return counts;
+}
+
+/// The counts of a tree a bench drives directly; the bench counts the
+/// completions it collected.
+inline QueryCounts CountsOf(std::string name, const SjTree& tree,
+                            uint64_t completions) {
+  QueryCounts counts{std::move(name), completions,
+                     tree.PeakTotalPartialMatches()};
+  for (int n = 0; n < tree.decomposition().num_nodes(); ++n) {
+    counts.probes += tree.node_stats(n).probes;
+    counts.join_attempts += tree.node_stats(n).join_attempts;
+  }
+  return counts;
+}
 
 /// One scenario row of deterministic counts: (key, value) pairs in order.
 struct CountsRow {
@@ -98,14 +126,17 @@ inline void WriteCountsJson(std::string_view name, uint64_t edges,
   std::cout << "\nwrote " << path << "\n";
 }
 
-/// A figure bench's per-query completions and peak partials.
+/// A figure bench's per-query completions, peak partials, probes and
+/// join attempts.
 inline void WriteCountsJson(std::string_view name, uint64_t edges,
                             const std::vector<QueryCounts>& queries) {
   std::vector<CountsRow> rows;
   for (const QueryCounts& q : queries) {
     rows.push_back({q.query,
                     {{"completions", q.completions},
-                     {"peak_partials", q.peak_partials}}});
+                     {"peak_partials", q.peak_partials},
+                     {"probes", q.probes},
+                     {"join_attempts", q.join_attempts}}});
   }
   WriteCountsJson(name, edges, rows);
 }

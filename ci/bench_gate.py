@@ -21,8 +21,9 @@ Design choices for a shared-runner world:
     floor. Latency percentiles ride along in the JSON for humans but are
     far too machine-dependent to block a merge on.
   * Counts the engine determines (a query's completions, its peak partial
-    matches, a sharded group's retained edges and forwarded exchange
-    items) gate on exact equality, whatever the tolerance: the same
+    matches, probes and join attempts, an adaptive engine's replans, a
+    sharded group's retained edges and forwarded exchange items) gate on
+    exact equality, whatever the tolerance: the same
     stream and queries must give the same answer on any machine, so a
     count off by one is a correctness change, not noise.
   * A missing fresh file is skipped with a note (the smoke step may run a
@@ -67,6 +68,10 @@ PAIRS = [
     ("bench_fig5.json", "BENCH_fig5.json"),
     ("bench_fig6.json", "BENCH_fig6.json"),
     ("bench_fig7.json", "BENCH_fig7.json"),
+    ("bench_ablation_selectivity.json", "BENCH_ablation_selectivity.json"),
+    ("bench_ablation_triads.json", "BENCH_ablation_triads.json"),
+    ("bench_ablation_adaptive.json", "BENCH_ablation_adaptive.json"),
+    ("bench_baseline_comparison.json", "BENCH_baseline_comparison.json"),
     ("bench_sharding.json", "BENCH_sharding.json"),
 ]
 
@@ -78,8 +83,12 @@ THROUGHPUT_KEYS = ("ingest_eps", "deliver_mps", "deliver_eps", "eps")
 # Deterministic counts: equal to the baseline, or the scenario fails.
 # max_retained / sum_retained / forwarded are bench_sharding's per-shard
 # window sizes and exchange items (identical over 10 runs at 60000 edges).
-EXACT_KEYS = ("completions", "peak_partials", "max_retained",
-              "sum_retained", "forwarded")
+# probes / join_attempts are a query's SJ-Tree work: every probe visits
+# the live partial matches of one node store, so a store that keeps,
+# skips or expires a different set moves them even when completions hold.
+# replans is bench_ablation_adaptive's count of tree swaps.
+EXACT_KEYS = ("completions", "peak_partials", "probes", "join_attempts",
+              "replans", "max_retained", "sum_retained", "forwarded")
 
 # Fewest live scrapes each obs-on run of a cluster overhead block must
 # have served for its slowdown to count as measured.
@@ -374,6 +383,39 @@ def self_test():
                                report)
     plans_bad = gate_throughput(plans_regrown, plans_base, 0.25, "self-test",
                                 report)
+    # A store that let a probe see one more (or one fewer) partial match
+    # moves the work counts while completions and peaks hold.
+    work_base = {
+        "bench": "fig5",
+        "edges": 92359,
+        "rows": [
+            {"scenario": "news_event_politics_3", "completions": 3042,
+             "peak_partials": 6654, "probes": 1700000,
+             "join_attempts": 900000},
+        ],
+    }
+    work_same = json.loads(json.dumps(work_base))
+    work_probed = json.loads(json.dumps(work_base))
+    work_probed["rows"][0]["probes"] += 1
+    work_joined = json.loads(json.dumps(work_base))
+    work_joined["rows"][0]["join_attempts"] -= 1
+    work_ok = gate_throughput(work_same, work_base, 0.25, "self-test", report)
+    work_bad_probes = gate_throughput(work_probed, work_base, 0.25,
+                                      "self-test", report)
+    work_bad_attempts = gate_throughput(work_joined, work_base, 0.25,
+                                        "self-test", report)
+    replans_base = {
+        "bench": "ablation_adaptive",
+        "edges": 80000,
+        "rows": [
+            {"scenario": "static", "completions": 500, "replans": 0},
+            {"scenario": "adaptive", "completions": 500, "replans": 1},
+        ],
+    }
+    replans_changed = json.loads(json.dumps(replans_base))
+    replans_changed["rows"][1]["replans"] += 1
+    replans_bad = gate_throughput(replans_changed, replans_base, 0.25,
+                                  "self-test", report)
     sharding_ok = gate_throughput(sharding_same, sharding_base, 0.25,
                                   "self-test", report)
     sharding_bad_window = gate_throughput(sharding_regrown, sharding_base,
@@ -412,6 +454,10 @@ def self_test():
         (counts_missing == 1, "a count missing from the fresh row fails"),
         (plans_ok == 0, "identical per-plan counts pass"),
         (plans_bad == 1, "one plan's peak partials off by one fails"),
+        (work_ok == 0, "identical probes and join attempts pass"),
+        (work_bad_probes == 1, "probes off by one fails"),
+        (work_bad_attempts == 1, "join attempts off by one fails"),
+        (replans_bad == 1, "a changed replan count fails"),
         (sharding_ok == 0, "identical sharding counts pass"),
         (sharding_bad_window == 2,
          "a changed retained-edge max and sum fail as two counts"),
