@@ -82,7 +82,6 @@ Outcome Run(const std::vector<StreamEdge>& edges, Interner* interner,
   options.collect_statistics = true;
   options.wedge_sample_rate = 0.25;
   options.replan_interval = replan_interval;
-  options.expiry_sweep_interval = 128;
   // Recency-weighted statistics: without decay, cumulative counts average
   // the two phases and re-planning reacts a full stream too late.
   options.stats_half_life = 4000;

@@ -123,12 +123,12 @@ void Run() {
     uint64_t matches = 0;
     std::vector<Match> completed;
     Timer timer;
-    int step = 0;
     for (const StreamEdge& e : edges) {
       completed.clear();
-      tree.ProcessEdge(graph, graph.AddEdge(e).value(), &completed);
+      const EdgeId id = graph.AddEdge(e).value();
+      tree.ExpireOldMatches(graph.watermark());
+      tree.ProcessEdge(graph, id, &completed);
       matches += completed.size();
-      if (++step % 128 == 0) tree.ExpireOldMatches(graph.watermark());
     }
     const double seconds = timer.ElapsedSeconds();
     if (reference_matches == 0) reference_matches = matches;

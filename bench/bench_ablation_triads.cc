@@ -35,12 +35,12 @@ Outcome RunPlan(std::string name, const QueryGraph& query,
   graph.set_retention(window);
   std::vector<Match> completed;
   Timer timer;
-  int step = 0;
   for (const StreamEdge& e : edges) {
     completed.clear();
-    tree.ProcessEdge(graph, graph.AddEdge(e).value(), &completed);
+    const EdgeId id = graph.AddEdge(e).value();
+    tree.ExpireOldMatches(graph.watermark());
+    tree.ProcessEdge(graph, id, &completed);
     matches += completed.size();
-    if (++step % 512 == 0) tree.ExpireOldMatches(graph.watermark());
   }
   out.seconds = timer.ElapsedSeconds();
   out.counts = bench::CountsOf(std::move(name), tree, matches);

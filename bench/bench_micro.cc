@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "streamworks/common/interner.h"
 #include "streamworks/common/random.h"
 #include "streamworks/graph/dynamic_graph.h"
@@ -93,16 +95,21 @@ void BM_MatchStoreInsertProbe(benchmark::State& state) {
   builder.AddEdge(v0, v1, "e");
   const QueryGraph query = builder.Build().value();
   Rng rng(7);
+  MatchChunkPool pool;
   for (auto _ : state) {
-    MatchStore store;
+    // One match per tick under a 512-tick window, expired as the
+    // watermark advances.
+    MatchStore store(/*window=*/512);
     for (int i = 0; i < 4096; ++i) {
       Match m(query);
       m.BindVertex(0, static_cast<VertexId>(rng.NextBounded(512)));
       m.BindVertex(1, static_cast<VertexId>(rng.NextBounded(512)));
       m.BindEdge(0, i, i);
-      store.Insert(rng.NextBounded(1024), m);
+      const Timestamp cutoff = std::max(0, i - 511);
+      store.Expire(cutoff, &pool);
+      store.Insert(rng.NextBounded(1024), m, &pool);
       size_t hits = 0;
-      store.ProbeKey(rng.NextBounded(1024), /*cutoff=*/i - 512,
+      store.ProbeKey(rng.NextBounded(1024), cutoff,
                      [&](const Match&) { ++hits; });
       benchmark::DoNotOptimize(hits);
     }

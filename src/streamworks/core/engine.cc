@@ -15,7 +15,6 @@ StreamWorksEngine::StreamWorksEngine(Interner* interner,
       graph_(interner),
       statistics_(options.collect_statistics ? options.wedge_sample_rate
                                              : 1.0) {
-  SW_CHECK_GT(options_.expiry_sweep_interval, 0);
   SW_CHECK(options_.replan_interval == 0 || options_.collect_statistics)
       << "adaptive re-planning requires statistics collection";
   if (options_.stats_half_life > 0) {
@@ -71,7 +70,10 @@ std::unique_ptr<SjTree> StreamWorksEngine::BuildBackfilledTree(
                                        window);
   // Replay the current window so that pre-existing edges can join with
   // future arrivals. Completions produced here finished in the past and
-  // are suppressed (continuous-query semantics).
+  // are suppressed (continuous-query semantics). Expiring first makes the
+  // partial matches of edges older than this query's window dead on
+  // arrival: the replay counts them and stores none.
+  tree->ExpireOldMatches(graph_.watermark());
   std::vector<Match> suppressed;
   for (size_t i = 0; i < graph_.num_stored_edges(); ++i) {
     tree->ProcessEdge(graph_, graph_.stored_edge_id(i), &suppressed);
@@ -121,6 +123,7 @@ StatusOr<int> StreamWorksEngine::RegisterQueryImpl(
   if (shard_mode()) {
     entry->tree = std::make_unique<SjTree>(
         &entry->query, std::move(decomposition), window);
+    entry->tree->ExpireOldMatches(safe_watermark_);
   } else {
     entry->tree =
         BuildBackfilledTree(&entry->query, std::move(decomposition), window);
@@ -175,6 +178,7 @@ StatusOr<bool> StreamWorksEngine::ReplanQuery(
 
 Status StreamWorksEngine::ProcessEdge(const StreamEdge& edge) {
   Timer timer;
+  const Timestamp watermark = graph_.watermark();
   auto added = graph_.AddEdge(edge);
   if (!added.ok()) {
     ++metrics_.edges_rejected;
@@ -183,6 +187,9 @@ Status StreamWorksEngine::ProcessEdge(const StreamEdge& edge) {
   const EdgeId id = added.value();
   ++metrics_.edges_processed;
   if (options_.collect_statistics) statistics_.Observe(graph_, id);
+  if (graph_.watermark() > watermark) {
+    ExpirePartialMatches(graph_.watermark());
+  }
 
   auto route_it = routes_.find(edge.edge_label);
   if (route_it != routes_.end()) {
@@ -208,13 +215,6 @@ Status StreamWorksEngine::ProcessEdge(const StreamEdge& edge) {
     if (time_joins && ran_any) {
       options_.pipeline->Record(PipelineStage::kSjTreeJoin,
                                 PipelineMetrics::NowMicros() - join_t0);
-    }
-  }
-
-  if (++edges_since_sweep_ >= options_.expiry_sweep_interval) {
-    edges_since_sweep_ = 0;
-    for (auto& rq : queries_) {
-      if (rq != nullptr) rq->tree->ExpireOldMatches(graph_.watermark());
     }
   }
 
@@ -383,16 +383,6 @@ Status StreamWorksEngine::ProcessShardEdge(const StreamEdge& edge,
       }
     }
   }
-
-  // Periodic partial-match sweeps against the *safe* (epoch) watermark —
-  // a lower bound on every in-flight match's completing edge; the local
-  // watermark could be ahead of forwarded work and expire its partners.
-  if (++edges_since_sweep_ >= options_.expiry_sweep_interval) {
-    edges_since_sweep_ = 0;
-    for (auto& rq : queries_) {
-      if (rq != nullptr) rq->tree->ExpireOldMatches(safe_watermark_);
-    }
-  }
   metrics_.processing_seconds += timer.ElapsedSeconds();
   return OkStatus();
 }
@@ -434,8 +424,16 @@ void StreamWorksEngine::HandleExchangeItem(const ExchangeItem& item) {
 void StreamWorksEngine::AdvanceWatermark(Timestamp watermark) {
   if (watermark > safe_watermark_) safe_watermark_ = watermark;
   graph_.AdvanceWatermark(watermark);
+  // Only the *safe* (epoch) watermark may expire partial matches: it is a
+  // lower bound on every in-flight match's completing edge, while the
+  // local watermark could be ahead of forwarded work and expire its
+  // partners.
+  ExpirePartialMatches(safe_watermark_);
+}
+
+void StreamWorksEngine::ExpirePartialMatches(Timestamp watermark) {
   for (auto& rq : queries_) {
-    if (rq != nullptr) rq->tree->ExpireOldMatches(safe_watermark_);
+    if (rq != nullptr) rq->tree->ExpireOldMatches(watermark);
   }
 }
 

@@ -58,9 +58,6 @@ using MatchCallback = std::function<void(const CompleteMatch&)>;
 
 /// Global engine configuration.
 struct EngineOptions {
-  /// Edges between periodic partial-match expiry sweeps (lazy expiry on
-  /// probe happens regardless).
-  int expiry_sweep_interval = 1024;
   /// Maintain SummaryStatistics while streaming (costs O(degree) per edge
   /// on a sample of edges).
   bool collect_statistics = false;
@@ -243,7 +240,8 @@ class StreamWorksEngine {
   void HandleExchangeItem(const ExchangeItem& item);
 
   /// Raises the shard's watermark to the group watermark and expires
-  /// edges + partial matches under it (group epoch barrier).
+  /// edges + partial matches under it (group epoch barrier). Partial
+  /// matches expire only here in shard mode.
   void AdvanceWatermark(Timestamp watermark);
 
   /// This shard's share of the distributed backfill of a mid-stream
@@ -361,6 +359,10 @@ class StreamWorksEngine {
   /// Recomputes the label-routing index from every registered query.
   void RebuildRoutes();
 
+  /// Drops, in every live query's tree, the partial-match time slices
+  /// `watermark` has left behind (SjTree::ExpireOldMatches).
+  void ExpirePartialMatches(Timestamp watermark);
+
   Interner* interner_;
   EngineOptions options_;
   ShardConfig shard_;  ///< num_shards == 1 / null exchange: classic mode.
@@ -376,7 +378,6 @@ class StreamWorksEngine {
   std::vector<std::unique_ptr<RegisteredQuery>> queries_;
   std::unordered_map<LabelId, std::vector<Route>> routes_;
   EngineMetrics metrics_;
-  int edges_since_sweep_ = 0;
   int edges_since_replan_ = 0;
   uint64_t replans_performed_ = 0;
   std::vector<Match> scratch_completed_;

@@ -76,6 +76,9 @@ class Match {
   bool UsesDataEdge(EdgeId de) const;
 
   // --- Shape and time span --------------------------------------------------
+  /// True when the bindings live in a heap block the Match owns (a query
+  /// past kInlineCapacity); only then does its destructor free anything.
+  bool spilled() const { return spilled_; }
   Bitset64 bound_edges() const { return bound_edges_; }
   Bitset64 bound_vertices() const { return bound_vertices_; }
   int num_bound_edges() const { return bound_edges_.Count(); }

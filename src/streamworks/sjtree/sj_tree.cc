@@ -1,5 +1,6 @@
 #include "streamworks/sjtree/sj_tree.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "streamworks/common/hash.h"
@@ -14,10 +15,13 @@ SjTree::SjTree(const QueryGraph* query, Decomposition decomposition,
     : query_(query),
       decomposition_(std::move(decomposition)),
       window_(window),
-      stores_(decomposition_.num_nodes()),
       stats_(decomposition_.num_nodes()) {
   SW_CHECK_OK(decomposition_.Validate(*query_));
   SW_CHECK_GT(window_, 0);
+  stores_.reserve(decomposition_.num_nodes());
+  for (int n = 0; n < decomposition_.num_nodes(); ++n) {
+    stores_.emplace_back(window_);
+  }
   // Precompute one anchor plan per (leaf, query edge in leaf): the arriving
   // edge may enter the leaf through any of its edges.
   for (int leaf : decomposition_.leaves()) {
@@ -76,6 +80,8 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
   if (node == decomposition_.root()) {
     ++stats_[node].matches_inserted;
     ++completed_count_;
+    max_completion_min_ts_ =
+        std::max(max_completion_min_ts_, m.min_ts());
     if (router != nullptr) {
       const int home = router->callback_home();
       if (home != router->self_shard()) {
@@ -97,34 +103,36 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
   ++stats_[node].matches_inserted;
   const int sibling = decomposition_.Sibling(node);
   const uint64_t key = CutKey(parent, m);
-  stores_[node].Insert(key, m);
-  const size_t total = TotalPartialMatches();
-  peak_total_ = std::max(peak_total_, total);
+  if (stores_[node].Insert(key, m, &pool_)) {
+    peak_total_ = std::max(peak_total_, ++stored_);
+  }
 
   // Probe the sibling's collection through the parent's cut (§4.2): the
   // hash key equates cut-vertex assignments; JoinCompatible re-validates
   // them exactly and adds injectivity + window checks. In sharded mode the
   // probe stays local by construction (both siblings of a cut assignment
-  // home to the same shard), but the lazy-expiry cutoff must come from the
-  // router's *safe* watermark, never the local graph's: the local
-  // watermark can run ahead of a forwarded match still in flight, and an
-  // eager cutoff would erase join partners a single engine still sees. A
-  // lagging cutoff merely keeps more matches alive — those fail the window
-  // check anyway.
+  // home to the same shard), but the cutoff that hides dead matches must
+  // come from the router's *safe* watermark, never the local graph's: the
+  // local watermark can run ahead of a forwarded match still in flight,
+  // and an eager cutoff would hide join partners a single engine still
+  // sees. A lagging cutoff merely shows more matches — those fail the
+  // window check anyway.
+  //
+  // Each join propagates as soon as it is found. The probe only reads the
+  // sibling's store, and propagation inserts and probes only above it (the
+  // parent, the ancestors and their siblings), so the probed store cannot
+  // change under the probe.
   ++stats_[node].probes;
   const Timestamp cutoff = Cutoff(
       router != nullptr ? router->safe_watermark() : graph.watermark());
-  std::vector<Match> combined;  // buffered: the probe must not re-enter
   stores_[sibling].ProbeKey(key, cutoff, [&](const Match& s) {
     ++stats_[node].join_attempts;
     if (JoinCompatible(m, s, window_)) {
       ++stats_[node].joins_succeeded;
-      combined.push_back(Match::Union(m, s));
+      InsertAndPropagate(graph, parent, Match::Union(m, s), completed,
+                         router);
     }
   });
-  for (const Match& c : combined) {
-    InsertAndPropagate(graph, parent, c, completed, router);
-  }
 }
 
 void SjTree::RunAnchorPlan(const DynamicGraph& graph, size_t plan_index,
@@ -222,20 +230,23 @@ void SjTree::ProcessEdge(const DynamicGraph& graph, EdgeId edge_id,
 void SjTree::ExpireOldMatches(Timestamp watermark) {
   const Timestamp cutoff = Cutoff(watermark);
   if (cutoff <= 0) return;
-  for (MatchStore& store : stores_) store.Expire(cutoff);
+  for (MatchStore& store : stores_) stored_ -= store.Expire(cutoff, &pool_);
 }
 
-size_t SjTree::TotalPartialMatches() const {
-  size_t total = 0;
-  for (const MatchStore& store : stores_) total += store.size();
-  return total;
+Timestamp SjTree::OldestPartialMatch() const {
+  Timestamp oldest = kMaxTimestamp;
+  for (const MatchStore& store : stores_) {
+    oldest = std::min(oldest, store.OldestMinTs());
+  }
+  return oldest;
 }
 
-double SjTree::MaxMatchedFraction() const {
-  if (completed_count_ > 0) return 1.0;
+double SjTree::MaxMatchedFraction(Timestamp watermark) const {
+  const Timestamp cutoff = Cutoff(watermark);
+  if (max_completion_min_ts_ >= cutoff) return 1.0;
   double best = 0;
   for (int n = 0; n < decomposition_.num_nodes(); ++n) {
-    if (stores_[n].size() == 0) continue;
+    if (!stores_[n].HasLive(cutoff)) continue;
     best = std::max(best, static_cast<double>(
                               decomposition_.node(n).edges.Count()) /
                               query_->num_edges());
@@ -249,7 +260,7 @@ std::string SjTree::DebugString() const {
   for (int n = 0; n < decomposition_.num_nodes(); ++n) {
     os << "  n" << n << (decomposition_.IsLeaf(n) ? " leaf" : " join")
        << " edges=" << decomposition_.node(n).edges.Count()
-       << " live=" << stores_[n].size()
+       << " stored=" << stores_[n].size()
        << " inserted=" << stats_[n].matches_inserted
        << " join_attempts=" << stats_[n].join_attempts
        << " joined=" << stats_[n].joins_succeeded << "\n";

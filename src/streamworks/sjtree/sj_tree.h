@@ -105,25 +105,32 @@ class SjTree {
   void InsertForwarded(const DynamicGraph& graph, int node, const Match& m,
                        ShardRouter* router, std::vector<Match>* completed);
 
-  /// Sweeps every node store, dropping partial matches too old to ever
-  /// reach the root. Engine calls this periodically; probes also expire
-  /// lazily in passing.
+  /// Drops, in every node store, the time slices whose partial matches are
+  /// all too old to ever reach the root under `watermark`. O(stores): no
+  /// match is visited. The engine calls this whenever the watermark
+  /// advances; probes skip the dead matches of the slice that straddles
+  /// the cutoff.
   void ExpireOldMatches(Timestamp watermark);
 
   // --- Introspection ------------------------------------------------------
-  /// Live partial matches currently stored at `node`.
+  /// Partial matches stored at `node`: the live ones plus the dead ones
+  /// of the slice straddling the last expiry cutoff (MatchStore).
   size_t NumPartialMatches(int node) const { return stores_[node].size(); }
   /// Sum over all non-root nodes.
-  size_t TotalPartialMatches() const;
+  size_t TotalPartialMatches() const { return stored_; }
   /// Largest total ever observed (after inserts).
   size_t PeakTotalPartialMatches() const { return peak_total_; }
+  /// Earliest min_ts over every stored partial match (kMaxTimestamp when
+  /// none is stored).
+  Timestamp OldestPartialMatch() const;
   const SjNodeStats& node_stats(int node) const { return stats_[node]; }
   uint64_t num_completed() const { return completed_count_; }
 
-  /// Largest fraction of the query's edges covered by any node that
-  /// currently holds at least one live partial match (including complete
-  /// matches as 1.0) — the Fig. 7 "percent matched" series.
-  double MaxMatchedFraction() const;
+  /// The Fig. 7 "percent matched" series inside the window ending at
+  /// `watermark`: 1.0 while a completion lies inside it, else the largest
+  /// fraction of the query's edges covered by a node holding a live
+  /// partial match (min_ts within the window), else 0.
+  double MaxMatchedFraction(Timestamp watermark) const;
 
   /// Multi-line dump of per-node occupancy for debugging.
   std::string DebugString() const;
@@ -161,9 +168,13 @@ class SjTree {
   Timestamp window_;
 
   std::vector<AnchorPlan> anchor_plans_;
+  MatchChunkPool pool_;  ///< Shared by stores_; outlives them.
   std::vector<MatchStore> stores_;   ///< Indexed by decomposition node id.
   std::vector<SjNodeStats> stats_;
   uint64_t completed_count_ = 0;
+  /// Largest min_ts of any completion (kMinTimestamp before the first).
+  Timestamp max_completion_min_ts_ = kMinTimestamp;
+  size_t stored_ = 0;  ///< Sum of the stores' sizes.
   size_t peak_total_ = 0;
 };
 

@@ -277,24 +277,29 @@ TEST(EngineTest, ProcessBatchCountsBatches) {
 
 TEST(EngineTest, ExpirySweepBoundsPartialMatches) {
   Interner interner;
-  EngineOptions options;
-  options.expiry_sweep_interval = 16;
-  StreamWorksEngine engine(&interner, options);
+  StreamWorksEngine engine(&interner);
   const QueryGraph q = PathQuery(&interner);
+  const Timestamp window = 10;
   const int id = engine
                      .RegisterQuery(
-                         q, DecompositionStrategy::kLeftDeepEdgeOrder, 10,
+                         q, DecompositionStrategy::kLeftDeepEdgeOrder, window,
                          nullptr)
                      .value();
-  // A drip of x edges that never complete; the sweep must keep the stores
-  // from accumulating dead partials.
+  const Timestamp width = MatchStore::SliceWidth(window);
+  // A drip of x edges that never complete. Each watermark advance must
+  // drop the slices it leaves behind: after every edge, no stored partial
+  // match is older than the cutoff minus one slice width.
   for (Timestamp t = 0; t < 600; t += 3) {
     ASSERT_TRUE(
         engine.ProcessEdge(MakeEdge(&interner, t, t + 1, "x", t)).ok());
+    const Timestamp cutoff = std::max<Timestamp>(0, t - window + 1);
+    ASSERT_GT(engine.sjtree(id).OldestPartialMatch(), cutoff - width)
+        << "t=" << t;
   }
-  // Live partials can only come from the last window (10 ticks / 3 per
-  // edge = at most ~4) plus one sweep interval of not-yet-swept entries.
-  EXPECT_LE(engine.query_info(id).live_partial_matches, 24u);
+  // Stored partials: the live ones (10 ticks / 3 per edge = at most 4)
+  // plus the dead ones of the slice straddling the cutoff.
+  EXPECT_LE(engine.query_info(id).live_partial_matches,
+            static_cast<size_t>(4 + (width + 2) / 3));
   EXPECT_GT(engine.query_info(id).peak_partial_matches, 0u);
 }
 
@@ -383,6 +388,24 @@ INSTANTIATE_TEST_SUITE_P(
                               DecompositionStrategy::kLeftDeepEdgeOrder},
         EngineEquivalenceCase{18, 5, 5, 30,
                               DecompositionStrategy::kBalancedBisection}));
+
+// The window's edge cases: one tick (every edge of a match shares its
+// timestamp, and each tick is its own slice), the smallest windows that
+// split into slices, and an unbounded window (one slice, never expired).
+INSTANTIATE_TEST_SUITE_P(
+    Windows, EngineEquivalenceTest,
+    testing::Values(
+        EngineEquivalenceCase{31, 3, 2, 1,
+                              DecompositionStrategy::kLeftDeepEdgeOrder,
+                              true},
+        EngineEquivalenceCase{32, 3, 2, 2,
+                              DecompositionStrategy::kPrimitivePairs, true},
+        EngineEquivalenceCase{33, 3, 3, 3,
+                              DecompositionStrategy::kSelectivityLeftDeep},
+        EngineEquivalenceCase{34, 4, 3, 7,
+                              DecompositionStrategy::kBalancedBisection},
+        EngineEquivalenceCase{35, 4, 4, kMaxTimestamp,
+                              DecompositionStrategy::kPrimitivePairs, true}));
 
 // Queries past Match::kInlineCapacity (8 vertices/edges), whose matches keep
 // their bindings in a heap block: more vertices than edges, more edges than

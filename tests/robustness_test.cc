@@ -364,9 +364,7 @@ TEST(SoakTest, PartialMatchesAndWindowStayBounded) {
   NetflowGenerator gen(opt, &interner);
   const auto edges = gen.Generate();
 
-  EngineOptions eopt;
-  eopt.expiry_sweep_interval = 256;
-  StreamWorksEngine engine(&interner, eopt);
+  StreamWorksEngine engine(&interner);
   const QueryGraph q = BuildSmurfQuery(&interner, 2);
   const Timestamp window = 25;
   const int id =
@@ -375,10 +373,17 @@ TEST(SoakTest, PartialMatchesAndWindowStayBounded) {
                          nullptr)
           .value();
 
+  // Partial matches expire by time slice as the watermark advances: after
+  // every edge, none stored is older than the cutoff minus one slice.
+  const Timestamp width = MatchStore::SliceWidth(window);
   size_t max_live = 0;
   size_t max_stored = 0;
   for (const StreamEdge& e : edges) {
     ASSERT_TRUE(engine.ProcessEdge(e).ok());
+    const Timestamp cutoff =
+        std::max<Timestamp>(0, engine.graph().watermark() - window + 1);
+    ASSERT_GT(engine.sjtree(id).OldestPartialMatch(), cutoff - width)
+        << "at ts " << e.ts;
     max_live = std::max(max_live,
                         engine.query_info(id).live_partial_matches);
     max_stored = std::max(max_stored, engine.graph().num_stored_edges());

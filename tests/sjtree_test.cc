@@ -1,5 +1,6 @@
 // Tests for streamworks/sjtree: decomposition construction and validation
-// (SJ-Tree Properties 1-4), the hash-indexed MatchStore with lazy expiry,
+// (SJ-Tree Properties 1-4), the key-indexed MatchStore and its expiry by
+// time slice,
 // the wire form of forwarded matches, and the SjTree incremental matcher,
 // including a three-way equivalence property sweep against the naive
 // incremental matcher and the batch oracle.
@@ -210,12 +211,23 @@ Match MakeStoredMatch(const QueryGraph& q, VertexId v0, VertexId v1,
   return m;
 }
 
+/// min_ts of every match a probe of `key` under `cutoff` visits.
+std::multiset<Timestamp> ProbedTimestamps(const MatchStore& store,
+                                          uint64_t key, Timestamp cutoff) {
+  std::multiset<Timestamp> seen;
+  const size_t visited = store.ProbeKey(
+      key, cutoff, [&](const Match& m) { seen.insert(m.min_ts()); });
+  EXPECT_EQ(visited, seen.size());
+  return seen;
+}
+
 TEST(MatchStoreTest, ProbeFindsOnlyMatchingKey) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
-  store.Insert(111, MakeStoredMatch(q, 1, 2, 10, 5));
-  store.Insert(222, MakeStoredMatch(q, 3, 4, 11, 6));
+  MatchChunkPool pool;
+  MatchStore store(/*window=*/100);
+  store.Insert(111, MakeStoredMatch(q, 1, 2, 10, 5), &pool);
+  store.Insert(222, MakeStoredMatch(q, 3, 4, 11, 6), &pool);
   int visited = 0;
   store.ProbeKey(111, 0, [&](const Match&) { ++visited; });
   EXPECT_EQ(visited, 1);
@@ -226,36 +238,130 @@ TEST(MatchStoreTest, ProbeFindsOnlyMatchingKey) {
   EXPECT_EQ(store.total_inserted(), 2u);
 }
 
-TEST(MatchStoreTest, ProbeErasesDeadEntries) {
+TEST(MatchStoreTest, ExpireDropsWholeSlicesAtOnce) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
-  store.Insert(7, MakeStoredMatch(q, 1, 2, 10, 5));    // min_ts 5
-  store.Insert(7, MakeStoredMatch(q, 3, 4, 11, 50));   // min_ts 50
-  int visited = 0;
-  store.ProbeKey(7, /*cutoff=*/10, [&](const Match& m) {
-    ++visited;
-    EXPECT_EQ(m.min_ts(), 50);
-  });
-  EXPECT_EQ(visited, 1);
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_EQ(store.total_expired(), 1u);
+  const Timestamp window = 8 * MatchStore::kSlicesPerWindow;
+  const Timestamp w = MatchStore::SliceWidth(window);
+  ASSERT_EQ(w, 8);
+  MatchChunkPool pool;
+  MatchStore store(window);
+  // 40 matches in each of slices 0, 1 and 2 — more than one chunk each —
+  // spread over eight keys.
+  for (int i = 0; i < 120; ++i) {
+    const Timestamp ts = (i / 40) * w + i % w;
+    ASSERT_TRUE(store.Insert(i % 8, MakeStoredMatch(q, i, i + 1, i, ts),
+                             &pool));
+  }
+  // A cutoff inside slice 1 drops slice 0 whole; slice 1 straddles the
+  // cutoff and stays, dead entries included.
+  EXPECT_EQ(store.Expire(/*cutoff=*/w + 3, &pool), 40u);
+  EXPECT_EQ(store.size(), 80u);
+  EXPECT_EQ(store.total_expired(), 40u);
+  EXPECT_EQ(store.OldestMinTs(), w);
+  // The same cutoff again, or an older one, drops nothing.
+  EXPECT_EQ(store.Expire(w + 3, &pool), 0u);
+  EXPECT_EQ(store.Expire(1, &pool), 0u);
+  // A cutoff on slice 2's first tick drops slice 1 whole.
+  EXPECT_EQ(store.Expire(2 * w, &pool), 40u);
+  EXPECT_EQ(store.size(), 40u);
+  EXPECT_EQ(store.OldestMinTs(), 2 * w);
+  // The freed chunks serve new inserts, and a cutoff past everything
+  // empties the store.
+  ASSERT_TRUE(store.Insert(3, MakeStoredMatch(q, 1, 2, 200, 3 * w), &pool));
+  EXPECT_EQ(store.Expire(100 * w, &pool), 41u);
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.OldestMinTs(), kMaxTimestamp);
+  EXPECT_EQ(store.total_expired(), 121u);
 }
 
-TEST(MatchStoreTest, ExpireSweepsEverything) {
+TEST(MatchStoreTest, ProbeSkipsDeadEntriesOfTheStraddlingSlice) {
   Interner interner;
   const QueryGraph q = PathQuery(&interner);
-  MatchStore store;
-  for (int i = 0; i < 10; ++i) {
-    store.Insert(i % 3, MakeStoredMatch(q, i, i + 1, i, i));
+  const Timestamp window = 8 * MatchStore::kSlicesPerWindow;
+  const Timestamp w = MatchStore::SliceWidth(window);
+  MatchChunkPool pool;
+  MatchStore store(window);
+  // Key 7: two entries below the cutoff and two at or above it in slice
+  // 1, and one in slice 2. Key 9 shares slice 1.
+  for (const Timestamp ts : {w, w + 2, w + 3, w + 7, 2 * w + 1}) {
+    store.Insert(7, MakeStoredMatch(q, 1, 2, 10, ts), &pool);
   }
-  EXPECT_EQ(store.peak_size(), 10u);
-  store.Expire(/*cutoff=*/5);
-  EXPECT_EQ(store.size(), 5u);
-  store.Expire(/*cutoff=*/100);
+  store.Insert(9, MakeStoredMatch(q, 3, 4, 11, w + 1), &pool);
+  const Timestamp cutoff = w + 3;
+  store.Expire(cutoff, &pool);
+  EXPECT_EQ(ProbedTimestamps(store, 7, cutoff),
+            (std::multiset<Timestamp>{w + 3, w + 7, 2 * w + 1}));
+  EXPECT_TRUE(ProbedTimestamps(store, 9, cutoff).empty());
+  // Skipped, not erased: a probe under an older cutoff still sees them.
+  EXPECT_EQ(store.size(), 6u);
+  EXPECT_EQ(store.total_expired(), 0u);
+  EXPECT_EQ(ProbedTimestamps(store, 7, w).size(), 5u);
+  EXPECT_TRUE(store.HasLive(cutoff));
+  EXPECT_TRUE(store.HasLive(2 * w + 1));
+  EXPECT_FALSE(store.HasLive(2 * w + 2));
+}
+
+TEST(MatchStoreTest, InsertIntoADroppedSliceIsDeadOnArrival) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  const Timestamp window = 8 * MatchStore::kSlicesPerWindow;
+  const Timestamp w = MatchStore::SliceWidth(window);
+  MatchChunkPool pool;
+  MatchStore store(window);
+  const Timestamp cutoff = 2 * w + 1;
+  store.Expire(cutoff, &pool);  // drops slices 0 and 1 before any insert
+  EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 10, 2 * w - 1),
+                            &pool));
+  EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 11, 0), &pool));
+  EXPECT_EQ(store.dead_on_arrival(), 2u);
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.total_expired(), 10u);
-  EXPECT_EQ(store.peak_size(), 10u);  // peak survives expiry
+  EXPECT_EQ(store.total_inserted(), 0u);
+  // Slice 2 straddles the cutoff and is still held: a dead match there is
+  // stored (and hidden from probes), a live one is stored and found.
+  EXPECT_TRUE(store.Insert(5, MakeStoredMatch(q, 1, 2, 12, 2 * w), &pool));
+  EXPECT_TRUE(store.Insert(5, MakeStoredMatch(q, 1, 2, 13, cutoff), &pool));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(ProbedTimestamps(store, 5, cutoff),
+            (std::multiset<Timestamp>{cutoff}));
+}
+
+TEST(MatchStoreTest, UnboundedWindowNeverExpires) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  EXPECT_EQ(MatchStore::SliceWidth(kMaxTimestamp), kMaxTimestamp);
+  MatchChunkPool pool;
+  MatchStore store(kMaxTimestamp);
+  const Timestamp late = Timestamp{1} << 50;
+  store.Insert(1, MakeStoredMatch(q, 1, 2, 10, 0), &pool);
+  store.Insert(1, MakeStoredMatch(q, 3, 4, 11, late), &pool);
+  EXPECT_EQ(store.Expire(late + 1, &pool), 0u);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(ProbedTimestamps(store, 1, 0),
+            (std::multiset<Timestamp>{0, late}));
+  EXPECT_TRUE(store.Insert(1, MakeStoredMatch(q, 5, 6, 12, 1), &pool));
+  EXPECT_EQ(store.dead_on_arrival(), 0u);
+}
+
+TEST(MatchStoreTest, WindowOfOneTickSlicesEveryTick) {
+  Interner interner;
+  const QueryGraph q = PathQuery(&interner);
+  EXPECT_EQ(MatchStore::SliceWidth(1), 1);
+  MatchChunkPool pool;
+  MatchStore store(/*window=*/1);
+  for (Timestamp ts = 0; ts < 5; ++ts) {
+    store.Insert(1, MakeStoredMatch(q, 1, 2, ts, ts), &pool);
+    store.Insert(1, MakeStoredMatch(q, 3, 4, 10 + ts, ts), &pool);
+  }
+  // Under cutoff 3 only ticks 3 and 4 live; with one-tick slices nothing
+  // straddles, so the drop leaves exactly the live matches.
+  EXPECT_EQ(store.Expire(3, &pool), 6u);
+  EXPECT_EQ(store.size(), 4u);
+  EXPECT_EQ(ProbedTimestamps(store, 1, 3),
+            (std::multiset<Timestamp>{3, 3, 4, 4}));
+  EXPECT_FALSE(store.Insert(1, MakeStoredMatch(q, 5, 6, 20, 2), &pool));
+  EXPECT_EQ(store.Expire(5, &pool), 4u);
+  EXPECT_EQ(store.size(), 0u);
 }
 
 // --- MatchExchange wire form ------------------------------------------------
@@ -334,14 +440,24 @@ TEST(SjTreeTest, TwoLeafPathMatchesInEitherArrivalOrder) {
     tree.ProcessEdge(g, first, &completed);
     EXPECT_TRUE(completed.empty());
     EXPECT_EQ(tree.TotalPartialMatches(), 1u);
-    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(), 0.5);
+    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(g.watermark()), 0.5);
 
     const EdgeId second = g.AddEdge(arrival[1]).value();
     tree.ProcessEdge(g, second, &completed);
     ASSERT_EQ(completed.size(), 1u) << "x_first=" << x_first;
     EXPECT_EQ(completed[0].bound_edges().Count(), 2);
     EXPECT_EQ(tree.num_completed(), 1u);
-    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(), 1.0);
+    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(g.watermark()), 1.0);
+
+    // An unrelated edge past the window: the completion and both partial
+    // matches fall out of it, stored or not, and so does the fraction.
+    tree.ProcessEdge(g, g.AddEdge(MakeEdge(&interner, 8, 9, "zz", 200)).value(),
+                     &completed);
+    EXPECT_EQ(tree.TotalPartialMatches(), 2u);  // nothing has expired them
+    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(g.watermark()), 0.0);
+    tree.ExpireOldMatches(g.watermark());
+    EXPECT_EQ(tree.TotalPartialMatches(), 0u);
+    EXPECT_DOUBLE_EQ(tree.MaxMatchedFraction(g.watermark()), 0.0);
   }
 }
 
