@@ -8,6 +8,9 @@
 
 namespace streamworks {
 
+// See the note on MatchStore's members.
+static_assert(sizeof(MatchStore) <= 80);
+
 MatchChunkPool::~MatchChunkPool() {
   while (free_ != nullptr) {
     Chunk* next = free_->next;
@@ -106,8 +109,6 @@ bool MatchStore::Insert(uint64_t key, const Match& m, MatchChunkPool* pool) {
   slot.head = new (&slice.last->slots[slice.last_fill++].entry)
       StoredMatch{slot.head, min_ts, m};
   ++slice.size;
-  ++size_;
-  ++total_inserted_;
   owns_heap_ = owns_heap_ || m.spilled();
   return true;
 }
@@ -143,9 +144,13 @@ size_t MatchStore::Expire(Timestamp cutoff, MatchChunkPool* pool) {
     Release(&*it, pool);
   }
   slices_.erase(slices_.begin(), it);
-  size_ -= dropped;
-  total_expired_ += dropped;
   return dropped;
+}
+
+size_t MatchStore::size() const {
+  size_t stored = 0;
+  for (const Slice& slice : slices_) stored += slice.size;
+  return stored;
 }
 
 bool MatchStore::HasLive(Timestamp cutoff) const {

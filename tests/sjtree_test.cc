@@ -235,7 +235,6 @@ TEST(MatchStoreTest, ProbeFindsOnlyMatchingKey) {
   store.ProbeKey(999, 0, [&](const Match&) { ++visited; });
   EXPECT_EQ(visited, 0);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(store.total_inserted(), 2u);
 }
 
 TEST(MatchStoreTest, ExpireDropsWholeSlicesAtOnce) {
@@ -257,7 +256,6 @@ TEST(MatchStoreTest, ExpireDropsWholeSlicesAtOnce) {
   // cutoff and stays, dead entries included.
   EXPECT_EQ(store.Expire(/*cutoff=*/w + 3, &pool), 40u);
   EXPECT_EQ(store.size(), 80u);
-  EXPECT_EQ(store.total_expired(), 40u);
   EXPECT_EQ(store.OldestMinTs(), w);
   // The same cutoff again, or an older one, drops nothing.
   EXPECT_EQ(store.Expire(w + 3, &pool), 0u);
@@ -272,7 +270,6 @@ TEST(MatchStoreTest, ExpireDropsWholeSlicesAtOnce) {
   EXPECT_EQ(store.Expire(100 * w, &pool), 41u);
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.OldestMinTs(), kMaxTimestamp);
-  EXPECT_EQ(store.total_expired(), 121u);
 }
 
 TEST(MatchStoreTest, ProbeSkipsDeadEntriesOfTheStraddlingSlice) {
@@ -295,7 +292,6 @@ TEST(MatchStoreTest, ProbeSkipsDeadEntriesOfTheStraddlingSlice) {
   EXPECT_TRUE(ProbedTimestamps(store, 9, cutoff).empty());
   // Skipped, not erased: a probe under an older cutoff still sees them.
   EXPECT_EQ(store.size(), 6u);
-  EXPECT_EQ(store.total_expired(), 0u);
   EXPECT_EQ(ProbedTimestamps(store, 7, w).size(), 5u);
   EXPECT_TRUE(store.HasLive(cutoff));
   EXPECT_TRUE(store.HasLive(2 * w + 1));
@@ -316,7 +312,6 @@ TEST(MatchStoreTest, InsertIntoADroppedSliceIsDeadOnArrival) {
   EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 11, 0), &pool));
   EXPECT_EQ(store.dead_on_arrival(), 2u);
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.total_inserted(), 0u);
   // Slice 2 straddles the cutoff and is still held: a dead match there is
   // stored (and hidden from probes), a live one is stored and found.
   EXPECT_TRUE(store.Insert(5, MakeStoredMatch(q, 1, 2, 12, 2 * w), &pool));
