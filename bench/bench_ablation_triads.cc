@@ -118,8 +118,7 @@ void Run() {
             << "\nexpected shape: identical mappings; the triad-informed "
                "plan pays fewer join attempts / partial matches whenever "
                "the census re-ranks the candidate wedges\n";
-  bench::WriteCountsJson("ablation_triads", edges.size(),
-                         {a.counts, b.counts});
+  bench::WriteCountsJson("ablation_triads", edges.size(), {a.counts, b.counts});
 }
 
 }  // namespace

@@ -171,8 +171,8 @@ class MatchStore {
   // bytes a store, a news query's 11 stores fit under glibc malloc's
   // 1024-byte small-request limit; a larger request first consolidates
   // the freed small chunks, which made a cold registration about 10 us
-  // slower when a store was 104 bytes. So a store keeps no counter that
-  // only tests would read.
+  // slower when a store was 104 bytes. So a store caches no count it can
+  // compute: size() sums its slices.
   Timestamp width_;
   std::vector<Slice> slices_;  ///< Ascending by index, none empty.
   /// The largest key table of a dropped slice, reused by the next new

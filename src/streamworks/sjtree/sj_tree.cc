@@ -80,8 +80,7 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
   if (node == decomposition_.root()) {
     ++stats_[node].matches_inserted;
     ++completed_count_;
-    max_completion_min_ts_ =
-        std::max(max_completion_min_ts_, m.min_ts());
+    max_completion_min_ts_ = std::max(max_completion_min_ts_, m.min_ts());
     if (router != nullptr) {
       const int home = router->callback_home();
       if (home != router->self_shard()) {
@@ -129,8 +128,7 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
     ++stats_[node].join_attempts;
     if (JoinCompatible(m, s, window_)) {
       ++stats_[node].joins_succeeded;
-      InsertAndPropagate(graph, parent, Match::Union(m, s), completed,
-                         router);
+      InsertAndPropagate(graph, parent, Match::Union(m, s), completed, router);
     }
   });
 }

@@ -307,8 +307,7 @@ TEST(MatchStoreTest, InsertIntoADroppedSliceIsDeadOnArrival) {
   MatchStore store(window);
   const Timestamp cutoff = 2 * w + 1;
   store.Expire(cutoff, &pool);  // drops slices 0 and 1 before any insert
-  EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 10, 2 * w - 1),
-                            &pool));
+  EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 10, 2 * w - 1), &pool));
   EXPECT_FALSE(store.Insert(5, MakeStoredMatch(q, 1, 2, 11, 0), &pool));
   EXPECT_EQ(store.dead_on_arrival(), 2u);
   EXPECT_EQ(store.size(), 0u);
@@ -332,8 +331,7 @@ TEST(MatchStoreTest, UnboundedWindowNeverExpires) {
   store.Insert(1, MakeStoredMatch(q, 3, 4, 11, late), &pool);
   EXPECT_EQ(store.Expire(late + 1, &pool), 0u);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_EQ(ProbedTimestamps(store, 1, 0),
-            (std::multiset<Timestamp>{0, late}));
+  EXPECT_EQ(ProbedTimestamps(store, 1, 0), (std::multiset<Timestamp>{0, late}));
   EXPECT_TRUE(store.Insert(1, MakeStoredMatch(q, 5, 6, 12, 1), &pool));
   EXPECT_EQ(store.dead_on_arrival(), 0u);
 }
