@@ -10,8 +10,8 @@
 // admission path, the routing-index rebuild, and the mid-stream backfill
 // all sit on the hot path. churn=0 is the stable-subscriber baseline; the
 // delta against it prices query churn. Run on both backends: the
-// single-threaded engine pays the backfill inline, the sharded group only
-// quiesces the one shard that owns the churned query.
+// single-threaded engine pays the backfill inline, the vertex-partitioned
+// group quiesces every shard and backfills through the exchange.
 
 #include <deque>
 #include <memory>
@@ -127,13 +127,10 @@ void RunAll(int num_edges) {
              "rel_to_base", "matches", "dropped"});
   table.Separator();
 
-  // single: one engine, backfill inline. parallel4: broadcast group,
-  // churn quiesces one shard. partition4: vertex-partitioned group, churn
-  // quiesces the whole group and backfills through the exchange — the
-  // worst churn case, priced here on purpose.
-  enum class Backend { kSingle, kBroadcast, kPartitioned };
-  for (const Backend backend_kind :
-       {Backend::kSingle, Backend::kBroadcast, Backend::kPartitioned}) {
+  // single: one engine, backfill inline. partition4: vertex-partitioned
+  // group, churn quiesces the whole group and backfills through the
+  // exchange.
+  for (const bool partitioned : {false, true}) {
     double baseline_rate = 0;
     for (const int churn_every : {0, 2000, 500}) {
       // Fresh interner + stream per run: each scenario starts cold.
@@ -148,14 +145,8 @@ void RunAll(int num_edges) {
       const std::vector<StreamEdge> stream = gen.Generate();
 
       ChurnResult result;
-      if (backend_kind == Backend::kBroadcast) {
+      if (partitioned) {
         ParallelEngineGroup group(&interner, 4);
-        ParallelGroupBackend backend(&group);
-        result = RunScenario(stream, &backend, &interner, churn_every);
-        group.Close();
-      } else if (backend_kind == Backend::kPartitioned) {
-        ParallelEngineGroup group(&interner, 4, {},
-                                  ShardingMode::kPartitionedData);
         ParallelGroupBackend backend(&group);
         result = RunScenario(stream, &backend, &interner, churn_every);
         group.Close();
@@ -168,9 +159,7 @@ void RunAll(int num_edges) {
       const double rate =
           static_cast<double>(stream.size()) / result.wall_seconds;
       if (churn_every == 0) baseline_rate = rate;
-      table.Row({backend_kind == Backend::kSingle      ? "single"
-                 : backend_kind == Backend::kBroadcast ? "parallel4"
-                                                       : "partition4",
+      table.Row({partitioned ? "partition4" : "single",
                  churn_every == 0 ? "off" : std::to_string(churn_every),
                  std::to_string(kNumSessions * kInitialQueriesPerSession),
                  std::to_string(result.detaches), FormatCount(

@@ -1,17 +1,16 @@
-// Data-graph sharding bench: broadcast vs vertex-partitioned groups on the
-// same stream and query mix.
+// Data-graph sharding bench: one engine against vertex-partitioned groups
+// of 2, 4 and 8 shards, on the same stream and query mix.
 //
 //   $ ./build/bench/bench_sharding [num_edges]
 //
-// The claim under test is the scale-out story: broadcast mode retains the
-// whole window graph on every shard (per-shard memory O(total edges),
-// memory grows with the shard count), while vertex partitioning retains
-// only each shard's owned edges (O(owned) ~ 2/N of the window) and pays
-// for it with cross-shard match-exchange traffic. Columns: per-shard
-// retained edges (max across shards), the sum over shards, exchange items
-// forwarded, ingest rate, and completions (which must not depend on the
-// mode — the equivalence suite proves exact equality; the bench prints it
-// as a sanity column). Every column but the rate is a deterministic count;
+// The claim under test is the scale-out story: one engine retains the
+// whole window graph, while vertex partitioning retains only each shard's
+// owned edges (O(owned) ~ 2/N of the window) and pays for it with
+// cross-shard match-exchange traffic. Columns: per-shard retained edges
+// (max across shards), the sum over shards, exchange items forwarded,
+// ingest rate, and completions (which must not depend on the shard count
+// — the equivalence suite proves exact equality; the bench prints it as a
+// sanity column). Every column but the rate is a deterministic count;
 // they go to bench-results/bench_sharding.json, which ci/bench_gate.py
 // requires to equal the committed BENCH_sharding.json exactly.
 
@@ -37,22 +36,41 @@ struct ShardingResult {
   uint64_t forwarded = 0;
 };
 
-ShardingResult RunMode(const std::vector<StreamEdge>& stream,
-                       Interner* interner, int shards, ShardingMode mode,
-                       Timestamp window) {
-  ParallelEngineGroup group(interner, shards, {}, mode);
+/// Registers the bench's two queries on `target`, one engine or a group.
+template <typename Target>
+void RegisterQueries(Target& target, Interner* interner, Timestamp window) {
   const QueryGraph scan = BuildPortScanQuery(interner, 3);
   const QueryGraph exfil = BuildExfiltrationQuery(interner);
   for (const QueryGraph* q : {&scan, &exfil}) {
-    SW_CHECK(group
+    SW_CHECK(target
                  .RegisterQuery(*q,
                                 DecompositionStrategy::kSelectivityLeftDeep,
                                 window, nullptr)
                  .ok());
   }
+}
+
+/// The reference row: one engine retains the whole window.
+ShardingResult RunSingleEngine(const std::vector<StreamEdge>& stream,
+                               Interner* interner, Timestamp window) {
+  StreamWorksEngine engine(interner);
+  RegisterQueries(engine, interner, window);
+  ShardingResult result;
+  result.wall_seconds = Replay(engine, stream);
+  result.completions = engine.metrics().completions;
+  result.max_retained = engine.graph().num_stored_edges();
+  result.sum_retained = result.max_retained;
+  return result;
+}
+
+ShardingResult RunPartitioned(const std::vector<StreamEdge>& stream,
+                              Interner* interner, int shards,
+                              Timestamp window) {
+  ParallelEngineGroup group(interner, shards);
+  RegisterQueries(group, interner, window);
 
   Timer timer;
-  // Batched ingest: the partitioned group's epoch barrier runs per batch.
+  // Batched ingest: the group's epoch barrier runs per batch.
   EdgeBatch batch;
   batch.reserve(512);
   for (const StreamEdge& e : stream) {
@@ -78,7 +96,7 @@ ShardingResult RunMode(const std::vector<StreamEdge>& stream,
 
 void RunAll(int num_edges) {
   Banner("bench_sharding",
-         "broadcast vs vertex-partitioned data-graph sharding");
+         "one engine vs vertex-partitioned data-graph sharding");
 
   Table table({12, 7, 13, 13, 11, 10, 12});
   table.Row({"mode", "shards", "max_edges/sh", "sum_edges", "forwarded",
@@ -87,48 +105,44 @@ void RunAll(int num_edges) {
 
   std::vector<CountsRow> rows;
   uint64_t stream_edges = 0;
-  for (const int shards : {2, 4, 8}) {
-    for (const ShardingMode mode :
-         {ShardingMode::kBroadcastData, ShardingMode::kPartitionedData}) {
-      // Fresh interner + stream per run so every scenario starts cold.
-      Interner interner;
-      NetflowGenerator::Options gen_options;
-      gen_options.seed = 17;
-      gen_options.background_edges = num_edges;
-      gen_options.num_hosts = 1024;
-      NetflowGenerator gen(gen_options, &interner);
-      // Injection positions are timestamps; background ticks span
-      // [0, background_edges / edges_per_tick).
-      const Timestamp ticks = num_edges / gen_options.edges_per_tick;
-      gen.InjectPortScan(ticks / 3, 12);
-      gen.InjectExfiltration(2 * ticks / 3);
-      const std::vector<StreamEdge> stream = gen.Generate();
+  // shards == 0 runs the one-engine reference row.
+  for (const int shards : {0, 2, 4, 8}) {
+    // Fresh interner + stream per run so every scenario starts cold.
+    Interner interner;
+    NetflowGenerator::Options gen_options;
+    gen_options.seed = 17;
+    gen_options.background_edges = num_edges;
+    gen_options.num_hosts = 1024;
+    NetflowGenerator gen(gen_options, &interner);
+    // Injection positions are timestamps; background ticks span
+    // [0, background_edges / edges_per_tick).
+    const Timestamp ticks = num_edges / gen_options.edges_per_tick;
+    gen.InjectPortScan(ticks / 3, 12);
+    gen.InjectExfiltration(2 * ticks / 3);
+    const std::vector<StreamEdge> stream = gen.Generate();
 
-      // Window = a quarter of the stream's time range: the retained set is
-      // big enough that per-shard memory is the dominant cost being
-      // compared, while expiry still exercises the epoch path.
-      const Timestamp window =
-          std::max<Timestamp>(1,
-                              (stream.back().ts - stream.front().ts) / 4);
-      const ShardingResult r = RunMode(stream, &interner, shards, mode,
-                                       window);
-      const std::string mode_name =
-          mode == ShardingMode::kBroadcastData ? "broadcast" : "partitioned";
-      table.Row({mode_name, std::to_string(shards),
-                 FormatCount(r.max_retained), FormatCount(r.sum_retained),
-                 FormatCount(r.forwarded), Rate(stream.size(), r.wall_seconds),
-                 std::to_string(r.completions)});
-      rows.push_back({mode_name + " " + std::to_string(shards),
-                      {{"completions", r.completions},
-                       {"max_retained", r.max_retained},
-                       {"sum_retained", r.sum_retained},
-                       {"forwarded", r.forwarded}}});
-      stream_edges = stream.size();
-    }
-    table.Separator();
+    // Window = a quarter of the stream's time range: the retained set is
+    // big enough that per-shard memory is the dominant cost being
+    // compared, while expiry still exercises the epoch path.
+    const Timestamp window =
+        std::max<Timestamp>(1, (stream.back().ts - stream.front().ts) / 4);
+    const std::string mode = shards == 0 ? "single" : "partitioned";
+    const ShardingResult r =
+        shards == 0 ? RunSingleEngine(stream, &interner, window)
+                    : RunPartitioned(stream, &interner, shards, window);
+    table.Row({mode, std::to_string(std::max(shards, 1)),
+               FormatCount(r.max_retained), FormatCount(r.sum_retained),
+               FormatCount(r.forwarded), Rate(stream.size(), r.wall_seconds),
+               std::to_string(r.completions)});
+    rows.push_back({shards == 0 ? mode : mode + " " + std::to_string(shards),
+                    {{"completions", r.completions},
+                     {"max_retained", r.max_retained},
+                     {"sum_retained", r.sum_retained},
+                     {"forwarded", r.forwarded}}});
+    stream_edges = stream.size();
   }
-  std::cout << "broadcast: every shard retains the whole window "
-               "(sum = shards x window).\n"
+  table.Separator();
+  std::cout << "single: one engine retains the whole window.\n"
                "partitioned: a shard retains only owned edges "
                "(sum <= 2 x window; max ~ 2/N).\n";
   WriteCountsJson("sharding", stream_edges, rows);

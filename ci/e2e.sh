@@ -3,11 +3,11 @@
 #
 #   ci/e2e.sh [BUILD_DIR]
 #
-# Starts `service_demo --serve` (partitioned two-shard group behind the
-# QueryService behind the SocketServer) on a unix socket, then drives it
-# with two independent streamworks_client processes: a watcher that
-# subscribes and push-streams, and a feeder that ingests the probes the
-# watcher is waiting for. A second leg repeats the exercise with the
+# Starts `service_demo --serve` (its two-shard vertex-partitioned group
+# behind the QueryService behind the SocketServer) on a unix socket, then
+# drives it with two independent streamworks_client processes: a watcher
+# that subscribes and push-streams, and a feeder that ingests the probes
+# the watcher is waiting for. A second leg repeats the exercise with the
 # feeder in --binary mode (FEEDB frames), asserting the binary wire path
 # pushes exactly as many matches as the text leg did. Fails on any
 # timeout, transport error, ERR response, missing match, or an unclean
@@ -66,7 +66,7 @@ touch "$WATCHER2_LOG" "$FEEDER2_LOG" "$RSERVER1_LOG" "$RSERVER2_LOG" \
       "$FAN_SERVER_LOG" "$FAN_FEEDER_LOG" "$FAN_STATS_LOG"
 mkdir -p "$OBS_DIR" "$FAN_DIR"
 
-"$SERVER" partitioned --serve --unix "$SOCK" --http 0 > "$SERVER_LOG" 2>&1 &
+"$SERVER" --serve --unix "$SOCK" --http 0 > "$SERVER_LOG" 2>&1 &
 SERVER_PID=$!
 RSERVER_PID=""
 FAN_SERVER_PID=""
@@ -247,7 +247,7 @@ grep -q "^SHUTDOWN " "$SERVER_LOG" || fail "no SHUTDOWN summary"
 # from the snapshot, replay the WAL tail, and resume pushing matches to
 # the re-attached watcher — the resumed count asserts it.
 
-"$SERVER" partitioned --serve --unix "$RSOCK" \
+"$SERVER" --serve --unix "$RSOCK" \
   --data-dir "$DATA_DIR" --snapshot-every 4 > "$RSERVER1_LOG" 2>&1 &
 RSERVER_PID=$!
 for _ in $(seq 1 100); do
@@ -282,7 +282,7 @@ ls "$DATA_DIR"/snap-*.snap >/dev/null 2>&1 \
 kill -9 "$RSERVER_PID"
 wait "$RSERVER_PID" 2>/dev/null || true
 
-"$SERVER" partitioned --serve --unix "$RSOCK" --http 0 \
+"$SERVER" --serve --unix "$RSOCK" --http 0 \
   --data-dir "$DATA_DIR" --snapshot-every 4 > "$RSERVER2_LOG" 2>&1 &
 RSERVER_PID=$!
 for _ in $(seq 1 100); do
@@ -367,7 +367,7 @@ fi
 
 FAN_EDGES=2000
 FAN_WATCHERS=64
-"$SERVER" partitioned --serve --tcp 0 --io-loops 4 \
+"$SERVER" --serve --tcp 0 --io-loops 4 \
   --max-connections $((FAN_WATCHERS + 8)) \
   --write-high-water 2048 --so-sndbuf 4096 > "$FAN_SERVER_LOG" 2>&1 &
 FAN_SERVER_PID=$!

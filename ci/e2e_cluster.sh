@@ -3,9 +3,9 @@
 #
 #   ci/e2e_cluster.sh [BUILD_DIR]
 #
-# Leg 1 (reference): a single-process `service_demo partitioned --serve`
-# ingests a synProbe chain under a parked watcher; the pushed EVENT MATCH
-# lines are the expected multiset.
+# Leg 1 (reference): a single-process `service_demo --serve` (its
+# two-shard vertex-partitioned group) ingests a synProbe chain under a
+# parked watcher; the pushed EVENT MATCH lines are the expected multiset.
 #
 # Leg 2 (cluster): two worker daemons + a coordinator serving the same
 # unix-socket protocol. The same watcher/feeder scripts run against it,
@@ -103,7 +103,7 @@ run_watcher_and_feeders() {  # run_watcher_and_feeders SOCK NAME FEED...
 
 # --- Leg 1: single-process reference ---------------------------------------
 
-"$SERVER" partitioned --serve --unix "$SSOCK" --http 0 \
+"$SERVER" --serve --unix "$SSOCK" --http 0 \
   > "$TMP/single.server.log" 2>&1 &
 SINGLE_PID=$!
 await_banner "$TMP/single.server.log" "^SERVING " "$SINGLE_PID" \

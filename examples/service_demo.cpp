@@ -13,9 +13,10 @@
 //   $ ./build/examples/service_demo --serve --tcp 7687 --unix /tmp/sw.sock
 //
 // Three analyst sessions share one live netflow-style stream served by a
-// two-shard ParallelEngineGroup behind a QueryService. The whole scenario
-// is scripted through the CommandInterpreter's line protocol — the same
-// protocol test fixtures use — and exercises the service surface:
+// two-shard, vertex-partitioned ParallelEngineGroup behind a QueryService.
+// The whole scenario is scripted through the CommandInterpreter's line
+// protocol — the same protocol test fixtures use — and exercises the
+// service surface:
 //
 //   * soc       subscribes to a port-scan style probe pattern with a tiny
 //               drop_oldest queue (a dashboard that only wants the latest),
@@ -216,12 +217,6 @@ std::vector<std::string> SplitWorkerList(std::string_view spec) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Tenants pick the sharding mode where the engine group is built:
-  // broadcast (default) replicates the window graph per shard and spreads
-  // queries; `service_demo partitioned` shards the data graph by vertex
-  // ownership and exchanges cross-shard partial matches — same scenario,
-  // same output, and STATS grows per-shard retained/forwarded lines.
-  bool partitioned = false;
   bool serve = false;
   int64_t trace_threshold_us = PipelineMetrics::kDefaultSlowThresholdUs;
   ServerOptions server_options;
@@ -233,9 +228,7 @@ int main(int argc, char** argv) {
   DistributedBackendOptions cluster_options;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "partitioned") {
-      partitioned = true;
-    } else if (arg == "--role" && i + 1 < argc) {
+    if (arg == "--role" && i + 1 < argc) {
       role = argv[++i];
       if (role != "coordinator" && role != "worker") {
         std::cerr << "bad --role (want coordinator|worker): " << role << "\n";
@@ -337,8 +330,8 @@ int main(int argc, char** argv) {
       durability_options.fsync_every_records = static_cast<int>(n);
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [partitioned] [--serve [--tcp PORT] [--unix PATH]"
-                   " [--http PORT]] [--io-loops N] [--max-connections N]"
+                << " [--serve [--tcp PORT] [--unix PATH] [--http PORT]]"
+                   " [--io-loops N] [--max-connections N]"
                    " [--write-high-water BYTES] [--so-sndbuf BYTES]"
                    " [--trace-us N]"
                    " [--data-dir DIR [--snapshot-every N]"
@@ -376,9 +369,7 @@ int main(int argc, char** argv) {
   PipelineMetrics pipeline(static_cast<uint64_t>(trace_threshold_us));
   EngineOptions engine_options;
   engine_options.pipeline = &pipeline;
-  ParallelEngineGroup group(&interner, /*num_shards=*/2, engine_options,
-                            partitioned ? ShardingMode::kPartitionedData
-                                        : ShardingMode::kBroadcastData);
+  ParallelEngineGroup group(&interner, /*num_shards=*/2, engine_options);
   ParallelGroupBackend group_backend(&group);
 
   // With --data-dir the durable decorator slides between the service and

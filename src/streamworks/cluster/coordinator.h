@@ -73,7 +73,7 @@ struct DistributedBackendOptions {
 
 /// QueryBackend that runs every shard in its own worker daemon process,
 /// speaking the cluster control wire. This is the in-process
-/// ParallelEngineGroup's kPartitionedData mode lifted across process
+/// ParallelEngineGroup's vertex-partitioned protocol lifted across process
 /// boundaries: the coordinator is the ingest router, exchange relay (star
 /// topology), barrier master, watermark committer, and completion
 /// delivery point — the service layer on top of it is unchanged.

@@ -50,7 +50,7 @@ struct WorkerCounters {
 /// control frames by a coordinator over a PeerLink.
 ///
 /// The daemon speaks exactly the in-process ParallelEngineGroup's
-/// kPartitionedData protocol, lifted onto the wire: the coordinator routes
+/// vertex-partitioned protocol, lifted onto the wire: the coordinator routes
 /// each ingested edge to its endpoint owners (kBatch), forwarded partial
 /// matches flow back up and get relayed (kExchange — star topology, no
 /// worker mesh), epoch barriers bound in-flight work (kBarrier/kBarrierAck)

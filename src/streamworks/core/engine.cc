@@ -7,6 +7,22 @@
 #include "streamworks/common/timer.h"
 
 namespace streamworks {
+namespace {
+
+/// Retention the shared graph needs once a query with `window` registers
+/// beside `live_queries` others: unbounded until the first bounded query
+/// arrives with no live query around, then the longest window seen. It
+/// never shrinks on unregister (remaining queries may rely on it;
+/// unregistered slots don't count as live).
+Timestamp RetentionAfterRegistering(Timestamp retention, Timestamp window,
+                                    size_t live_queries) {
+  if (retention == kMaxTimestamp) {
+    return window != kMaxTimestamp && live_queries == 0 ? window : retention;
+  }
+  return std::max(retention, window);
+}
+
+}  // namespace
 
 StreamWorksEngine::StreamWorksEngine(Interner* interner,
                                      EngineOptions options)
@@ -39,18 +55,6 @@ StatusOr<Decomposition> StreamWorksEngine::PlanWithCurrentStats(
   SelectivityEstimator estimator(stats);
   QueryPlanner planner(&estimator);
   return planner.Plan(query, strategy);
-}
-
-Timestamp StreamWorksEngine::RetentionAfterRegistering(Timestamp retention,
-                                                       Timestamp window,
-                                                       size_t live_queries) {
-  // The shared graph must retain edges as long as the longest window; it
-  // only shrinks from unbounded when no live query needs the older edges
-  // (unregistered slots don't count).
-  if (retention == kMaxTimestamp) {
-    return window != kMaxTimestamp && live_queries == 0 ? window : retention;
-  }
-  return std::max(retention, window);
 }
 
 StatusOr<int> StreamWorksEngine::RegisterQuery(const QueryGraph& query,

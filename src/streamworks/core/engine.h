@@ -104,8 +104,8 @@ struct WindowSnapshot {
 };
 
 /// Identity one engine assumes when it runs as one shard of a
-/// vertex-partitioned group (ParallelEngineGroup in kPartitionedData
-/// mode). `partitioner` and `exchange` must outlive the engine; both are
+/// vertex-partitioned group (ParallelEngineGroup, or a cluster worker).
+/// `partitioner` and `exchange` must outlive the engine; both are
 /// shared with the group, which owns routing edges in and forwarding
 /// matches out.
 struct ShardConfig {
@@ -159,21 +159,6 @@ class StreamWorksEngine {
   /// registers that one decomposition on every shard.
   StatusOr<Decomposition> PlanWithCurrentStats(
       const QueryGraph& query, DecompositionStrategy strategy) const;
-
-  /// Retention the shared graph needs once a query with `window` registers
-  /// beside `live_queries` others: unbounded until the first bounded query
-  /// arrives with no live query around, then the longest window seen. It
-  /// never shrinks on unregister (remaining queries may rely on it).
-  static Timestamp RetentionAfterRegistering(Timestamp retention,
-                                             Timestamp window,
-                                             size_t live_queries);
-
-  /// Overrides the graph's retention. A broadcast group sets every shard
-  /// to the value RetentionAfterRegistering gives for the whole group, so
-  /// each shard retains what one engine with all its queries would.
-  void set_retention(Timestamp retention) {
-    graph_.set_retention(retention);
-  }
 
   /// Re-plans one query against the engine's current statistics (with
   /// `strategy` overriding the registration strategy if given) and swaps

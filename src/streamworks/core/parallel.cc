@@ -8,27 +8,20 @@ namespace streamworks {
 
 ParallelEngineGroup::ParallelEngineGroup(Interner* interner, int num_shards,
                                          EngineOptions options,
-                                         ShardingMode mode,
                                          const Partitioner* partitioner)
-    : mode_(mode),
-      options_(options),
-      partitioner_(partitioner != nullptr ? partitioner
+    : partitioner_(partitioner != nullptr ? partitioner
                                           : &default_partitioner_),
       ingest_(partitioner_, num_shards) {
   SW_CHECK_GT(num_shards, 0);
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(interner, options));
-  }
-  if (mode_ == ShardingMode::kPartitionedData) {
-    for (int i = 0; i < num_shards; ++i) {
-      ShardConfig config;
-      config.shard_index = i;
-      config.num_shards = num_shards;
-      config.partitioner = partitioner_;
-      config.exchange = &shards_[static_cast<size_t>(i)]->exchange;
-      shards_[static_cast<size_t>(i)]->engine.EnableShardMode(config);
-    }
+    ShardConfig config;
+    config.shard_index = i;
+    config.num_shards = num_shards;
+    config.partitioner = partitioner_;
+    config.exchange = &shards_.back()->exchange;
+    shards_.back()->engine.EnableShardMode(config);
   }
   for (auto& shard : shards_) {
     shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(s); });
@@ -37,67 +30,15 @@ ParallelEngineGroup::ParallelEngineGroup(Interner* interner, int num_shards,
 
 ParallelEngineGroup::~ParallelEngineGroup() { Close(); }
 
-std::unique_lock<std::mutex> ParallelEngineGroup::Quiesce(Shard* shard) {
-  std::unique_lock<std::mutex> lock(shard->mu);
-  shard->cv_producer.wait(lock, [&] {
-    return shard->idle && shard->queue.empty();
-  });
-  // With the queue empty and the lock held, the worker is parked in (or on
-  // its way into) cv_consumer.wait and cannot touch the engine until a new
-  // task is enqueued — which requires this lock.
-  return lock;
-}
-
 void ParallelEngineGroup::WaitDrained() {
   std::unique_lock<std::mutex> lock(drained_mu_);
   drained_cv_.wait(lock, [&] { return pending_.load() == 0; });
 }
 
-void ParallelEngineGroup::QuiesceAll() {
-  WaitDrained();
-  // pending_ == 0 and the control thread (the sole external producer) is
-  // here, so no new work can appear; wait out each worker's parking. Once
-  // this returns the control thread may touch every engine/exchange: the
-  // per-shard mutex handoff orders those accesses against the workers.
-  for (auto& shard : shards_) {
-    auto lock = Quiesce(shard.get());
-  }
-}
-
-Status ParallelEngineGroup::ResolveGroupId(int group_query_id,
-                                           int* shard_index,
-                                           int* local_id) const {
-  const int n = static_cast<int>(shards_.size());
-  if (group_query_id < 0) {
-    return Status::InvalidArgument("negative group query id");
-  }
-  *shard_index = group_query_id % n;
-  *local_id = group_query_id / n;
-  return OkStatus();
-}
-
 StatusOr<int> ParallelEngineGroup::RegisterQuery(
     const QueryGraph& query, DecompositionStrategy strategy,
     Timestamp window, MatchCallback callback) {
-  QuiesceAll();
-  if (mode_ == ShardingMode::kBroadcastData) {
-    // Every shard stores the whole stream, so every shard retains what one
-    // engine holding all the group's queries would, not just its own.
-    size_t live_queries = 0;
-    for (auto& shard : shards_) live_queries += shard->engine.num_queries();
-    const Timestamp retention = StreamWorksEngine::RetentionAfterRegistering(
-        shards_[0]->engine.graph().retention(), window, live_queries);
-    SW_ASSIGN_OR_RETURN(
-        const int local_id,
-        shards_[static_cast<size_t>(next_shard_)]->engine.RegisterQuery(
-            query, strategy, window, std::move(callback)));
-    for (auto& shard : shards_) shard->engine.set_retention(retention);
-    const int group_id =
-        next_shard_ + local_id * static_cast<int>(shards_.size());
-    next_shard_ = (next_shard_ + 1) % static_cast<int>(shards_.size());
-    return group_id;
-  }
-
+  Flush();
   // One plan for every shard: the replicated trees must agree on node
   // numbering and cut vertices or the exchange's homing would scatter
   // siblings. Shard 0's statistics stand in for the group's (each shard
@@ -163,18 +104,9 @@ void ParallelEngineGroup::PumpExchange() {
 }
 
 Status ParallelEngineGroup::UnregisterQuery(int group_query_id) {
-  if (mode_ == ShardingMode::kBroadcastData) {
-    int shard_index = 0, local_id = 0;
-    SW_RETURN_IF_ERROR(
-        ResolveGroupId(group_query_id, &shard_index, &local_id));
-    Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-    auto lock = Quiesce(&shard);
-    return shard.engine.UnregisterQuery(local_id);
-  }
-
   // Any shard may hold the query's partials and in-flight exchange items
   // reference it by id, so the whole group quiesces first.
-  QuiesceAll();
+  Flush();
   Status status = OkStatus();
   for (auto& shard : shards_) {
     const Status s = shard->engine.UnregisterQuery(group_query_id);
@@ -185,21 +117,7 @@ Status ParallelEngineGroup::UnregisterQuery(int group_query_id) {
 
 StatusOr<QueryRuntimeInfo> ParallelEngineGroup::query_info(
     int group_query_id) {
-  if (mode_ == ShardingMode::kBroadcastData) {
-    int shard_index = 0, local_id = 0;
-    SW_RETURN_IF_ERROR(
-        ResolveGroupId(group_query_id, &shard_index, &local_id));
-    Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-    auto lock = Quiesce(&shard);
-    if (!shard.engine.has_query(local_id)) {
-      return Status::NotFound("unknown or unregistered group query id");
-    }
-    QueryRuntimeInfo info = shard.engine.query_info(local_id);
-    info.query_id = group_query_id;
-    return info;
-  }
-
-  QuiesceAll();
+  Flush();
   if (group_query_id < 0 || !shards_[0]->engine.has_query(group_query_id)) {
     return Status::NotFound("unknown or unregistered group query id");
   }
@@ -262,56 +180,21 @@ void ParallelEngineGroup::EpochFlush() {
 }
 
 void ParallelEngineGroup::ProcessEdge(const StreamEdge& edge) {
-  if (mode_ == ShardingMode::kPartitionedData) {
-    RouteEdge(edge);
-    if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
-    return;
-  }
-  for (auto& shard : shards_) {
-    ShardTask task;
-    task.kind = ShardTask::Kind::kEdge;
-    task.edge = edge;
-    EnqueueTask(shard.get(), std::move(task), /*bounded=*/true);
-  }
+  RouteEdge(edge);
+  if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
 }
 
 void ParallelEngineGroup::ProcessBatch(const EdgeBatch& batch) {
   if (batch.empty()) return;
-  if (mode_ == ShardingMode::kPartitionedData) {
-    for (const StreamEdge& edge : batch) {
-      RouteEdge(edge);
-      // One huge batch must not suspend eviction for its whole duration —
-      // keep the same per-kEpochEdges bound the single-edge path has.
-      if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
-    }
-    // The batch boundary is an epoch boundary: exchange drained, watermark
-    // broadcast, expiry advanced consistently on every shard.
-    EpochFlush();
-    return;
+  for (const StreamEdge& edge : batch) {
+    RouteEdge(edge);
+    // One huge batch must not suspend eviction for its whole duration —
+    // keep the same per-kEpochEdges bound the single-edge path has.
+    if (edges_since_epoch_ >= kEpochEdges) EpochFlush();
   }
-  for (auto& shard : shards_) {
-    size_t appended = 0;
-    while (appended < batch.size()) {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      shard->cv_producer.wait(lock, [&] {
-        return shard->queue.size() < kMaxQueuedEdges;
-      });
-      const bool was_empty = shard->queue.empty();
-      const size_t room = kMaxQueuedEdges - shard->queue.size();
-      const size_t take = std::min(room, batch.size() - appended);
-      shard->queue.reserve(shard->queue.size() + take);
-      for (size_t i = 0; i < take; ++i) {
-        ShardTask task;
-        task.kind = ShardTask::Kind::kEdge;
-        task.edge = batch[appended + i];
-        shard->queue.push_back(std::move(task));
-      }
-      appended += take;
-      shard->idle = false;
-      pending_.fetch_add(take);
-      if (was_empty) shard->cv_consumer.notify_one();
-    }
-  }
+  // The batch boundary is an epoch boundary: exchange drained, watermark
+  // broadcast, expiry advanced consistently on every shard.
+  EpochFlush();
 }
 
 void ParallelEngineGroup::ExecuteTask(Shard* shard, ShardTask& task) {
@@ -319,13 +202,8 @@ void ParallelEngineGroup::ExecuteTask(Shard* shard, ShardTask& task) {
     case ShardTask::Kind::kEdge:
       // Rejected edges are counted by the engine; a parallel consumer has
       // no way to surface per-edge status, matching the callback model.
-      if (mode_ == ShardingMode::kBroadcastData) {
-        shard->engine.ProcessEdge(task.edge).ok();
-      } else {
-        shard->engine
-            .ProcessShardEdge(task.edge, task.edge_id, task.run_anchors)
-            .ok();
-      }
+      shard->engine.ProcessShardEdge(task.edge, task.edge_id, task.run_anchors)
+          .ok();
       break;
     case ShardTask::Kind::kItem:
       shard->engine.HandleExchangeItem(*task.item);
@@ -397,24 +275,28 @@ void ParallelEngineGroup::WorkerLoop(Shard* shard) {
 }
 
 void ParallelEngineGroup::Flush() {
-  if (mode_ == ShardingMode::kPartitionedData) {
-    EpochFlush();   // drain + final watermark broadcast
-    WaitDrained();  // drain the watermark tasks themselves
-  } else {
-    WaitDrained();
-  }
+  // Commit the pending watermark first, so a control call that follows
+  // sees what a single engine retains after the same edges, not edges and
+  // partials it would already have expired.
+  EpochFlush();
+  WaitDrained();  // drain the watermark tasks themselves
+  // pending_ == 0 and the control thread (the sole external producer) is
+  // here, so no new work can appear; wait out each worker's parking. Once
+  // this returns the control thread may touch every engine/exchange: the
+  // per-shard mutex handoff orders those accesses against the workers.
   for (auto& shard : shards_) {
-    auto lock = Quiesce(shard.get());
+    std::unique_lock<std::mutex> lock(shard->mu);
+    shard->cv_producer.wait(lock, [&] {
+      return shard->idle && shard->queue.empty();
+    });
   }
 }
 
 void ParallelEngineGroup::Close() {
   if (closed_) return;
-  if (mode_ == ShardingMode::kPartitionedData) {
-    // Partitioned workers forward to each other; a worker must never exit
-    // while a peer might still send it work, so drain globally first.
-    Flush();
-  }
+  // Workers forward to each other; a worker must never exit while a peer
+  // might still send it work, so drain globally first.
+  Flush();
   closed_ = true;
   for (auto& shard : shards_) {
     {
@@ -442,20 +324,8 @@ uint64_t ParallelEngineGroup::total_rejected() const {
   return total;
 }
 
-double ParallelEngineGroup::total_processing_seconds() const {
-  double total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->engine.metrics().processing_seconds;
-  }
-  return total;
-}
-
 WindowSnapshot ParallelEngineGroup::ExportWindow() {
-  QuiesceAll();
-  if (mode_ == ShardingMode::kBroadcastData) {
-    // Every shard retains the identical window and id sequence.
-    return shards_[0]->engine.ExportWindow();
-  }
+  Flush();
   WindowSnapshot merged;
   merged.next_edge_id = ingest_.next_edge_id();
   merged.watermark = ingest_.watermark();
@@ -480,48 +350,37 @@ WindowSnapshot ParallelEngineGroup::ExportWindow() {
 }
 
 Status ParallelEngineGroup::RestoreWindow(const WindowSnapshot& snapshot) {
-  QuiesceAll();
+  Flush();
   for (const PersistedEdge& pe : snapshot.edges) {
     Status restored = OkStatus();
-    const auto restore_on = [&](int shard, bool) {
+    ingest_.ForEachOwner(pe.edge, [&](int shard, bool) {
       if (restored.ok()) {
         restored = shards_[static_cast<size_t>(shard)]->engine
                        .RestoreWindowEdge(pe.edge, pe.id);
       }
-    };
-    if (mode_ == ShardingMode::kBroadcastData) {
-      for (int s = 0; s < num_shards(); ++s) restore_on(s, true);
-    } else {
-      ingest_.ForEachOwner(pe.edge, restore_on);
-    }
+    });
     SW_RETURN_IF_ERROR(restored);
   }
   for (auto& shard : shards_) {
     shard->engine.FinishWindowRestore(snapshot.next_edge_id,
                                       snapshot.watermark);
   }
-  if (mode_ == ShardingMode::kPartitionedData) {
-    ingest_.Restore(snapshot.edges, snapshot.next_edge_id,
-                    snapshot.watermark);
-  }
+  ingest_.Restore(snapshot.edges, snapshot.next_edge_id, snapshot.watermark);
   return OkStatus();
 }
 
 void ParallelEngineGroup::SetSuppressCompletions(bool suppress) {
-  QuiesceAll();
+  Flush();
   for (auto& shard : shards_) {
     shard->engine.set_suppress_completions(suppress);
   }
 }
 
 std::vector<ShardStatsSnapshot> ParallelEngineGroup::ShardStats() {
-  QuiesceAll();
+  Flush();
   std::vector<ShardStatsSnapshot> out;
   out.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    out.push_back(shards_[s]->engine.shard_stats());
-    out.back().shard = static_cast<int>(s);  // broadcast engines are shard 0
-  }
+  for (auto& shard : shards_) out.push_back(shard->engine.shard_stats());
   return out;
 }
 

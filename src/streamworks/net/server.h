@@ -20,7 +20,7 @@ namespace streamworks {
 /// connections and runs one CommandInterpreter session per connection, so
 /// every tenant speaks the same line protocol scripts and fixtures use —
 /// the server stays ignorant of whether the backend is a single engine, a
-/// broadcast group, or a vertex-partitioned group (the QueryBackend seam).
+/// vertex-partitioned group, or a cluster (the QueryBackend seam).
 ///
 /// Wire protocol, over the interpreter grammar (see interpreter.h):
 ///   * client sends one command per '\n'-terminated line;

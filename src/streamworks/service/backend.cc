@@ -80,10 +80,7 @@ Status ParallelGroupBackend::FeedBatch(const EdgeBatch& batch,
 }
 
 std::vector<ShardLoadSnapshot> ParallelGroupBackend::ShardLoads() {
-  const std::string sharding =
-      (group_->mode() == ShardingMode::kPartitionedData
-           ? "partitioned/" + group_->partitioner().name()
-           : "broadcast");
+  const std::string sharding = "partitioned/" + group_->partitioner().name();
   std::vector<ShardLoadSnapshot> out;
   for (const ShardStatsSnapshot& s : group_->ShardStats()) {
     out.push_back(ToShardLoad(s, sharding));

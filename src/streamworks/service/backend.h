@@ -107,14 +107,11 @@ class SingleEngineBackend : public QueryBackend {
   StreamWorksEngine* engine_;
 };
 
-/// Sharded deployment over a ParallelEngineGroup in either sharding mode —
-/// the tenant-facing choice between them is made where the group is
-/// constructed (ShardingMode::kBroadcastData replicates the window graph
-/// per shard and spreads queries; kPartitionedData partitions the data
-/// graph by vertex and replicates queries, exchanging cross-shard partial
-/// matches). Callbacks fire on shard threads, Feed is an asynchronous
-/// enqueue, and ShardLoads surfaces per-shard retained memory plus
-/// exchange traffic into ServiceMetrics.
+/// Sharded deployment over a vertex-partitioned ParallelEngineGroup: the
+/// data graph is partitioned by vertex and every query replicated, with
+/// cross-shard partial matches exchanged between shards. Callbacks fire on
+/// shard threads, Feed is an asynchronous enqueue, and ShardLoads surfaces
+/// per-shard retained memory plus exchange traffic into ServiceMetrics.
 class ParallelGroupBackend : public QueryBackend {
  public:
   /// `group` must outlive the backend.

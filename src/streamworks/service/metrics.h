@@ -16,12 +16,12 @@ namespace streamworks {
 using LagHistogram = Histogram;
 
 /// Point-in-time per-shard load of the backend's engine group (empty for
-/// single-engine deployments). `sharding` names the mode ("broadcast" /
-/// "partitioned" plus the partitioner); the forwarded/received counters are
-/// the cross-shard match exchange's and stay zero under broadcast. The
-/// memory story of vertex partitioning reads directly off `retained_edges`:
-/// broadcast retains the whole window on every shard, partitioned only the
-/// shard's owned edges.
+/// single-engine deployments). `sharding` names the deployment
+/// ("partitioned/" plus the partitioner in process, "distributed" for a
+/// cluster); the forwarded/received counters are the cross-shard match
+/// exchange's. The memory story of vertex partitioning reads directly off
+/// `retained_edges`: a shard retains only its owned edges, not the whole
+/// window.
 struct ShardLoadSnapshot {
   int shard = 0;
   std::string sharding;

@@ -24,6 +24,7 @@
 #include "streamworks/common/interner.h"
 #include "streamworks/core/engine.h"
 #include "streamworks/graph/query_graph.h"
+#include "streamworks/graph/random_graphs.h"
 #include "streamworks/obs/json_render.h"
 #include "streamworks/obs/metric_registry.h"
 #include "streamworks/obs/stage_trace.h"
@@ -273,6 +274,72 @@ TEST(ClusterTest, MidStreamRegistrationBackfillsAcrossShards) {
 
   EXPECT_EQ(sink.Sorted(), ref.Sorted());
   EXPECT_FALSE(sink.Sorted().empty());
+  cluster.backend->Stop();
+}
+
+// partition_test's script of the same name: a short-window query, then two
+// long-window queries registered mid-stream, fed edge by edge. Control
+// calls commit every pending epoch first, so a registration backfills
+// from, and Info and ShardLoads report, the window one engine holds.
+TEST(ClusterTest, ControlCallsSeeOneEnginesWindowMidStream) {
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  RandomStreamOptions opt;
+  opt.seed = 7;
+  opt.num_edges = 3000;
+  const auto edges = GenerateUniformStream(opt, &cluster.interner);
+  Rng rng(7);
+  std::vector<QueryGraph> queries;
+  for (int i = 0; i < 3; ++i) {
+    queries.push_back(GenerateRandomConnectedQuery(rng, 3, 2,
+                                                   opt.num_vertex_labels,
+                                                   opt.num_edge_labels,
+                                                   &cluster.interner)
+                          .value());
+  }
+  const Timestamp windows[] = {5, 200, 200};
+  const size_t register_before[] = {0, edges.size() / 2,
+                                    3 * edges.size() / 4};
+
+  StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+  MatchSink expected[3];
+  MatchSink actual[3];
+  for (size_t e = 0, q = 0; e < edges.size(); ++e) {
+    if (e == register_before[1]) {
+      const auto info = cluster.backend->Info(0);
+      ASSERT_TRUE(info.ok());
+      EXPECT_EQ(info->live_partial_matches,
+                engine.query_info(0).live_partial_matches);
+      // Each edge is retained by one or both of its endpoint owners.
+      const uint64_t window = engine.graph().num_stored_edges();
+      uint64_t total = 0;
+      for (const ShardLoadSnapshot& load : cluster.backend->ShardLoads()) {
+        EXPECT_LE(load.retained_edges, window) << "shard " << load.shard;
+        total += load.retained_edges;
+      }
+      EXPECT_GE(total, window);
+      EXPECT_LE(total, 2 * window);
+    }
+    for (; q < queries.size() && register_before[q] == e; ++q) {
+      ASSERT_TRUE(engine
+                      .RegisterQuery(queries[q],
+                                     DecompositionStrategy::kLeftDeepEdgeOrder,
+                                     windows[q], expected[q].Callback())
+                      .ok());
+      ASSERT_TRUE(cluster.backend
+                      ->Register(queries[q],
+                                 DecompositionStrategy::kLeftDeepEdgeOrder,
+                                 windows[q], actual[q].Callback())
+                      .ok());
+    }
+    ASSERT_TRUE(engine.ProcessEdge(edges[e]).ok());
+    ASSERT_TRUE(cluster.backend->Feed(edges[e]).ok());
+  }
+  cluster.backend->Flush();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_FALSE(expected[q].Sorted().empty()) << "query " << q;
+    EXPECT_EQ(actual[q].Sorted(), expected[q].Sorted()) << "query " << q;
+  }
   cluster.backend->Stop();
 }
 

@@ -526,8 +526,7 @@ TEST_F(NetTest, ParallelBackendStreamsAcrossShardThreads) {
   // worker threads and cross the pump into the socket (the TSan-relevant
   // path).
   Interner interner;
-  ParallelEngineGroup group(&interner, /*num_shards=*/2, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, /*num_shards=*/2);
   ParallelGroupBackend backend(&group);
   QueryService service(&backend);
   ServerOptions options;
@@ -918,9 +917,7 @@ struct DurableServer {
                                               bool partitioned) {
     auto s = std::make_unique<DurableServer>();
     if (partitioned) {
-      s->group = std::make_unique<ParallelEngineGroup>(
-          &s->interner, 4, EngineOptions{},
-          ShardingMode::kPartitionedData);
+      s->group = std::make_unique<ParallelEngineGroup>(&s->interner, 4);
       s->inner = std::make_unique<ParallelGroupBackend>(s->group.get());
     } else {
       s->engine = std::make_unique<StreamWorksEngine>(&s->interner);

@@ -1,9 +1,10 @@
-// Tests for vertex-partitioned data-graph sharding: the partitioned
-// ParallelEngineGroup must produce exactly a single engine's match sets on
-// randomized streams (including window-expiry boundaries, mid-stream
-// registration backfill, and unregister), while retaining strictly fewer
-// edges per shard than broadcast mode, with the cross-shard exchange doing
-// real forwarding.
+// Tests for vertex-partitioned data-graph sharding: the ParallelEngineGroup
+// must produce exactly a single engine's match sets on randomized streams
+// (including window-expiry boundaries, mid-stream registration backfill,
+// and unregister), show a single engine's window to every control call,
+// and retain strictly fewer edges per shard than one engine, with the
+// cross-shard exchange doing real forwarding; its queues must survive a
+// fast producer and its Flush must be repeatable.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,8 @@
 #include "streamworks/graph/dynamic_graph.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/graph/random_graphs.h"
+#include "streamworks/stream/netflow_gen.h"
+#include "streamworks/stream/workload_queries.h"
 
 namespace streamworks {
 namespace {
@@ -208,8 +211,7 @@ TEST(PartitionTest, MatchesSingleEngineAcrossShardCounts) {
 
   for (const int shards : {1, 2, 3, 5}) {
     std::vector<std::multiset<uint64_t>> actual(queries.size());
-    ParallelEngineGroup group(&interner, shards, {},
-                              ShardingMode::kPartitionedData);
+    ParallelEngineGroup group(&interner, shards);
     for (size_t i = 0; i < queries.size(); ++i) {
       ASSERT_TRUE(group
                       .RegisterQuery(
@@ -243,8 +245,7 @@ TEST(PartitionTest, MatchesSingleEngineOnBatchedIngestWithTightWindow) {
       SingleEngineReference(&interner, queries, window, edges);
 
   std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 4, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 4);
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(group
                     .RegisterQuery(queries[i],
@@ -281,8 +282,7 @@ TEST(PartitionTest, ExchangeForwardsAcrossShardsAndCountersBalance) {
   Interner interner;
   const auto edges = RandomStream(&interner, 11, 16, 600);
   const auto queries = RandomQueries(&interner, 42, 3);
-  ParallelEngineGroup group(&interner, 3, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 3);
   for (const QueryGraph& q : queries) {
     ASSERT_TRUE(group
                     .RegisterQuery(q,
@@ -304,6 +304,8 @@ TEST(PartitionTest, ExchangeForwardsAcrossShardsAndCountersBalance) {
   EXPECT_EQ(sent, received);
 }
 
+// A group that sent every edge to every shard would retain one engine's
+// whole window per shard; this is the comparison the name keeps.
 TEST(PartitionTest, ShardsRetainFewerEdgesThanBroadcast) {
   Interner interner;
   const auto edges = RandomStream(&interner, 7, 64, 4000);
@@ -311,37 +313,155 @@ TEST(PartitionTest, ShardsRetainFewerEdgesThanBroadcast) {
   const Timestamp window = 30;
   const int shards = 4;
 
-  auto run = [&](ShardingMode mode) {
-    ParallelEngineGroup group(&interner, shards, {}, mode);
-    for (const QueryGraph& q : queries) {
-      SW_CHECK(group
-                   .RegisterQuery(q,
-                                  DecompositionStrategy::kLeftDeepEdgeOrder,
-                                  window, nullptr)
-                   .ok());
-    }
-    for (const StreamEdge& e : edges) group.ProcessEdge(e);
-    group.Flush();
-    return group.ShardStats();
-  };
+  std::vector<std::multiset<uint64_t>> expected(queries.size());
+  StreamWorksEngine engine(&interner);
+  std::vector<std::multiset<uint64_t>> actual(queries.size());
+  ParallelEngineGroup group(&interner, shards);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(engine
+                    .RegisterQuery(queries[i],
+                                   DecompositionStrategy::kLeftDeepEdgeOrder,
+                                   window,
+                                   [&expected, i](const CompleteMatch& cm) {
+                                     expected[i].insert(Signature(cm));
+                                   })
+                    .ok());
+    ASSERT_TRUE(group
+                    .RegisterQuery(queries[i],
+                                   DecompositionStrategy::kLeftDeepEdgeOrder,
+                                   window,
+                                   [&actual, i](const CompleteMatch& cm) {
+                                     actual[i].insert(Signature(cm));
+                                   })
+                    .ok());
+  }
+  for (const StreamEdge& e : edges) {
+    engine.ProcessEdge(e).ok();
+    group.ProcessEdge(e);
+  }
+  group.Flush();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+  }
 
-  const auto broadcast = run(ShardingMode::kBroadcastData);
-  const auto partitioned = run(ShardingMode::kPartitionedData);
-
-  // Broadcast: every shard retains the whole window. Partitioned: each
-  // shard retains only edges incident to its owned vertices — strictly
-  // below every broadcast shard (the acceptance criterion).
+  // One engine retains the whole window; each shard retains only edges
+  // incident to its owned vertices — strictly fewer (the acceptance
+  // criterion).
+  const uint64_t whole_window = engine.graph().num_stored_edges();
   uint64_t partitioned_total = 0;
-  for (int s = 0; s < shards; ++s) {
-    EXPECT_LT(partitioned[s].retained_edges, broadcast[s].retained_edges)
-        << "shard " << s;
-    partitioned_total += partitioned[s].retained_edges;
+  for (const ShardStatsSnapshot& s : group.ShardStats()) {
+    EXPECT_LT(s.retained_edges, whole_window) << "shard " << s.shard;
+    partitioned_total += s.retained_edges;
   }
   // Each edge lives on at most two shards (its endpoint owners), and at
-  // least one, so the group-wide total is bounded by one broadcast shard's
-  // retention on both sides.
-  EXPECT_GE(partitioned_total, broadcast[0].retained_edges);
-  EXPECT_LE(partitioned_total, 2 * broadcast[0].retained_edges);
+  // least one, so the group-wide total is bounded by the window on both
+  // sides.
+  EXPECT_GE(partitioned_total, whole_window);
+  EXPECT_LE(partitioned_total, 2 * whole_window);
+}
+
+// A short-window query first, then two long-window queries registered
+// mid-stream, fed edge by edge (the text FEED path). Every control call
+// must commit the pending watermark first: otherwise it sees edges and
+// partial matches one engine has already expired, a long-window
+// registration backfills from them and finds matches one engine never
+// finds, and ExportWindow and query_info report the stale state.
+TEST(PartitionTest, ControlCallsSeeOneEnginesWindowMidStream) {
+  Interner interner;
+  RandomStreamOptions opt;
+  opt.seed = 7;
+  opt.num_edges = 3000;
+  const auto edges = GenerateUniformStream(opt, &interner);
+  Rng rng(7);
+  std::vector<QueryGraph> queries;
+  for (int i = 0; i < 3; ++i) {
+    queries.push_back(GenerateRandomConnectedQuery(rng, 3, 2,
+                                                   opt.num_vertex_labels,
+                                                   opt.num_edge_labels,
+                                                   &interner)
+                          .value());
+  }
+  const Timestamp windows[] = {5, 200, 200};
+  const size_t register_before[] = {0, edges.size() / 2,
+                                    3 * edges.size() / 4};
+
+  // What one run shows: each query's matches, and the window and query 0's
+  // runtime info just before query 1 registers.
+  struct Observed {
+    std::multiset<uint64_t> sigs[3];
+    WindowSnapshot window;
+    QueryRuntimeInfo info;
+  };
+  // Runs the schedule: query q registers just before edge
+  // register_before[q]. The caller owns `out`, so callbacks still in
+  // flight after this returns write to a live object.
+  const auto run = [&](Observed* out, const auto& register_query,
+                       const auto& feed, const auto& observe) {
+    for (size_t e = 0, q = 0; e < edges.size(); ++e) {
+      if (e == register_before[1]) observe(out);
+      for (; q < queries.size() && register_before[q] == e; ++q) {
+        register_query(queries[q], windows[q],
+                       [out, q](const CompleteMatch& cm) {
+                         out->sigs[q].insert(Signature(cm));
+                       });
+      }
+      feed(edges[e]);
+    }
+  };
+  const auto ids = [](const WindowSnapshot& window) {
+    std::vector<EdgeId> out;
+    for (const PersistedEdge& pe : window.edges) out.push_back(pe.id);
+    return out;
+  };
+
+  Observed expected;
+  StreamWorksEngine engine(&interner);
+  run(
+      &expected,
+      [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
+        ASSERT_TRUE(engine
+                        .RegisterQuery(query,
+                                       DecompositionStrategy::kLeftDeepEdgeOrder,
+                                       window, std::move(cb))
+                        .ok());
+      },
+      [&](const StreamEdge& e) { ASSERT_TRUE(engine.ProcessEdge(e).ok()); },
+      [&](Observed* out) {
+        out->window = engine.ExportWindow();
+        out->info = engine.query_info(0);
+      });
+  for (const auto& sigs : expected.sigs) EXPECT_FALSE(sigs.empty());
+
+  for (const int shards : {2, 4}) {
+    Observed actual;
+    ParallelEngineGroup group(&interner, shards);
+    run(
+        &actual,
+        [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
+          ASSERT_TRUE(group
+                          .RegisterQuery(
+                              query, DecompositionStrategy::kLeftDeepEdgeOrder,
+                              window, std::move(cb))
+                          .ok());
+        },
+        [&](const StreamEdge& e) { group.ProcessEdge(e); },
+        [&](Observed* out) {
+          out->window = group.ExportWindow();
+          const auto info = group.query_info(0);
+          ASSERT_TRUE(info.ok());
+          out->info = *info;
+        });
+    group.Flush();
+    for (size_t q = 0; q < queries.size(); ++q) {
+      EXPECT_EQ(actual.sigs[q], expected.sigs[q])
+          << "shards=" << shards << " query " << q;
+    }
+    EXPECT_EQ(ids(actual.window), ids(expected.window)) << "shards=" << shards;
+    EXPECT_EQ(actual.window.watermark, expected.window.watermark);
+    EXPECT_EQ(actual.info.live_partial_matches,
+              expected.info.live_partial_matches)
+        << "shards=" << shards;
+  }
 }
 
 TEST(PartitionTest, MidStreamRegistrationBackfillsAcrossShards) {
@@ -376,8 +496,7 @@ TEST(PartitionTest, MidStreamRegistrationBackfillsAcrossShards) {
   }
 
   std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 3, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 3);
   auto subscribe = [&](size_t i) {
     ASSERT_TRUE(group
                     .RegisterQuery(queries[i],
@@ -429,8 +548,7 @@ TEST(PartitionTest, UnregisterStopsDeliveryGroupWide) {
   }
 
   std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 4, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 4);
   std::vector<int> ids;
   for (size_t i = 0; i < queries.size(); ++i) {
     ids.push_back(group
@@ -459,8 +577,7 @@ TEST(PartitionTest, UnregisterStopsDeliveryGroupWide) {
 
 TEST(PartitionTest, InvalidEdgesRejectedOnceAtGroupAdmission) {
   Interner interner;
-  ParallelEngineGroup group(&interner, 3, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 3);
   int hits = 0;
   QueryGraphBuilder builder(&interner);
   const auto v0 = builder.AddVertex("V");
@@ -479,8 +596,8 @@ TEST(PartitionTest, InvalidEdgesRejectedOnceAtGroupAdmission) {
       MakeEdge(&interner, 1, 3, "x", 11, "W", "V"));  // label clash on src
   group.Flush();
 
-  // Unlike broadcast mode (each shard rejects its own copy), admission
-  // rejects once — the same count a single engine reports.
+  // Group admission rejects each invalid edge once, before any shard sees
+  // a copy — the same count a single engine reports.
   EXPECT_EQ(group.total_rejected(), 2u);
   EXPECT_EQ(hits, 1);
 }
@@ -506,8 +623,7 @@ TEST(PartitionTest, CustomPartitionerIsUsedAndResultsHold) {
 
   LopsidedPartitioner lopsided;
   std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 3, {},
-                            ShardingMode::kPartitionedData, &lopsided);
+  ParallelEngineGroup group(&interner, 3, {}, &lopsided);
   EXPECT_EQ(group.partitioner().name(), "lopsided");
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(group
@@ -527,6 +643,50 @@ TEST(PartitionTest, CustomPartitionerIsUsedAndResultsHold) {
   // Shard 2 owns nothing under this policy.
   const auto stats = group.ShardStats();
   EXPECT_EQ(stats[2].retained_edges, 0u);
+}
+
+TEST(ParallelEngineGroupTest, FlushIsIdempotentAndGroupReusable) {
+  Interner interner;
+  ParallelEngineGroup group(&interner, 2);
+  int hits = 0;
+  QueryGraphBuilder builder(&interner);
+  const auto v0 = builder.AddVertex("V");
+  const auto v1 = builder.AddVertex("V");
+  builder.AddEdge(v0, v1, "x");
+  ASSERT_TRUE(group
+                  .RegisterQuery(builder.Build().value(),
+                                 DecompositionStrategy::kLeftDeepEdgeOrder,
+                                 100,
+                                 [&](const CompleteMatch&) { ++hits; })
+                  .ok());
+  group.ProcessEdge(MakeEdge(&interner, 1, 2, "x", 0));
+  group.Flush();
+  EXPECT_EQ(hits, 1);
+  group.Flush();  // idempotent
+  group.ProcessEdge(MakeEdge(&interner, 3, 4, "x", 1));
+  group.Flush();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(ParallelEngineGroupTest, BackpressureSurvivesFastProducer) {
+  Interner interner;
+  ParallelEngineGroup group(&interner, 2);
+  const QueryGraph q = BuildPortScanQuery(&interner, 2);
+  uint64_t hits = 0;
+  ASSERT_TRUE(group
+                  .RegisterQuery(q, DecompositionStrategy::kPrimitivePairs,
+                                 20,
+                                 [&](const CompleteMatch&) { ++hits; })
+                  .ok());
+  NetflowGenerator::Options opt;
+  opt.seed = 9;
+  opt.background_edges = 30000;  // far beyond the queue bound
+  opt.attack_label_noise = true;
+  NetflowGenerator gen(opt, &interner);
+  for (const StreamEdge& e : gen.Generate()) group.ProcessEdge(e);
+  group.Flush();
+  EXPECT_EQ(group.total_rejected(), 0u);
+  EXPECT_EQ(group.total_completions(), hits);
 }
 
 }  // namespace

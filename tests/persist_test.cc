@@ -730,9 +730,8 @@ struct DurableStack {
                            uint64_t snapshot_every) {
     DurableStack s;
     if (partitioned_shards > 0) {
-      s.group = std::make_unique<ParallelEngineGroup>(
-          &s.interner, partitioned_shards, EngineOptions{},
-          ShardingMode::kPartitionedData);
+      s.group = std::make_unique<ParallelEngineGroup>(&s.interner,
+                                                      partitioned_shards);
       s.inner = std::make_unique<ParallelGroupBackend>(s.group.get());
     } else {
       s.engine = std::make_unique<StreamWorksEngine>(&s.interner);

@@ -626,20 +626,18 @@ TEST(QueryServiceParallelTest, MultiSessionIsolationAcrossShards) {
   const ServiceStatsSnapshot snap = service.Snapshot();
   EXPECT_EQ(snap.matches_enqueued, 7u);
   EXPECT_EQ(snap.detaches, 1u);
-  // Broadcast groups report per-shard loads too (no exchange traffic).
   ASSERT_EQ(snap.shards.size(), 3u);
-  EXPECT_EQ(snap.shards[0].sharding, "broadcast");
-  EXPECT_EQ(snap.shards[0].matches_forwarded, 0u);
+  for (const ShardLoadSnapshot& shard : snap.shards) {
+    EXPECT_EQ(shard.sharding, "partitioned/hash_modulo");
+  }
   group.Close();
 }
 
 TEST(QueryServiceParallelTest, PartitionedBackendServesTenantsWithLoads) {
-  // Tenants choose the sharding mode where the engine group is built; the
-  // service sees the same QueryBackend either way, and its metrics pick up
-  // the per-shard retained-memory and exchange counters.
+  // The service's metrics pick up the group's per-shard retained-memory and
+  // exchange counters.
   Interner interner;
-  ParallelEngineGroup group(&interner, 3, {},
-                            ShardingMode::kPartitionedData);
+  ParallelEngineGroup group(&interner, 3);
   ParallelGroupBackend backend(&group);
   QueryService service(&backend);
 
