@@ -29,8 +29,8 @@
 #include <time.h>
 
 #include "bench/bench_util.h"
+#include "bench/bench_worker.h"
 #include "streamworks/cluster/coordinator.h"
-#include "streamworks/cluster/worker.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/timer.h"
 #include "streamworks/graph/query_graph.h"
@@ -89,34 +89,6 @@ double ThreadCpuSeconds() {
          static_cast<double>(ts.tv_nsec) / 1e9;
 }
 
-/// One worker daemon on its own thread (same shape as the cluster tests):
-/// port 0 binds an ephemeral listener, Serve runs until stop.
-class BenchWorker {
- public:
-  BenchWorker() {
-    WorkerOptions options;
-    options.poll_interval_ms = 20;
-    daemon_ = std::make_unique<WorkerDaemon>(std::move(options));
-    if (!daemon_->Start().ok()) {
-      std::cerr << "worker failed to start\n";
-      std::exit(1);
-    }
-    thread_ = std::thread([this] { daemon_->Serve(stop_).ok(); });
-  }
-
-  ~BenchWorker() {
-    stop_.store(true);
-    thread_.join();
-  }
-
-  int port() const { return daemon_->port(); }
-
- private:
-  std::unique_ptr<WorkerDaemon> daemon_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-};
-
 std::vector<StreamEdge> BenchStream(Interner* interner, int num_edges) {
   NetflowGenerator::Options opt;
   opt.seed = 99;
@@ -165,8 +137,7 @@ class BenchCluster {
     DistributedBackendOptions options;
     for (int i = 0; i < num_workers; ++i) {
       workers_.push_back(std::make_unique<BenchWorker>());
-      options.workers.push_back("127.0.0.1:" +
-                                std::to_string(workers_.back()->port()));
+      options.workers.push_back(workers_.back()->endpoint());
     }
     // Paced ingest: a shallow pending queue makes Feed backpressure
     // against the pump, so the delivery lag measures steady-state epoch

@@ -9,9 +9,8 @@
 // query (rotating over three patterns) is submitted in its place — the
 // admission path, the routing-index rebuild, and the mid-stream backfill
 // all sit on the hot path. churn=0 is the stable-subscriber baseline; the
-// delta against it prices query churn. Run on both backends: the
-// single-threaded engine pays the backfill inline, the vertex-partitioned
-// group quiesces every shard and backfills through the exchange.
+// delta against it prices query churn on one engine, which pays the
+// backfill inline.
 
 #include <deque>
 #include <memory>
@@ -21,7 +20,6 @@
 #include "bench/bench_util.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/timer.h"
-#include "streamworks/core/parallel.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/service/query_service.h"
 #include "streamworks/stream/netflow_gen.h"
@@ -122,54 +120,41 @@ void RunAll(int num_edges) {
   Banner("bench_service_churn",
          "ingest throughput under continuous query churn");
 
-  Table table({10, 12, 8, 10, 10, 12, 10, 10});
-  table.Row({"backend", "churn_every", "subs", "detaches", "edges/s",
-             "rel_to_base", "matches", "dropped"});
+  Table table({12, 8, 10, 10, 12, 10, 10});
+  table.Row({"churn_every", "subs", "detaches", "edges/s", "rel_to_base",
+             "matches", "dropped"});
   table.Separator();
 
-  // single: one engine, backfill inline. partition4: vertex-partitioned
-  // group, churn quiesces the whole group and backfills through the
-  // exchange.
-  for (const bool partitioned : {false, true}) {
-    double baseline_rate = 0;
-    for (const int churn_every : {0, 2000, 500}) {
-      // Fresh interner + stream per run: each scenario starts cold.
-      Interner interner;
-      NetflowGenerator::Options gen_options;
-      gen_options.background_edges = num_edges;
-      gen_options.num_hosts = 512;
-      NetflowGenerator gen(gen_options, &interner);
-      gen.InjectSmurf(num_edges / 4, 8);
-      gen.InjectPortScan(num_edges / 2, 12);
-      gen.InjectExfiltration(3 * num_edges / 4);
-      const std::vector<StreamEdge> stream = gen.Generate();
+  double baseline_rate = 0;
+  for (const int churn_every : {0, 2000, 500}) {
+    // Fresh interner + stream per run: each scenario starts cold.
+    Interner interner;
+    NetflowGenerator::Options gen_options;
+    gen_options.background_edges = num_edges;
+    gen_options.num_hosts = 512;
+    NetflowGenerator gen(gen_options, &interner);
+    gen.InjectSmurf(num_edges / 4, 8);
+    gen.InjectPortScan(num_edges / 2, 12);
+    gen.InjectExfiltration(3 * num_edges / 4);
+    const std::vector<StreamEdge> stream = gen.Generate();
 
-      ChurnResult result;
-      if (partitioned) {
-        ParallelEngineGroup group(&interner, 4);
-        ParallelGroupBackend backend(&group);
-        result = RunScenario(stream, &backend, &interner, churn_every);
-        group.Close();
-      } else {
-        StreamWorksEngine engine(&interner);
-        SingleEngineBackend backend(&engine);
-        result = RunScenario(stream, &backend, &interner, churn_every);
-      }
+    StreamWorksEngine engine(&interner);
+    SingleEngineBackend backend(&engine);
+    const ChurnResult result =
+        RunScenario(stream, &backend, &interner, churn_every);
 
-      const double rate =
-          static_cast<double>(stream.size()) / result.wall_seconds;
-      if (churn_every == 0) baseline_rate = rate;
-      table.Row({partitioned ? "partition4" : "single",
-                 churn_every == 0 ? "off" : std::to_string(churn_every),
-                 std::to_string(kNumSessions * kInitialQueriesPerSession),
-                 std::to_string(result.detaches), FormatCount(
-                     static_cast<uint64_t>(rate)),
-                 FormatDouble(rate / baseline_rate, 2),
-                 std::to_string(result.delivered),
-                 std::to_string(result.dropped)});
-    }
-    table.Separator();
+    const double rate =
+        static_cast<double>(stream.size()) / result.wall_seconds;
+    if (churn_every == 0) baseline_rate = rate;
+    table.Row({churn_every == 0 ? "off" : std::to_string(churn_every),
+               std::to_string(kNumSessions * kInitialQueriesPerSession),
+               std::to_string(result.detaches),
+               FormatCount(static_cast<uint64_t>(rate)),
+               FormatDouble(rate / baseline_rate, 2),
+               std::to_string(result.delivered),
+               std::to_string(result.dropped)});
   }
+  table.Separator();
 }
 
 }  // namespace

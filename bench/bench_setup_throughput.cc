@@ -11,8 +11,7 @@
 
 #include "bench/bench_util.h"
 #include "streamworks/common/interner.h"
-#include "streamworks/common/timer.h"
-#include "streamworks/core/parallel.h"
+#include "streamworks/core/engine.h"
 #include "streamworks/stream/netflow_gen.h"
 #include "streamworks/stream/workload_queries.h"
 
@@ -99,49 +98,9 @@ void Run() {
     qtable.Row({StrCat(count), bench::Rate(edges.size(), seconds),
                 FormatCount(completions), FormatDouble(seconds, 3)});
   }
-  std::cout << "\n-- (c) vertex-partitioned shards vs one engine, 8 "
-               "queries, window 100 (the paper's 48-core axis) --\n";
-  bench::Table stable({10, 12, 12, 12});
-  stable.Row({"shards", "edges/s", "matches", "s total"});
-  stable.Separator();
-  {
-    Interner interner;
-    const auto edges = MakeStream(&interner, kEdges / 2);
-    StreamWorksEngine engine(&interner);
-    uint64_t completions = 0;
-    RegisterQueries(engine, &interner, 8, /*window=*/100, &completions);
-    const double seconds = bench::Replay(engine, edges);
-    stable.Row({"single", bench::Rate(edges.size(), seconds),
-                FormatCount(completions), FormatDouble(seconds, 3)});
-  }
-  for (const int shards : {1, 2, 4, 8}) {
-    Interner interner;
-    const auto edges = MakeStream(&interner, kEdges / 2);
-    ParallelEngineGroup group(&interner, shards);
-    for (const QueryGraph& q : QueryLibrary(&interner)) {
-      SW_CHECK_OK(group
-                      .RegisterQuery(q,
-                                     DecompositionStrategy::kPrimitivePairs,
-                                     /*window=*/100, nullptr)
-                      .status());
-    }
-    Timer timer;
-    // Batched ingest: each batch ends in one epoch barrier.
-    for (const EdgeBatch& chunk : BatchBySize(edges, 512)) {
-      group.ProcessBatch(chunk);
-    }
-    group.Flush();
-    const double seconds = timer.ElapsedSeconds();
-    stable.Row({StrCat(shards), bench::Rate(edges.size(), seconds),
-                FormatCount(group.total_completions()),
-                FormatDouble(seconds, 3)});
-  }
-
   std::cout << "\nexpected shape: throughput degrades gracefully (sub-"
                "linearly) with window size and query count; matches grow "
-               "with both; every shard count finds the single engine's "
-               "matches, and its rate against the single row prices the "
-               "exchange and epoch barriers on this host's cores\n";
+               "with both\n";
 }
 
 }  // namespace

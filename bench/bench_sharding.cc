@@ -1,27 +1,33 @@
-// Data-graph sharding bench: one engine against vertex-partitioned groups
-// of 2, 4 and 8 shards, on the same stream and query mix.
+// Data-graph sharding bench: one engine against vertex-partitioned
+// clusters of 2, 4 and 8 workers, on the same stream and query mix.
 //
 //   $ ./build/bench/bench_sharding [num_edges]
 //
 // The claim under test is the scale-out story: one engine retains the
 // whole window graph, while vertex partitioning retains only each shard's
 // owned edges (O(owned) ~ 2/N of the window) and pays for it with
-// cross-shard match-exchange traffic. Columns: per-shard retained edges
-// (max across shards), the sum over shards, exchange items forwarded,
-// ingest rate, and completions (which must not depend on the shard count
-// — the equivalence suite proves exact equality; the bench prints it as a
+// cross-shard match-exchange traffic. The `partitioned N` rows run a
+// DistributedBackend over N worker daemons on threads in this process
+// (loopback TCP, no frame log). Columns: per-shard retained edges (max
+// across shards), the sum over shards, exchange items forwarded, ingest
+// rate, and completions (which must not depend on the shard count — the
+// equivalence suite proves exact equality; the bench prints it as a
 // sanity column). Every column but the rate is a deterministic count;
 // they go to bench-results/bench_sharding.json, which ci/bench_gate.py
 // requires to equal the committed BENCH_sharding.json exactly.
 
+#include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/bench_worker.h"
+#include "streamworks/cluster/coordinator.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/timer.h"
-#include "streamworks/core/parallel.h"
-#include "streamworks/graph/random_graphs.h"
+#include "streamworks/service/backend.h"
+#include "streamworks/stream/batching.h"
 #include "streamworks/stream/netflow_gen.h"
 #include "streamworks/stream/workload_queries.h"
 
@@ -36,16 +42,15 @@ struct ShardingResult {
   uint64_t forwarded = 0;
 };
 
-/// Registers the bench's two queries on `target`, one engine or a group.
-template <typename Target>
-void RegisterQueries(Target& target, Interner* interner, Timestamp window) {
+/// Registers the bench's two queries on one engine or a cluster.
+void RegisterQueries(QueryBackend* backend, Interner* interner,
+                     Timestamp window) {
   const QueryGraph scan = BuildPortScanQuery(interner, 3);
   const QueryGraph exfil = BuildExfiltrationQuery(interner);
   for (const QueryGraph* q : {&scan, &exfil}) {
-    SW_CHECK(target
-                 .RegisterQuery(*q,
-                                DecompositionStrategy::kSelectivityLeftDeep,
-                                window, nullptr)
+    SW_CHECK(backend
+                 ->Register(*q, DecompositionStrategy::kSelectivityLeftDeep,
+                            window, nullptr)
                  .ok());
   }
 }
@@ -54,7 +59,8 @@ void RegisterQueries(Target& target, Interner* interner, Timestamp window) {
 ShardingResult RunSingleEngine(const std::vector<StreamEdge>& stream,
                                Interner* interner, Timestamp window) {
   StreamWorksEngine engine(interner);
-  RegisterQueries(engine, interner, window);
+  SingleEngineBackend backend(&engine);
+  RegisterQueries(&backend, interner, window);
   ShardingResult result;
   result.wall_seconds = Replay(engine, stream);
   result.completions = engine.metrics().completions;
@@ -66,30 +72,29 @@ ShardingResult RunSingleEngine(const std::vector<StreamEdge>& stream,
 ShardingResult RunPartitioned(const std::vector<StreamEdge>& stream,
                               Interner* interner, int shards,
                               Timestamp window) {
-  ParallelEngineGroup group(interner, shards);
-  RegisterQueries(group, interner, window);
+  std::vector<std::unique_ptr<BenchWorker>> workers;
+  DistributedBackendOptions options;
+  for (int i = 0; i < shards; ++i) {
+    workers.push_back(std::make_unique<BenchWorker>());
+    options.workers.push_back(workers.back()->endpoint());
+  }
+  DistributedBackend cluster(options, interner);
+  SW_CHECK_OK(cluster.Start());
+  RegisterQueries(&cluster, interner, window);
 
   Timer timer;
-  // Batched ingest: the group's epoch barrier runs per batch.
-  EdgeBatch batch;
-  batch.reserve(512);
-  for (const StreamEdge& e : stream) {
-    batch.push_back(e);
-    if (batch.size() == 512) {
-      group.ProcessBatch(batch);
-      batch.clear();
-    }
+  for (const EdgeBatch& batch : BatchBySize(stream, 512)) {
+    SW_CHECK_OK(cluster.FeedBatch(batch, nullptr));
   }
-  group.ProcessBatch(batch);
-  group.Flush();
+  cluster.Flush();
 
   ShardingResult result;
   result.wall_seconds = timer.ElapsedSeconds();
-  result.completions = group.total_completions();
-  for (const ShardStatsSnapshot& s : group.ShardStats()) {
-    result.max_retained = std::max(result.max_retained, s.retained_edges);
-    result.sum_retained += s.retained_edges;
-    result.forwarded += s.exchange.total_sent();
+  for (const ShardLoadSnapshot& load : cluster.ShardLoads()) {
+    result.completions += load.completions;
+    result.max_retained = std::max(result.max_retained, load.retained_edges);
+    result.sum_retained += load.retained_edges;
+    result.forwarded += load.matches_forwarded;
   }
   return result;
 }
@@ -143,7 +148,7 @@ void RunAll(int num_edges) {
   }
   table.Separator();
   std::cout << "single: one engine retains the whole window.\n"
-               "partitioned: a shard retains only owned edges "
+               "partitioned: a cluster worker retains only owned edges "
                "(sum <= 2 x window; max ~ 2/N).\n";
   WriteCountsJson("sharding", stream_edges, rows);
 }

@@ -3,8 +3,8 @@
 #
 #   ci/e2e.sh [BUILD_DIR]
 #
-# Starts `service_demo --serve` (its two-shard vertex-partitioned group
-# behind the QueryService behind the SocketServer) on a unix socket, then
+# Starts `service_demo --serve` (its engine behind the QueryService behind
+# the SocketServer) on a unix socket, then
 # drives it with two independent streamworks_client processes: a watcher
 # that subscribes and push-streams, and a feeder that ingests the probes
 # the watcher is waiting for. A second leg repeats the exercise with the

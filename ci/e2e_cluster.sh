@@ -3,9 +3,9 @@
 #
 #   ci/e2e_cluster.sh [BUILD_DIR]
 #
-# Leg 1 (reference): a single-process `service_demo --serve` (its
-# two-shard vertex-partitioned group) ingests a synProbe chain under a
-# parked watcher; the pushed EVENT MATCH lines are the expected multiset.
+# Leg 1 (reference): a single-process `service_demo --serve` (one engine)
+# ingests a synProbe chain under a parked watcher; the pushed EVENT MATCH
+# lines are the expected multiset.
 #
 # Leg 2 (cluster): two worker daemons + a coordinator serving the same
 # unix-socket protocol. The same watcher/feeder scripts run against it,

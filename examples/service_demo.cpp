@@ -12,8 +12,9 @@
 //
 //   $ ./build/examples/service_demo --serve --tcp 7687 --unix /tmp/sw.sock
 //
-// Three analyst sessions share one live netflow-style stream served by a
-// two-shard, vertex-partitioned ParallelEngineGroup behind a QueryService.
+// Three analyst sessions share one live netflow-style stream served by one
+// StreamWorksEngine behind a QueryService (or, with --role coordinator, by
+// a cluster of worker daemons).
 // The whole scenario is scripted through the CommandInterpreter's line
 // protocol — the same protocol test fixtures use — and exercises the
 // service surface:
@@ -42,7 +43,7 @@
 #include "streamworks/cluster/worker.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/common/str_util.h"
-#include "streamworks/core/parallel.h"
+#include "streamworks/core/engine.h"
 #include "streamworks/net/server.h"
 #include "streamworks/obs/json_render.h"
 #include "streamworks/obs/metric_registry.h"
@@ -369,22 +370,22 @@ int main(int argc, char** argv) {
   PipelineMetrics pipeline(static_cast<uint64_t>(trace_threshold_us));
   EngineOptions engine_options;
   engine_options.pipeline = &pipeline;
-  ParallelEngineGroup group(&interner, /*num_shards=*/2, engine_options);
-  ParallelGroupBackend group_backend(&group);
+  StreamWorksEngine engine(&interner, engine_options);
+  SingleEngineBackend engine_backend(&engine);
 
   // With --data-dir the durable decorator slides between the service and
-  // the group: ingest is WAL-logged before it is applied, and the
+  // the engine: ingest is WAL-logged before it is applied, and the
   // process recovers its window + sessions on start.
   const bool durable =
       !durability_options.data_dir.empty() && role != "coordinator";
-  DurableBackend durable_backend(&group_backend);
+  DurableBackend durable_backend(&engine_backend);
   QueryBackend* backend =
       durable ? static_cast<QueryBackend*>(&durable_backend)
-              : &group_backend;
+              : &engine_backend;
 
-  // Coordinator mode swaps the in-process group for the multi-process
-  // cluster; everything above it (service, sessions, wire protocol,
-  // observability) is unchanged. Durability lives in the workers' frame
+  // Coordinator mode swaps the engine for the multi-process cluster;
+  // everything above it (service, sessions, wire protocol, observability)
+  // is unchanged. Durability lives in the workers' frame
   // logs, so the coordinator-side WAL decorator stays out of the stack.
   std::optional<DistributedBackend> cluster;
   if (role == "coordinator") {

@@ -30,12 +30,32 @@ StatusOr<std::pair<std::string, int>> ParseHostPort(const std::string& spec) {
   return std::make_pair(spec.substr(0, colon), port);
 }
 
+namespace {
+
+/// Worker `shard`'s row of ShardLoads.
+ShardLoadSnapshot ToShardLoad(int shard, const ShardStatsSnapshot& stats) {
+  ShardLoadSnapshot load;
+  load.shard = shard;
+  load.sharding = "distributed";
+  load.retained_edges = stats.retained_edges;
+  load.retained_vertices = stats.retained_vertices;
+  load.evicted_edges = stats.evicted_edges;
+  load.edges_processed = stats.edges_processed;
+  load.completions = stats.completions;
+  load.live_partial_matches = stats.live_partial_matches;
+  load.matches_forwarded = stats.exchange.total_sent();
+  load.matches_received = stats.exchange.total_received();
+  return load;
+}
+
+}  // namespace
+
 DistributedBackend::DistributedBackend(DistributedBackendOptions options,
                                        Interner* interner)
     : options_(std::move(options)),
       interner_(interner),
-      partitioner_(options_.partitioner_seed),
-      ingest_(&partitioner_, static_cast<int>(options_.workers.size())),
+      ingest_(HashModuloPartitioner(options_.partitioner_seed),
+              static_cast<int>(options_.workers.size())),
       coord_graph_(&wire_interner_),
       epoch_ring_(options_.epoch_trace_capacity) {}
 
@@ -242,7 +262,9 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
       cm.match = std::move(match_or).value();
       cm.completed_at = frame.completion.completed_at;
       cm.graph = &coord_graph_;
-      it->second.callback(cm);
+      // A null callback registers a query whose matches are only counted,
+      // as on an engine.
+      if (it->second.callback) it->second.callback(cm);
       return OkStatus();
     }
     default:
@@ -601,9 +623,7 @@ std::vector<ShardLoadSnapshot> DistributedBackend::ShardLoads() {
     if (!w.link->SendFrame(frame).ok()) continue;
     auto ack_or = AwaitFrame(&w, CtrlType::kStatsAck);
     if (!ack_or.ok()) continue;
-    ShardStatsSnapshot& stats = ack_or.value().stats_ack;
-    stats.shard = static_cast<int>(i);
-    out.push_back(ToShardLoad(stats, "distributed"));
+    out.push_back(ToShardLoad(static_cast<int>(i), ack_or.value().stats_ack));
   }
   return out;
 }

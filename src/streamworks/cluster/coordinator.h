@@ -32,8 +32,7 @@ struct DistributedBackendOptions {
   /// position. The partition function is OwnerShard(v, workers.size()).
   std::vector<std::string> workers;
   uint64_t partitioner_seed = 0;
-  /// Edges per ingest epoch: the batch/barrier/commit cadence, mirroring
-  /// the in-process group's epoch size.
+  /// Edges per ingest epoch: the batch/barrier/commit cadence.
   int epoch_edges = 1024;
   /// Ingest backpressure bound: Feed blocks once this many edges are
   /// queued ahead of the pump.
@@ -71,12 +70,13 @@ struct DistributedBackendOptions {
   size_t epoch_trace_capacity = 256;
 };
 
-/// QueryBackend that runs every shard in its own worker daemon process,
-/// speaking the cluster control wire. This is the in-process
-/// ParallelEngineGroup's vertex-partitioned protocol lifted across process
-/// boundaries: the coordinator is the ingest router, exchange relay (star
-/// topology), barrier master, watermark committer, and completion
-/// delivery point — the service layer on top of it is unchanged.
+/// QueryBackend that runs every shard in its own worker daemon, speaking
+/// the cluster control wire: the one data plane of vertex-partitioned
+/// sharding. Workers run as processes, on other machines or on this one,
+/// or as threads in the coordinator's process. The coordinator is the
+/// ingest router, exchange relay (star topology), barrier master,
+/// watermark committer, and completion delivery point — the service layer
+/// on top of it is unchanged.
 ///
 /// Epochs: Feed/FeedBatch only enqueue (bounded, blocking when full); a
 /// pump thread drains up to epoch_edges at a time, routes each admitted
@@ -258,9 +258,7 @@ class DistributedBackend : public QueryBackend {
   std::vector<WorkerState> workers_;
   std::map<int, QueryState> queries_;
   int next_query_id_ = 0;
-  HashModuloPartitioner partitioner_;
-  /// Admission, global edge ids, routing and the watermark commit: the
-  /// same rules the in-process group applies.
+  /// Admission, global edge ids, routing and the watermark commit.
   GroupIngest ingest_;
 
   /// Decode/relay id space for worker->coordinator frames; disjoint from

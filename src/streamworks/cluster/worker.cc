@@ -192,7 +192,6 @@ Status WorkerDaemon::Configure(const CtrlHello& hello) {
   num_shards_ = hello.num_shards;
   shard_index_ = hello.shard_index;
   partitioner_seed_ = hello.partitioner_seed;
-  partitioner_ = std::make_unique<HashModuloPartitioner>(partitioner_seed_);
   // Default EngineOptions: statistics off, re-planning off — every worker
   // (and the single-engine reference deployment) plans queries from the
   // same uninformed estimator, so the replicated SJ-Trees agree on node
@@ -204,7 +203,7 @@ Status WorkerDaemon::Configure(const CtrlHello& hello) {
   ShardConfig config;
   config.shard_index = shard_index_;
   config.num_shards = num_shards_;
-  config.partitioner = partitioner_.get();
+  config.partitioner = HashModuloPartitioner(partitioner_seed_);
   config.exchange = &exchange_;
   engine_->EnableShardMode(config);
   configured_ = true;

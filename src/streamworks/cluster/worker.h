@@ -49,12 +49,13 @@ struct WorkerCounters {
 /// single-threaded server owning one StreamWorksEngine in shard mode, fed
 /// control frames by a coordinator over a PeerLink.
 ///
-/// The daemon speaks exactly the in-process ParallelEngineGroup's
-/// vertex-partitioned protocol, lifted onto the wire: the coordinator routes
-/// each ingested edge to its endpoint owners (kBatch), forwarded partial
-/// matches flow back up and get relayed (kExchange — star topology, no
-/// worker mesh), epoch barriers bound in-flight work (kBarrier/kBarrierAck)
-/// and watermark commits drive expiry (kCommit).
+/// The daemon speaks the vertex-partitioned sharding protocol over the
+/// wire: the coordinator routes each ingested edge to its endpoint owners
+/// (kBatch), forwarded partial matches flow back up and get relayed
+/// (kExchange — star topology, no worker mesh), epoch barriers bound
+/// in-flight work (kBarrier/kBarrierAck) and watermark commits drive expiry
+/// (kCommit). A deployment runs the daemon as its own process, or on a
+/// thread beside the coordinator; the protocol is the same.
 ///
 /// Durability and exactly-once recovery: every *state-bearing* frame
 /// (IsStateCtrlType) is appended to a FrameLog before it is applied, in
@@ -166,7 +167,6 @@ class WorkerDaemon {
   std::unique_ptr<HttpHandler> http_;
 
   Interner interner_;
-  std::unique_ptr<HashModuloPartitioner> partitioner_;
   MatchExchange exchange_;
   std::unique_ptr<StreamWorksEngine> engine_;
   std::unique_ptr<FrameLog> log_;

@@ -121,9 +121,10 @@ StatusOr<int> StreamWorksEngine::RegisterQueryImpl(
   //
   // Shard mode skips the local backfill: replaying only this shard's edge
   // subset would both miss cross-shard partial matches and double-run
-  // anchors for edges stored on two shards. The group instead drives a
-  // distributed backfill (BackfillOwnedEdges + exchange pumping) right
-  // after registering the query on every shard.
+  // anchors for edges stored on two shards. The coordinator instead drives
+  // a distributed backfill (BackfillOwnedEdges on every worker, exchange
+  // relayed until it settles) right after registering the query on every
+  // shard.
   if (shard_mode()) {
     entry->tree = std::make_unique<SjTree>(
         &entry->query, std::move(decomposition), window);
@@ -274,8 +275,7 @@ int StreamWorksEngine::Router::self_shard() const {
 }
 
 int StreamWorksEngine::Router::OwnerOfVertex(ExternalVertexId v) const {
-  return engine_->shard_.partitioner->OwnerShard(v,
-                                                 engine_->shard_.num_shards);
+  return engine_->shard_.partitioner.OwnerShard(v, engine_->shard_.num_shards);
 }
 
 int StreamWorksEngine::Router::HomeShard(uint64_t ext_cut_key) const {
@@ -344,7 +344,7 @@ void StreamWorksEngine::Router::ForwardCompletion(int dest, const Match& m) {
 }
 
 void StreamWorksEngine::EnableShardMode(const ShardConfig& config) {
-  SW_CHECK(config.partitioner != nullptr && config.exchange != nullptr);
+  SW_CHECK(config.exchange != nullptr);
   SW_CHECK_GT(config.num_shards, 0);
   SW_CHECK_GE(config.shard_index, 0);
   SW_CHECK_LT(config.shard_index, config.num_shards);

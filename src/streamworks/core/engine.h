@@ -104,14 +104,13 @@ struct WindowSnapshot {
 };
 
 /// Identity one engine assumes when it runs as one shard of a
-/// vertex-partitioned group (ParallelEngineGroup, or a cluster worker).
-/// `partitioner` and `exchange` must outlive the engine; both are
-/// shared with the group, which owns routing edges in and forwarding
-/// matches out.
+/// vertex-partitioned group (a cluster worker). `exchange` must outlive
+/// the engine; the worker owning it routes edges in and forwards matches
+/// out.
 struct ShardConfig {
   int shard_index = 0;
   int num_shards = 1;
-  const Partitioner* partitioner = nullptr;
+  HashModuloPartitioner partitioner;
   MatchExchange* exchange = nullptr;
 };
 
@@ -153,12 +152,6 @@ class StreamWorksEngine {
   StatusOr<int> RegisterQuery(const QueryGraph& query,
                               DecompositionStrategy strategy,
                               Timestamp window, MatchCallback callback);
-
-  /// Plans `query` with `strategy` against the engine's current
-  /// statistics. A vertex-partitioned group plans once, on shard 0, and
-  /// registers that one decomposition on every shard.
-  StatusOr<Decomposition> PlanWithCurrentStats(
-      const QueryGraph& query, DecompositionStrategy strategy) const;
 
   /// Re-plans one query against the engine's current statistics (with
   /// `strategy` overriding the registration strategy if given) and swaps
@@ -324,6 +317,11 @@ class StreamWorksEngine {
     ExchangeItem WireItem(ExchangeKind kind, const Match& m) const;
     StreamWorksEngine* engine_;
   };
+
+  /// Plans `query` with `strategy` against the engine's current
+  /// statistics.
+  StatusOr<Decomposition> PlanWithCurrentStats(
+      const QueryGraph& query, DecompositionStrategy strategy) const;
 
   StatusOr<int> RegisterQueryImpl(const QueryGraph& query,
                                   Decomposition decomposition,

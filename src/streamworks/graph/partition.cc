@@ -20,17 +20,6 @@ bool GroupIngest::Admit(const StreamEdge& edge) {
   return admitted;
 }
 
-void GroupIngest::Restore(const std::vector<PersistedEdge>& edges,
-                          EdgeId next_edge_id, Timestamp watermark) {
-  for (const PersistedEdge& pe : edges) {
-    vertex_labels_.try_emplace(pe.edge.src, pe.edge.src_label);
-    vertex_labels_.try_emplace(pe.edge.dst, pe.edge.dst_label);
-  }
-  next_edge_id_ = next_edge_id;
-  watermark_ = watermark;
-  committed_watermark_ = watermark;
-}
-
 LabelId GroupIngest::vertex_label(ExternalVertexId v) const {
   const auto it = vertex_labels_.find(v);
   return it == vertex_labels_.end() ? kInvalidLabelId : it->second;

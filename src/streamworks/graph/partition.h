@@ -2,9 +2,7 @@
 #define STREAMWORKS_GRAPH_PARTITION_H_
 
 #include <atomic>
-#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "streamworks/common/hash.h"
 #include "streamworks/common/logging.h"
@@ -13,55 +11,41 @@
 
 namespace streamworks {
 
-/// Vertex-ownership policy for data-graph sharding: maps every external
-/// vertex id to the shard that owns its adjacency. An edge is routed to the
+/// Vertex ownership for data-graph sharding: maps every external vertex
+/// id to the shard that owns its adjacency. An edge is routed to the
 /// shard(s) owning its endpoints, so the owner of `v` always holds the
 /// complete incident edge set of `v` — the invariant the cross-shard match
 /// exchange relies on when it forwards a partial match to the shard that can
 /// continue expanding it.
 ///
-/// Implementations must be pure functions of (vertex, num_shards): every
-/// shard and the group's control thread evaluate ownership independently and
-/// must agree, and they may do so concurrently (no internal state).
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-
-  /// Owning shard for `v`, in [0, num_shards). `num_shards` >= 1.
-  virtual int OwnerShard(ExternalVertexId v, int num_shards) const = 0;
-
-  /// Human-readable policy name (metrics / logs).
-  virtual std::string name() const = 0;
-};
-
-/// Default policy: SplitMix64-mixed hash modulo shard count. The mix step
-/// matters — external ids are often dense sequences (row ids, netflow host
-/// indices) and a bare modulo would correlate ownership with id arithmetic,
-/// skewing shard load under structured id spaces.
-class HashModuloPartitioner final : public Partitioner {
+/// A pure function of (vertex, num_shards, seed): the coordinator and every
+/// worker evaluate ownership independently and must agree. The hash is
+/// SplitMix64-mixed before the modulo — external ids are often dense
+/// sequences (row ids, netflow host indices) and a bare modulo would
+/// correlate ownership with id arithmetic, skewing shard load under
+/// structured id spaces.
+class HashModuloPartitioner {
  public:
   /// `seed` perturbs the hash so tests can exercise different placements of
   /// the same stream.
   explicit HashModuloPartitioner(uint64_t seed = 0) : seed_(seed) {}
 
-  int OwnerShard(ExternalVertexId v, int num_shards) const override {
+  /// Owning shard for `v`, in [0, num_shards). `num_shards` >= 1.
+  int OwnerShard(ExternalVertexId v, int num_shards) const {
     SW_DCHECK_GT(num_shards, 0);
     return static_cast<int>(Mix64(v ^ seed_) %
                             static_cast<uint64_t>(num_shards));
   }
-
-  std::string name() const override { return "hash_modulo"; }
 
  private:
   uint64_t seed_;
 };
 
 /// The ingest rules a vertex-partitioned group applies once, for the whole
-/// group, before an edge reaches a shard. Both deployments route through
-/// one: ParallelEngineGroup on threads and DistributedBackend in front of
-/// worker daemons. It admits or rejects each edge, numbers admitted edges
-/// with group-global ids, hands each one to its endpoint owners, and
-/// tracks the watermark the next epoch boundary commits.
+/// group, before an edge reaches a shard: DistributedBackend runs them in
+/// front of its worker daemons. It admits or rejects each edge, numbers
+/// admitted edges with group-global ids, hands each one to its endpoint
+/// owners, and tracks the watermark the next epoch boundary commits.
 ///
 /// Admission applies DynamicGraph::AddEdge's checks to group state. A
 /// shard stores only the edges incident to the vertices it owns, so an
@@ -73,33 +57,24 @@ class HashModuloPartitioner final : public Partitioner {
 /// Not thread-safe, except rejected().
 class GroupIngest {
  public:
-  /// `partitioner` must outlive this object.
-  GroupIngest(const Partitioner* partitioner, int num_shards)
+  GroupIngest(HashModuloPartitioner partitioner, int num_shards)
       : partitioner_(partitioner), num_shards_(num_shards) {}
 
   /// Admits `edge` and hands it to its endpoint owners as
-  /// `to_shard(shard, global_id, run_anchors)` (see ForEachOwner). Returns
-  /// false for a rejected edge, which consumes no id.
+  /// `to_shard(shard, global_id, run_anchors)`: first the source owner,
+  /// which alone runs the edge's anchors, so the edge anchors local search
+  /// once group-wide; then the destination owner if it is another shard.
+  /// Returns false for a rejected edge, which consumes no id.
   template <typename ToShard>
   bool Route(const StreamEdge& edge, ToShard&& to_shard) {
     if (!Admit(edge)) return false;
     const EdgeId id = next_edge_id_++;
     watermark_ = edge.ts;
-    ForEachOwner(edge, [&](int shard, bool run_anchors) {
-      to_shard(shard, id, run_anchors);
-    });
+    const int src_owner = partitioner_.OwnerShard(edge.src, num_shards_);
+    const int dst_owner = partitioner_.OwnerShard(edge.dst, num_shards_);
+    to_shard(src_owner, id, /*run_anchors=*/true);
+    if (dst_owner != src_owner) to_shard(dst_owner, id, /*run_anchors=*/false);
     return true;
-  }
-
-  /// Calls `fn(shard, run_anchors)` for the source owner of `edge`, which
-  /// alone runs its anchors, so the edge anchors local search once
-  /// group-wide; then for the destination owner if it is another shard.
-  template <typename Fn>
-  void ForEachOwner(const StreamEdge& edge, Fn&& fn) const {
-    const int src_owner = partitioner_->OwnerShard(edge.src, num_shards_);
-    const int dst_owner = partitioner_->OwnerShard(edge.dst, num_shards_);
-    fn(src_owner, true);
-    if (dst_owner != src_owner) fn(dst_owner, false);
   }
 
   /// True once admitted edges have raised the watermark past the last
@@ -110,14 +85,6 @@ class GroupIngest {
   }
   void MarkWatermarkCommitted() { committed_watermark_ = watermark_; }
 
-  /// Rebuilds admission state from a restored window, so a label clash on
-  /// a retained vertex is rejected exactly as before the crash. A vertex
-  /// whose every edge was evicted before the snapshot loses its label and
-  /// is admitted afresh.
-  void Restore(const std::vector<PersistedEdge>& edges, EdgeId next_edge_id,
-               Timestamp watermark);
-
-  EdgeId next_edge_id() const { return next_edge_id_; }
   Timestamp watermark() const { return watermark_; }
   /// Label admission recorded for `v`; kInvalidLabelId if never admitted.
   LabelId vertex_label(ExternalVertexId v) const;
@@ -129,7 +96,7 @@ class GroupIngest {
  private:
   bool Admit(const StreamEdge& edge);
 
-  const Partitioner* partitioner_;
+  HashModuloPartitioner partitioner_;
   int num_shards_;
   std::unordered_map<ExternalVertexId, LabelId> vertex_labels_;
   EdgeId next_edge_id_ = 0;

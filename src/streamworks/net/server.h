@@ -19,8 +19,8 @@ namespace streamworks {
 /// Network frontend for one QueryService: accepts TCP and unix-domain
 /// connections and runs one CommandInterpreter session per connection, so
 /// every tenant speaks the same line protocol scripts and fixtures use —
-/// the server stays ignorant of whether the backend is a single engine, a
-/// vertex-partitioned group, or a cluster (the QueryBackend seam).
+/// the server stays ignorant of whether the backend is a single engine or
+/// a cluster (the QueryBackend seam).
 ///
 /// Wire protocol, over the interpreter grammar (see interpreter.h):
 ///   * client sends one command per '\n'-terminated line;

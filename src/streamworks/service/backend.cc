@@ -50,58 +50,4 @@ Status SingleEngineBackend::RestoreWindow(const WindowSnapshot& snapshot) {
   return OkStatus();
 }
 
-StatusOr<int> ParallelGroupBackend::Register(const QueryGraph& query,
-                                             DecompositionStrategy strategy,
-                                             Timestamp window,
-                                             MatchCallback callback) {
-  return group_->RegisterQuery(query, strategy, window, std::move(callback));
-}
-
-Status ParallelGroupBackend::Unregister(int query_id) {
-  return group_->UnregisterQuery(query_id);
-}
-
-StatusOr<QueryRuntimeInfo> ParallelGroupBackend::Info(int query_id) {
-  return group_->query_info(query_id);
-}
-
-Status ParallelGroupBackend::Feed(const StreamEdge& edge) {
-  group_->ProcessEdge(edge);
-  return OkStatus();
-}
-
-Status ParallelGroupBackend::FeedBatch(const EdgeBatch& batch,
-                                       size_t* rejected_out) {
-  // Ingestion is asynchronous: rejections surface in aggregate shard
-  // counters only, never per batch.
-  if (rejected_out != nullptr) *rejected_out = 0;
-  group_->ProcessBatch(batch);
-  return OkStatus();
-}
-
-std::vector<ShardLoadSnapshot> ParallelGroupBackend::ShardLoads() {
-  const std::string sharding = "partitioned/" + group_->partitioner().name();
-  std::vector<ShardLoadSnapshot> out;
-  for (const ShardStatsSnapshot& s : group_->ShardStats()) {
-    out.push_back(ToShardLoad(s, sharding));
-  }
-  return out;
-}
-
-ShardLoadSnapshot ToShardLoad(const ShardStatsSnapshot& stats,
-                              const std::string& sharding) {
-  ShardLoadSnapshot load;
-  load.shard = stats.shard;
-  load.sharding = sharding;
-  load.retained_edges = stats.retained_edges;
-  load.retained_vertices = stats.retained_vertices;
-  load.evicted_edges = stats.evicted_edges;
-  load.edges_processed = stats.edges_processed;
-  load.completions = stats.completions;
-  load.live_partial_matches = stats.live_partial_matches;
-  load.matches_forwarded = stats.exchange.total_sent();
-  load.matches_received = stats.exchange.total_received();
-  return load;
-}
-
 }  // namespace streamworks

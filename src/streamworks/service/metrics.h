@@ -15,13 +15,12 @@ namespace streamworks {
 /// timing shares it; the name stays for the service-layer call sites.
 using LagHistogram = Histogram;
 
-/// Point-in-time per-shard load of the backend's engine group (empty for
+/// Point-in-time load of one cluster worker's shard (empty for
 /// single-engine deployments). `sharding` names the deployment
-/// ("partitioned/" plus the partitioner in process, "distributed" for a
-/// cluster); the forwarded/received counters are the cross-shard match
-/// exchange's. The memory story of vertex partitioning reads directly off
-/// `retained_edges`: a shard retains only its owned edges, not the whole
-/// window.
+/// ("distributed"); the forwarded/received counters are the cross-shard
+/// match exchange's. The memory story of vertex partitioning reads
+/// directly off `retained_edges`: a shard retains only its owned edges,
+/// not the whole window.
 struct ShardLoadSnapshot {
   int shard = 0;
   std::string sharding;

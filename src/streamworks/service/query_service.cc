@@ -136,7 +136,7 @@ StatusOr<int> QueryService::Submit(int session_id, const QueryGraph& query,
   }
 
   // The callback owns a reference to the delivery state, so it stays valid
-  // even if it races a detach on another shard's last in-flight edge.
+  // even if it races a detach on the cluster's pump thread.
   // The pipeline sink is captured by value at submit time (the sink is
   // wired once at deployment setup and outlives every subscription).
   PipelineMetrics* const pipeline = pipeline_;
@@ -227,9 +227,9 @@ Status QueryService::DetachLocked(Session& session, Subscription& sub) {
     return Status::FailedPrecondition("subscription already detached");
   }
   // Close the queue BEFORE unregistering: a kBlock producer stuck in
-  // Push on a backend worker would otherwise keep its shard from ever
-  // quiescing, deadlocking the unregister. Post-close completions racing
-  // the unregister are counted as drops — detach discards them by
+  // Push on the cluster's pump thread would otherwise hold the cluster
+  // lock the unregister needs, deadlocking it. Post-close completions
+  // racing the unregister are counted as drops — detach discards them by
   // definition; already-queued matches stay drainable.
   sub.delivery->queue.Close();
   SW_RETURN_IF_ERROR(backend_->Unregister(sub.backend_query_id));

@@ -300,8 +300,8 @@ class QueryService {
   /// Per-query runtime detail for every non-detached subscription: the
   /// backend's QueryRuntimeInfo (completions, live/peak partials, and the
   /// per-SJ-Tree-node match/selectivity counters) joined with the owning
-  /// session/subscription identity. Control-thread only — a sharded
-  /// backend quiesces its group per Info call.
+  /// session/subscription identity. Control-thread only — the cluster
+  /// drains its pending epochs per Info call.
   std::vector<QueryObsSnapshot> QueryInfos();
 
   const ServiceLimits& limits() const { return limits_; }

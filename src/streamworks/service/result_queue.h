@@ -35,10 +35,10 @@ struct ResultQueueCounters {
   uint64_t dropped = 0;    ///< Lost to overflow or pushed after Close().
 };
 
-/// Bounded MPSC handoff between engine callbacks (producers, running on
-/// worker threads) and one subscriber (consumer): the decoupling layer that
-/// keeps a slow consumer from stalling the stream — unless it asks for
-/// exactly that with kBlock.
+/// Bounded MPSC handoff between backend callbacks (producers, running on
+/// the feeding thread or the cluster's pump thread) and one subscriber
+/// (consumer): the decoupling layer that keeps a slow consumer from
+/// stalling the stream — unless it asks for exactly that with kBlock.
 ///
 /// Close() severs the producer side (further pushes count as drops and a
 /// blocked producer wakes immediately) while the consumer may still drain

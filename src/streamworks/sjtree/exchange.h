@@ -146,11 +146,10 @@ void MergeShardQueryInfo(int shard, int num_shards,
 
 /// Per-shard outbox of forwarded matches plus the wire translation.
 ///
-/// Threading: owned by one shard; Send/Drain run on that shard's worker (or
-/// on the control thread while the group is quiesced — e.g. distributed
-/// backfill of a mid-stream registration). Delivery to the destination
-/// shard's queue is the group's job; batching happens naturally because the
-/// worker drains the outbox once per processed task batch.
+/// Threading: owned by one shard's worker daemon, whose serve thread alone
+/// calls Send and Drain. Delivery to the destination shard is the
+/// coordinator's job: the worker ships each drained batch up, and the
+/// coordinator relays it.
 class MatchExchange {
  public:
   /// Queues `item` for `dest_shard`. Never blocks (exchange traffic must

@@ -1,11 +1,13 @@
-// Tests for streamworks/cluster: the multi-process sharding protocol run
-// in-process — real worker daemons on real localhost TCP sockets, driven
-// by a real DistributedBackend — asserted byte-identical (external-id
-// match rendering) against a single StreamWorksEngine fed the same
-// stream. The crash tests stop a worker daemon without any graceful
-// drain, restart a fresh one on the same frame log, and require the
-// recovered cluster to deliver exactly the reference multiset: nothing
-// lost, nothing repeated.
+// Tests for streamworks/cluster, the one sharded deployment: real worker
+// daemons on real localhost TCP sockets, driven by a real
+// DistributedBackend, asserted byte-identical (external-id match
+// rendering) against a single StreamWorksEngine fed the same stream —
+// across worker counts, tight windows, batched and edge-by-edge ingest,
+// mid-stream registration and unregister — with the exchange counters
+// balanced and every worker retaining only its owned edges. The crash
+// tests stop a worker daemon without any graceful drain, restart a fresh
+// one on the same frame log, and require the recovered cluster to deliver
+// exactly the reference multiset: nothing lost, nothing repeated.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +16,6 @@
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,81 +31,12 @@
 #include "streamworks/obs/stage_trace.h"
 #include "streamworks/stream/netflow_gen.h"
 
+#include "cluster_fixture.h"
+
 namespace streamworks {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// One worker daemon on its own thread, with an abrupt-stop story: Kill()
-/// stops the serve loop and joins, but (like a kill -9) performs no
-/// protocol goodbye — the coordinator discovers the death as a link
-/// failure. A fresh WorkerHarness on the same data_dir and port is the
-/// restart.
-class WorkerHarness {
- public:
-  explicit WorkerHarness(std::string data_dir, int port = 0) {
-    WorkerOptions options;
-    options.port = port;
-    options.data_dir = std::move(data_dir);
-    options.poll_interval_ms = 20;
-    daemon_ = std::make_unique<WorkerDaemon>(std::move(options));
-  }
-
-  ~WorkerHarness() { Kill(); }
-
-  Status Start() {
-    Status status = daemon_->Start();
-    if (!status.ok()) return status;
-    thread_ = std::thread([this] { serve_status_ = daemon_->Serve(stop_); });
-    return OkStatus();
-  }
-
-  void Kill() {
-    if (!thread_.joinable()) return;
-    stop_.store(true);
-    thread_.join();
-  }
-
-  int port() const { return daemon_->port(); }
-  const Status& serve_status() const { return serve_status_; }
-  const WorkerCounters& counters() const { return daemon_->counters(); }
-  MetricRegistry* registry() { return daemon_->registry(); }
-
- private:
-  std::unique_ptr<WorkerDaemon> daemon_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  Status serve_status_;
-};
-
-/// Thread-safe sink for delivered matches in deployment-invariant text
-/// form. Callbacks run under the coordinator's cluster mutex (or on the
-/// single engine's feeding thread), where dereferencing cm.graph is safe.
-class MatchSink {
- public:
-  MatchCallback Callback() {
-    return [this](const CompleteMatch& cm) {
-      std::lock_guard<std::mutex> lock(mu_);
-      rendered_.push_back(cm.match.ToExternalString(*cm.graph));
-    };
-  }
-
-  std::vector<std::string> Sorted() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> out = rendered_;
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return rendered_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::string> rendered_;
-};
 
 /// Two-hop exploit chain — the worm motif the generator injects, and a
 /// multi-edge pattern whose partial matches genuinely cross shards (the
@@ -162,41 +94,32 @@ std::vector<std::string> SingleEngineReference(
   return sink.Sorted();
 }
 
-struct ClusterFixture {
-  /// Check `ok` (ASSERT_TRUE) before using; gtest fatal asserts cannot
-  /// run inside a constructor.
-  explicit ClusterFixture(int num_workers, const std::string& dir_prefix = "") {
-    for (int i = 0; i < num_workers; ++i) {
-      std::string dir;
-      if (!dir_prefix.empty()) {
-        dir = dir_prefix + "/worker" + std::to_string(i);
-        fs::create_directories(dir);
-      }
-      workers.push_back(std::make_unique<WorkerHarness>(dir));
-      if (!workers.back()->Start().ok()) return;
-    }
-    DistributedBackendOptions options;
-    for (const auto& w : workers) {
-      options.workers.push_back("127.0.0.1:" + std::to_string(w->port()));
-    }
-    options.epoch_edges = 64;  // small epochs: many barriers, more traffic
-    options.reconnect_deadline_ms = 10000;
-    // Federate worker metrics into a fixture-owned registry; cache 0 so
-    // every scrape pulls fresh reports, which is what exactness tests need.
-    options.registry = &registry;
-    options.pipeline = &pipeline;
-    options.metrics_cache_ms = 0;
-    backend = std::make_unique<DistributedBackend>(options, &interner);
-    ok = backend->Start().ok();
+/// Registers `queries[i]` on `backend` with `(*sinks)[i]` as its sink.
+void RegisterAll(QueryBackend* backend, const std::vector<QueryGraph>& queries,
+                 Timestamp window, std::vector<MatchSink>* sinks) {
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(backend
+                    ->Register(queries[i],
+                               DecompositionStrategy::kLeftDeepEdgeOrder,
+                               window, (*sinks)[i].Callback())
+                    .ok());
   }
+}
 
-  bool ok = false;
-  Interner interner;
-  MetricRegistry registry;
-  PipelineMetrics pipeline;
-  std::vector<std::unique_ptr<WorkerHarness>> workers;
-  std::unique_ptr<DistributedBackend> backend;
-};
+/// Per-query reference: one engine runs every query over `edges`, and
+/// result[i] holds query i's sorted matches.
+std::vector<std::vector<std::string>> PerQueryReference(
+    Interner* interner, const std::vector<QueryGraph>& queries,
+    Timestamp window, const std::vector<StreamEdge>& edges) {
+  StreamWorksEngine engine(interner, EngineOptions{});
+  SingleEngineBackend backend(&engine);
+  std::vector<MatchSink> sinks(queries.size());
+  RegisterAll(&backend, queries, window, &sinks);
+  for (const StreamEdge& edge : edges) engine.ProcessEdge(edge).ok();
+  std::vector<std::vector<std::string>> out;
+  for (const MatchSink& sink : sinks) out.push_back(sink.Sorted());
+  return out;
+}
 
 TEST(ClusterTest, MatchesByteIdenticalToSingleEngine) {
   ClusterFixture cluster(2);
@@ -277,10 +200,182 @@ TEST(ClusterTest, MidStreamRegistrationBackfillsAcrossShards) {
   cluster.backend->Stop();
 }
 
-// partition_test's script of the same name: a short-window query, then two
-// long-window queries registered mid-stream, fed edge by edge. Control
-// calls commit every pending epoch first, so a registration backfills
-// from, and Info and ShardLoads report, the window one engine holds.
+// Random queries fed edge by edge at every worker count. The last query
+// has 10 edges, past Match::kInlineCapacity: its matches keep their
+// bindings in a heap block, and cross shards through ToWire/Localize.
+TEST(ClusterTest, MatchesSingleEngineAcrossWorkerCounts) {
+  for (const int num_workers : {1, 2, 3, 5}) {
+    ClusterFixture cluster(num_workers);
+    ASSERT_TRUE(cluster.ok);
+    const auto edges = RandomStream(&cluster.interner, 2026, 20, 800);
+    auto queries = RandomQueries(&cluster.interner, 88, 6);
+    Rng rng(1);
+    queries.push_back(
+        GenerateRandomConnectedQuery(rng, 9, 10, 2, 3, &cluster.interner)
+            .value());
+    ASSERT_GT(queries.back().num_edges(), Match::kInlineCapacity);
+    const Timestamp window = 18;
+    const auto expected =
+        PerQueryReference(&cluster.interner, queries, window, edges);
+    ASSERT_FALSE(expected.back().empty());
+
+    std::vector<MatchSink> actual(queries.size());
+    RegisterAll(cluster.backend.get(), queries, window, &actual);
+    for (const StreamEdge& e : edges) {
+      ASSERT_TRUE(cluster.backend->Feed(e).ok());
+    }
+    cluster.backend->Flush();
+    uint64_t expected_total = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(actual[i].Sorted(), expected[i])
+          << "workers=" << num_workers << " query " << i;
+      expected_total += expected[i].size();
+    }
+    // Each match counts once, on its query's callback-home worker.
+    uint64_t completions = 0;
+    for (const ShardLoadSnapshot& load : cluster.backend->ShardLoads()) {
+      completions += load.completions;
+    }
+    EXPECT_EQ(completions, expected_total) << "workers=" << num_workers;
+    cluster.backend->Stop();
+  }
+}
+
+// Tight window and batched ingest: watermark commits land right on expiry
+// boundaries, and partial matches must die identically on every worker.
+TEST(ClusterTest, MatchesSingleEngineOnBatchedIngestWithTightWindow) {
+  ClusterFixture cluster(4);
+  ASSERT_TRUE(cluster.ok);
+  const auto edges = RandomStream(&cluster.interner, 97, 14, 1200);
+  const auto queries = RandomQueries(&cluster.interner, 5, 4);
+  const Timestamp window = 4;
+  const auto expected =
+      PerQueryReference(&cluster.interner, queries, window, edges);
+
+  std::vector<MatchSink> actual(queries.size());
+  RegisterAll(cluster.backend.get(), queries, window, &actual);
+  for (size_t begin = 0; begin < edges.size(); begin += 97) {
+    const size_t end = std::min(edges.size(), begin + 97);
+    const EdgeBatch batch(edges.begin() + begin, edges.begin() + end);
+    ASSERT_TRUE(cluster.backend->FeedBatch(batch, nullptr).ok());
+  }
+  cluster.backend->Flush();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(actual[i].Sorted(), expected[i]) << "query " << i;
+  }
+
+  // Commit-driven expiry must actually run: with a 4-tick window over a
+  // 120-tick stream, every worker retains a small recent suffix.
+  const auto loads = cluster.backend->ShardLoads();
+  ASSERT_EQ(loads.size(), 4u);
+  for (const ShardLoadSnapshot& load : loads) {
+    EXPECT_GT(load.evicted_edges, 0u) << "worker " << load.shard;
+    EXPECT_LT(load.retained_edges, edges.size() / 2) << "worker " << load.shard;
+  }
+  cluster.backend->Stop();
+}
+
+TEST(ClusterTest, ExchangeForwardsAcrossShardsAndCountersBalance) {
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  const auto edges = RandomStream(&cluster.interner, 11, 16, 600);
+  for (const QueryGraph& q : RandomQueries(&cluster.interner, 42, 3)) {
+    ASSERT_TRUE(cluster.backend
+                    ->Register(q, DecompositionStrategy::kLeftDeepEdgeOrder,
+                               20, nullptr)
+                    .ok());
+  }
+  for (const StreamEdge& e : edges) {
+    ASSERT_TRUE(cluster.backend->Feed(e).ok());
+  }
+  cluster.backend->Flush();
+
+  uint64_t sent = 0, received = 0;
+  for (const ShardLoadSnapshot& load : cluster.backend->ShardLoads()) {
+    sent += load.matches_forwarded;
+    received += load.matches_received;
+  }
+  // Multi-edge queries on a 16-vertex graph over 3 workers: cross-shard
+  // work is unavoidable, and after Flush nothing is in flight.
+  EXPECT_GT(sent, 0u);
+  EXPECT_EQ(sent, received);
+  cluster.backend->Stop();
+}
+
+// Each worker retains only the edges incident to the vertices it owns:
+// strictly fewer than the one engine that holds the whole window.
+TEST(ClusterTest, WorkersRetainFewerEdgesThanOneEngine) {
+  ClusterFixture cluster(4);
+  ASSERT_TRUE(cluster.ok);
+  const auto edges = RandomStream(&cluster.interner, 7, 64, 4000);
+  const auto queries = RandomQueries(&cluster.interner, 3, 2);
+  const Timestamp window = 30;
+
+  StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+  SingleEngineBackend reference(&engine);
+  std::vector<MatchSink> expected(queries.size());
+  std::vector<MatchSink> actual(queries.size());
+  RegisterAll(&reference, queries, window, &expected);
+  RegisterAll(cluster.backend.get(), queries, window, &actual);
+  for (const StreamEdge& e : edges) {
+    engine.ProcessEdge(e).ok();
+    ASSERT_TRUE(cluster.backend->Feed(e).ok());
+  }
+  cluster.backend->Flush();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(actual[i].Sorted(), expected[i].Sorted()) << "query " << i;
+  }
+
+  const uint64_t whole_window = engine.graph().num_stored_edges();
+  const auto loads = cluster.backend->ShardLoads();
+  ASSERT_EQ(loads.size(), 4u);
+  uint64_t total = 0;
+  for (const ShardLoadSnapshot& load : loads) {
+    EXPECT_LT(load.retained_edges, whole_window) << "worker " << load.shard;
+    total += load.retained_edges;
+  }
+  // Each edge lives on at most two workers (its endpoint owners), and at
+  // least one, so the cluster-wide total is bounded by the window on both
+  // sides.
+  EXPECT_GE(total, whole_window);
+  EXPECT_LE(total, 2 * whole_window);
+  cluster.backend->Stop();
+}
+
+// Admission rejects each invalid edge once, before any worker sees a
+// copy: the count a single engine reports.
+TEST(ClusterTest, InvalidEdgesRejectedOnceAtAdmission) {
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  Interner& interner = cluster.interner;
+  MatchSink sink;
+  QueryGraphBuilder builder(&interner);
+  const auto v0 = builder.AddVertex("V");
+  const auto v1 = builder.AddVertex("V");
+  builder.AddEdge(v0, v1, "x");
+  ASSERT_TRUE(cluster.backend
+                  ->Register(builder.Build().value(),
+                             DecompositionStrategy::kLeftDeepEdgeOrder, 100,
+                             sink.Callback())
+                  .ok());
+  const auto edge = [&](uint64_t src, uint64_t dst, Timestamp ts,
+                        std::string_view src_label) {
+    return StreamEdge{src, dst, interner.Intern(src_label),
+                      interner.Intern("V"), interner.Intern("x"), ts};
+  };
+  ASSERT_TRUE(cluster.backend->Feed(edge(1, 2, 10, "V")).ok());
+  ASSERT_TRUE(cluster.backend->Feed(edge(1, 2, 5, "V")).ok());   // stale ts
+  ASSERT_TRUE(cluster.backend->Feed(edge(1, 3, 11, "W")).ok());  // src clash
+  cluster.backend->Flush();
+  EXPECT_EQ(cluster.backend->rejected_edges(), 2u);
+  EXPECT_EQ(sink.size(), 1u);
+  cluster.backend->Stop();
+}
+
+// A short-window query, then two long-window queries registered
+// mid-stream, fed edge by edge. Control calls commit every pending epoch
+// first, so a registration backfills from, and Info and ShardLoads
+// report, the window one engine holds.
 TEST(ClusterTest, ControlCallsSeeOneEnginesWindowMidStream) {
   ClusterFixture cluster(2);
   ASSERT_TRUE(cluster.ok);
@@ -546,6 +641,10 @@ TEST(ClusterTest, UnregisterStopsDeliveriesAndFreesNothingElse) {
   EXPECT_EQ(drop_sink.size(), dropped_at) << "delivery after Unregister";
   EXPECT_GT(keep_sink.size(), 0u);
   EXPECT_FALSE(cluster.backend->Unregister(*drop).ok()) << "double unregister";
+  EXPECT_FALSE(cluster.backend->Info(*drop).ok());
+  const auto info = cluster.backend->Info(*keep);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->completions, keep_sink.size());
   cluster.backend->Stop();
 }
 

@@ -30,7 +30,6 @@
 #include "streamworks/common/interner.h"
 #include "streamworks/common/str_util.h"
 #include "streamworks/core/engine.h"
-#include "streamworks/core/parallel.h"
 #include "streamworks/net/client.h"
 #include "streamworks/net/server.h"
 #include "streamworks/obs/json_render.h"
@@ -41,6 +40,8 @@
 #include "streamworks/service/backend.h"
 #include "streamworks/service/query_service.h"
 #include "streamworks/stream/wire_format.h"
+
+#include "cluster_fixture.h"
 
 namespace streamworks {
 namespace {
@@ -521,17 +522,16 @@ TEST_F(NetTest, StopUnwedgesABlockedStreamBehindASlowReader) {
   EXPECT_GT(server_->stats().events_pushed, 0u);
 }
 
-TEST_F(NetTest, ParallelBackendStreamsAcrossShardThreads) {
-  // Same wire surface over a sharded group: deliveries originate on shard
-  // worker threads and cross the pump into the socket (the TSan-relevant
-  // path).
-  Interner interner;
-  ParallelEngineGroup group(&interner, /*num_shards=*/2);
-  ParallelGroupBackend backend(&group);
-  QueryService service(&backend);
+TEST_F(NetTest, ClusterBackendStreamsFromThePumpThread) {
+  // Same wire surface over a 2-worker cluster: deliveries originate on the
+  // coordinator's pump thread and cross the stream pump into the socket
+  // (the TSan-relevant path).
+  ClusterFixture cluster(2);
+  ASSERT_TRUE(cluster.ok);
+  QueryService service(cluster.backend.get());
   ServerOptions options;
   options.unix_path = UniqueSocketPath();
-  SocketServer server(&service, &interner, options);
+  SocketServer server(&service, &cluster.interner, options);
   ASSERT_TRUE(server.Start().ok());
   {
     auto connected = LineClient::ConnectUnix(options.unix_path);
@@ -561,7 +561,7 @@ TEST_F(NetTest, ParallelBackendStreamsAcrossShardThreads) {
     client.Quit();
   }
   server.Stop();
-  group.Close();
+  cluster.backend->Stop();
 }
 
 TEST_F(NetTest, ServerFullRefusesPolitely) {
@@ -899,13 +899,12 @@ TEST_F(NetTest, ByeIsAcknowledgedThenDisconnects) {
 // --- Crash recovery through the socket frontend ----------------------------
 
 /// One durable deployment generation: service -> DurableBackend ->
-/// (engine | partition4 group), recovered from `dir` and served on a
-/// socket — the full service_demo --data-dir stack, in-process.
+/// engine, recovered from `dir` and served on a socket — the full
+/// service_demo --data-dir stack, in-process.
 struct DurableServer {
   Interner interner;
   std::unique_ptr<StreamWorksEngine> engine;
-  std::unique_ptr<ParallelEngineGroup> group;
-  std::unique_ptr<QueryBackend> inner;
+  std::unique_ptr<SingleEngineBackend> inner;
   std::unique_ptr<DurableBackend> durable;
   std::unique_ptr<QueryService> service;
   std::unique_ptr<DurabilityManager> manager;
@@ -913,16 +912,10 @@ struct DurableServer {
   RecoveryReport recovered;
 
   static std::unique_ptr<DurableServer> Start(const std::string& dir,
-                                              const std::string& sock,
-                                              bool partitioned) {
+                                              const std::string& sock) {
     auto s = std::make_unique<DurableServer>();
-    if (partitioned) {
-      s->group = std::make_unique<ParallelEngineGroup>(&s->interner, 4);
-      s->inner = std::make_unique<ParallelGroupBackend>(s->group.get());
-    } else {
-      s->engine = std::make_unique<StreamWorksEngine>(&s->interner);
-      s->inner = std::make_unique<SingleEngineBackend>(s->engine.get());
-    }
+    s->engine = std::make_unique<StreamWorksEngine>(&s->interner);
+    s->inner = std::make_unique<SingleEngineBackend>(s->engine.get());
     s->durable = std::make_unique<DurableBackend>(s->inner.get());
     s->service = std::make_unique<QueryService>(s->durable.get());
     DurabilityOptions options;
@@ -955,42 +948,20 @@ struct DurableServer {
   void Crash() { server->Stop(); }
 };
 
-void RunSocketCrashRecovery(bool partitioned) {
+TEST(NetRecoveryTest, SingleEngineCrashRecoveryOverTheWire) {
   const std::string dir =
       std::filesystem::path(::testing::TempDir()) /
-      ("sw_net_recovery_" + std::to_string(::getpid()) +
-       (partitioned ? "_p" : "_s"));
+      ("sw_net_recovery_" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
-  const std::string sock = "/tmp/sw_net_recov_" +
-                           std::to_string(::getpid()) +
-                           (partitioned ? "_p" : "_s") + ".sock";
-  // Internal vertex ids are per-shard artifacts, and in partitioned mode
-  // their first-sight assignment on the delivering shard races between
-  // forwarded-match localization and direct ingest — both orders are
-  // valid. The durable identity of a match is its query-edge -> global
-  // data-edge bindings (+ timestamps), so the partitioned comparison
-  // strips the vertex-mapping segment; the single-engine one stays
-  // byte-for-byte raw.
-  const auto stable_identity = [partitioned](const std::string& line) {
-    if (!partitioned) return line;
-    const size_t open = line.find('{');
-    const size_t bar = line.find('|');
-    if (open == std::string::npos || bar == std::string::npos ||
-        bar < open) {
-      return line;
+  const std::string sock =
+      "/tmp/sw_net_recov_" + std::to_string(::getpid()) + ".sock";
+  const auto match_lines = [](const std::vector<std::string>& payload) {
+    std::multiset<std::string> matches;
+    for (const std::string& line : payload) {
+      if (line.starts_with("MATCH ")) matches.insert(line);
     }
-    return line.substr(0, open + 1) + line.substr(bar);
+    return matches;
   };
-  const auto match_lines =
-      [&stable_identity](const std::vector<std::string>& payload) {
-        std::multiset<std::string> matches;
-        for (const std::string& line : payload) {
-          if (line.starts_with("MATCH ")) {
-            matches.insert(stable_identity(line));
-          }
-        }
-        return matches;
-      };
   const auto feed_all = [](LineClient& client, int from, int n) {
     for (int i = 0; i < n; ++i) {
       auto reply = client.Command(FeedPing(100 + from + i, 7, from + i),
@@ -1010,8 +981,7 @@ void RunSocketCrashRecovery(bool partitioned) {
   // Reference: uninterrupted durable run over the same 8 edges.
   std::multiset<std::string> expected;
   {
-    auto ref = DurableServer::Start(dir + "_ref", sock + ".ref",
-                                    partitioned);
+    auto ref = DurableServer::Start(dir + "_ref", sock + ".ref");
     auto client = LineClient::ConnectUnix(sock + ".ref").value();
     subscribe(client);
     feed_all(client, 0, 8);
@@ -1026,7 +996,7 @@ void RunSocketCrashRecovery(bool partitioned) {
   // WAL tail), drain what was delivered, then die hard.
   std::multiset<std::string> observed;
   {
-    auto gen1 = DurableServer::Start(dir, sock, partitioned);
+    auto gen1 = DurableServer::Start(dir, sock);
     auto client = LineClient::ConnectUnix(sock).value();
     subscribe(client);
     feed_all(client, 0, 4);
@@ -1047,7 +1017,7 @@ void RunSocketCrashRecovery(bool partitioned) {
   // resumes, and the union of everything observed equals the
   // uninterrupted run byte for byte.
   {
-    auto gen2 = DurableServer::Start(dir, sock, partitioned);
+    auto gen2 = DurableServer::Start(dir, sock);
     EXPECT_TRUE(gen2->recovered.snapshot_loaded);
     EXPECT_EQ(gen2->recovered.snapshot_wal_seq, 4u);
     EXPECT_EQ(gen2->recovered.replayed_edges, 2u);
@@ -1083,7 +1053,7 @@ TEST(NetRecoveryTest, GracefulShutdownSnapshotKeepsConnectedSessions) {
   const std::string sock =
       "/tmp/sw_net_graceful_" + std::to_string(::getpid()) + ".sock";
   {
-    auto gen1 = DurableServer::Start(dir, sock, /*partitioned=*/false);
+    auto gen1 = DurableServer::Start(dir, sock);
     auto client = LineClient::ConnectUnix(sock).value();
     const std::string script =
         std::string(kDefinePing) + "\nSESSION w\nSUBMIT w live ping";
@@ -1096,7 +1066,7 @@ TEST(NetRecoveryTest, GracefulShutdownSnapshotKeepsConnectedSessions) {
     gen1->server->Stop();
     ASSERT_TRUE(gen1->manager->SnapshotNow().ok());
   }
-  auto gen2 = DurableServer::Start(dir, sock, /*partitioned=*/false);
+  auto gen2 = DurableServer::Start(dir, sock);
   EXPECT_EQ(gen2->recovered.sessions, 1u);
   EXPECT_EQ(gen2->recovered.subscriptions, 1u);
   EXPECT_EQ(gen2->recovered.replayed_edges, 0u);  // snapshot is final
@@ -1123,7 +1093,7 @@ TEST(NetRecoveryTest, RecoveredBlockSubscriptionResumesWithoutWedging) {
   const std::string sock =
       "/tmp/sw_net_blockrec_" + std::to_string(::getpid()) + ".sock";
   {
-    auto gen1 = DurableServer::Start(dir, sock, /*partitioned=*/false);
+    auto gen1 = DurableServer::Start(dir, sock);
     auto client = LineClient::ConnectUnix(sock).value();
     const std::string script =
         std::string(kDefinePing) +
@@ -1135,7 +1105,7 @@ TEST(NetRecoveryTest, RecoveredBlockSubscriptionResumesWithoutWedging) {
     client.Close();
     gen1->Crash();
   }
-  auto gen2 = DurableServer::Start(dir, sock, /*partitioned=*/false);
+  auto gen2 = DurableServer::Start(dir, sock);
   auto watcher = LineClient::ConnectUnix(sock).value();
   const auto attach = watcher.Command("ATTACH t", kTimeout).value();
   ASSERT_FALSE(attach.empty());
@@ -1159,14 +1129,6 @@ TEST(NetRecoveryTest, RecoveredBlockSubscriptionResumesWithoutWedging) {
   feeder.Quit();
   gen2->Crash();
   std::filesystem::remove_all(dir);
-}
-
-TEST(NetRecoveryTest, SingleEngineCrashRecoveryOverTheWire) {
-  RunSocketCrashRecovery(/*partitioned=*/false);
-}
-
-TEST(NetRecoveryTest, Partition4CrashRecoveryOverTheWire) {
-  RunSocketCrashRecovery(/*partitioned=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,92 +1,27 @@
-// Tests for vertex-partitioned data-graph sharding: the ParallelEngineGroup
-// must produce exactly a single engine's match sets on randomized streams
-// (including window-expiry boundaries, mid-stream registration backfill,
-// and unregister), show a single engine's window to every control call,
-// and retain strictly fewer edges per shard than one engine, with the
-// cross-shard exchange doing real forwarding; its queues must survive a
-// fast producer and its Flush must be repeatable.
+// Tests for vertex-partitioned data-graph sharding: the ownership hash,
+// GroupIngest's admission, global edge ids and routing to endpoint owners,
+// and, on a cluster of worker threads, that the control calls made
+// mid-stream (registration with backfill, Unregister, Info) leave every
+// query with exactly one engine's matches. cluster_test checks the rest
+// of the sharded protocol against a single engine.
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
+#include <string>
 #include <vector>
 
 #include "streamworks/common/interner.h"
-#include "streamworks/core/parallel.h"
+#include "streamworks/common/random.h"
+#include "streamworks/core/engine.h"
 #include "streamworks/graph/dynamic_graph.h"
 #include "streamworks/graph/partition.h"
 #include "streamworks/graph/random_graphs.h"
-#include "streamworks/stream/netflow_gen.h"
-#include "streamworks/stream/workload_queries.h"
+
+#include "cluster_fixture.h"
 
 namespace streamworks {
 namespace {
-
-StreamEdge MakeEdge(Interner* interner, uint64_t src, uint64_t dst,
-                    std::string_view elabel, Timestamp ts,
-                    std::string_view src_label = "V",
-                    std::string_view dst_label = "V") {
-  StreamEdge e;
-  e.src = src;
-  e.dst = dst;
-  e.src_label = interner->Intern(src_label);
-  e.dst_label = interner->Intern(dst_label);
-  e.edge_label = interner->Intern(elabel);
-  e.ts = ts;
-  return e;
-}
-
-std::vector<StreamEdge> RandomStream(Interner* interner, uint64_t seed,
-                                     int num_vertices, int num_edges) {
-  RandomStreamOptions opt;
-  opt.seed = seed;
-  opt.num_vertices = num_vertices;
-  opt.num_edges = num_edges;
-  opt.num_vertex_labels = 2;
-  opt.num_edge_labels = 3;
-  return GenerateUniformStream(opt, interner);
-}
-
-std::vector<QueryGraph> RandomQueries(Interner* interner, uint64_t seed,
-                                      int count) {
-  Rng rng(seed);
-  std::vector<QueryGraph> queries;
-  for (int i = 0; i < count; ++i) {
-    const int nv = 3 + i % 2;
-    const int ne = nv - 1 + i % 3;
-    queries.push_back(
-        GenerateRandomConnectedQuery(rng, nv, ne, 2, 3, interner).value());
-  }
-  return queries;
-}
-
-/// Shard-independent identity of one delivered match: external-id mapping
-/// signature (vertices by external id, edges by global ingest id).
-uint64_t Signature(const CompleteMatch& cm) {
-  return cm.match.ExternalMappingSignature(*cm.graph);
-}
-
-/// Runs every query against a single engine and returns per-query
-/// completion signature multisets.
-std::vector<std::multiset<uint64_t>> SingleEngineReference(
-    Interner* interner, const std::vector<QueryGraph>& queries,
-    Timestamp window, const std::vector<StreamEdge>& edges) {
-  std::vector<std::multiset<uint64_t>> expected(queries.size());
-  StreamWorksEngine engine(interner);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    SW_CHECK_OK(engine
-                    .RegisterQuery(queries[i],
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&expected, i](const CompleteMatch& cm) {
-                                     expected[i].insert(Signature(cm));
-                                   })
-                    .status());
-  }
-  for (const StreamEdge& e : edges) engine.ProcessEdge(e).ok();
-  return expected;
-}
 
 TEST(PartitionerTest, HashModuloIsDeterministicInRangeAndSeedSensitive) {
   HashModuloPartitioner p;
@@ -109,11 +44,10 @@ TEST(PartitionerTest, HashModuloIsDeterministicInRangeAndSeedSensitive) {
   }
 }
 
-// Both partitioned deployments admit through GroupIngest, so this test
-// covers the in-process group and the cluster coordinator alike: every
-// edge is accepted or rejected exactly as DynamicGraph::AddEdge decides,
-// under the same id, and every vertex ends with the same label; this
-// includes AddEdge's rule that an edge rejected on its dst label has still
+// The cluster coordinator admits through GroupIngest: every edge is
+// accepted or rejected exactly as DynamicGraph::AddEdge decides, under the
+// same id, and every vertex ends with the same label; this includes
+// AddEdge's rule that an edge rejected on its dst label has still
 // recorded its src.
 TEST(GroupIngestTest, AdmitsExactlyWhatOneGraphAdmits) {
   Interner interner;
@@ -150,7 +84,7 @@ TEST(GroupIngestTest, AdmitsExactlyWhatOneGraphAdmits) {
   }
 
   HashModuloPartitioner partitioner;
-  GroupIngest ingest(&partitioner, 3);
+  GroupIngest ingest(partitioner, 3);
   DynamicGraph graph(&interner);
   uint64_t rejected = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
@@ -193,500 +127,168 @@ TEST(GroupIngestTest, AdmitsExactlyWhatOneGraphAdmits) {
   }
 }
 
-TEST(PartitionTest, MatchesSingleEngineAcrossShardCounts) {
-  Interner interner;
-  const auto edges = RandomStream(&interner, 2026, 20, 800);
-  auto queries = RandomQueries(&interner, 88, 6);
-  // A 10-edge query is past Match::kInlineCapacity: its matches keep their
-  // bindings in a heap block, and cross shards through ToWire/Localize.
-  Rng rng(1);
-  const QueryGraph spilled =
-      GenerateRandomConnectedQuery(rng, 9, 10, 2, 3, &interner).value();
-  ASSERT_GT(spilled.num_edges(), Match::kInlineCapacity);
-  queries.push_back(spilled);
-  const Timestamp window = 18;
-  const auto expected =
-      SingleEngineReference(&interner, queries, window, edges);
-  ASSERT_FALSE(expected.back().empty());
-
-  for (const int shards : {1, 2, 3, 5}) {
-    std::vector<std::multiset<uint64_t>> actual(queries.size());
-    ParallelEngineGroup group(&interner, shards);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(group
-                      .RegisterQuery(
-                          queries[i],
-                          DecompositionStrategy::kLeftDeepEdgeOrder, window,
-                          [&actual, i](const CompleteMatch& cm) {
-                            actual[i].insert(Signature(cm));
-                          })
-                      .ok());
-    }
-    for (const StreamEdge& e : edges) group.ProcessEdge(e);
-    group.Flush();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(actual[i], expected[i])
-          << "shards=" << shards << " query " << i;
-    }
-    uint64_t expected_total = 0;
-    for (const auto& sigs : expected) expected_total += sigs.size();
-    EXPECT_EQ(group.total_completions(), expected_total);
-  }
-}
-
-TEST(PartitionTest, MatchesSingleEngineOnBatchedIngestWithTightWindow) {
-  // Tight window + batched ingest: epoch flushes land right on expiry
-  // boundaries, and partial matches must die identically on every shard.
-  Interner interner;
-  const auto edges = RandomStream(&interner, 97, 14, 1200);
-  const auto queries = RandomQueries(&interner, 5, 4);
-  const Timestamp window = 4;
-  const auto expected =
-      SingleEngineReference(&interner, queries, window, edges);
-
-  std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 4);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(group
-                    .RegisterQuery(queries[i],
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&actual, i](const CompleteMatch& cm) {
-                                     actual[i].insert(Signature(cm));
-                                   })
-                    .ok());
-  }
-  EdgeBatch batch;
-  for (const StreamEdge& e : edges) {
-    batch.push_back(e);
-    if (batch.size() == 97) {
-      group.ProcessBatch(batch);
-      batch.clear();
-    }
-  }
-  group.ProcessBatch(batch);
-  group.Flush();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
-  }
-
-  // Epoch-driven expiry must actually run: with a 4-tick window over a
-  // 120-tick stream, every shard's graph retains a small recent suffix.
-  for (const ShardStatsSnapshot& s : group.ShardStats()) {
-    EXPECT_GT(s.evicted_edges, 0u) << "shard " << s.shard;
-    EXPECT_LT(s.retained_edges, edges.size() / 2) << "shard " << s.shard;
-  }
-}
-
-TEST(PartitionTest, ExchangeForwardsAcrossShardsAndCountersBalance) {
-  Interner interner;
-  const auto edges = RandomStream(&interner, 11, 16, 600);
-  const auto queries = RandomQueries(&interner, 42, 3);
-  ParallelEngineGroup group(&interner, 3);
-  for (const QueryGraph& q : queries) {
-    ASSERT_TRUE(group
-                    .RegisterQuery(q,
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   20, nullptr)
-                    .ok());
-  }
-  for (const StreamEdge& e : edges) group.ProcessEdge(e);
-  group.Flush();
-
-  uint64_t sent = 0, received = 0;
-  for (const ShardStatsSnapshot& s : group.ShardStats()) {
-    sent += s.exchange.total_sent();
-    received += s.exchange.total_received();
-  }
-  // Multi-edge queries on a 16-vertex graph over 3 shards: cross-shard
-  // work is unavoidable, and after Flush nothing is in flight.
-  EXPECT_GT(sent, 0u);
-  EXPECT_EQ(sent, received);
-}
-
-// A group that sent every edge to every shard would retain one engine's
-// whole window per shard; this is the comparison the name keeps.
-TEST(PartitionTest, ShardsRetainFewerEdgesThanBroadcast) {
-  Interner interner;
-  const auto edges = RandomStream(&interner, 7, 64, 4000);
-  const auto queries = RandomQueries(&interner, 3, 2);
-  const Timestamp window = 30;
-  const int shards = 4;
-
-  std::vector<std::multiset<uint64_t>> expected(queries.size());
-  StreamWorksEngine engine(&interner);
-  std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, shards);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(engine
-                    .RegisterQuery(queries[i],
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&expected, i](const CompleteMatch& cm) {
-                                     expected[i].insert(Signature(cm));
-                                   })
-                    .ok());
-    ASSERT_TRUE(group
-                    .RegisterQuery(queries[i],
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&actual, i](const CompleteMatch& cm) {
-                                     actual[i].insert(Signature(cm));
-                                   })
-                    .ok());
-  }
-  for (const StreamEdge& e : edges) {
-    engine.ProcessEdge(e).ok();
-    group.ProcessEdge(e);
-  }
-  group.Flush();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
-  }
-
-  // One engine retains the whole window; each shard retains only edges
-  // incident to its owned vertices — strictly fewer (the acceptance
-  // criterion).
-  const uint64_t whole_window = engine.graph().num_stored_edges();
-  uint64_t partitioned_total = 0;
-  for (const ShardStatsSnapshot& s : group.ShardStats()) {
-    EXPECT_LT(s.retained_edges, whole_window) << "shard " << s.shard;
-    partitioned_total += s.retained_edges;
-  }
-  // Each edge lives on at most two shards (its endpoint owners), and at
-  // least one, so the group-wide total is bounded by the window on both
-  // sides.
-  EXPECT_GE(partitioned_total, whole_window);
-  EXPECT_LE(partitioned_total, 2 * whole_window);
-}
-
 // A short-window query first, then two long-window queries registered
-// mid-stream, fed edge by edge (the text FEED path). Every control call
-// must commit the pending watermark first: otherwise it sees edges and
-// partial matches one engine has already expired, a long-window
-// registration backfills from them and finds matches one engine never
-// finds, and ExportWindow and query_info report the stale state.
+// mid-stream, fed edge by edge. Every control call must commit the pending
+// watermark first: otherwise it sees edges and partial matches one engine
+// has already expired, a long-window registration backfills from them and
+// finds matches one engine never finds, and Info reports the stale state.
 TEST(PartitionTest, ControlCallsSeeOneEnginesWindowMidStream) {
-  Interner interner;
+  ClusterFixture cluster(4);
+  ASSERT_TRUE(cluster.ok);
   RandomStreamOptions opt;
   opt.seed = 7;
   opt.num_edges = 3000;
-  const auto edges = GenerateUniformStream(opt, &interner);
+  const auto edges = GenerateUniformStream(opt, &cluster.interner);
   Rng rng(7);
   std::vector<QueryGraph> queries;
   for (int i = 0; i < 3; ++i) {
     queries.push_back(GenerateRandomConnectedQuery(rng, 3, 2,
                                                    opt.num_vertex_labels,
                                                    opt.num_edge_labels,
-                                                   &interner)
+                                                   &cluster.interner)
                           .value());
   }
   const Timestamp windows[] = {5, 200, 200};
   const size_t register_before[] = {0, edges.size() / 2,
                                     3 * edges.size() / 4};
 
-  // What one run shows: each query's matches, and the window and query 0's
-  // runtime info just before query 1 registers.
-  struct Observed {
-    std::multiset<uint64_t> sigs[3];
-    WindowSnapshot window;
-    QueryRuntimeInfo info;
-  };
-  // Runs the schedule: query q registers just before edge
-  // register_before[q]. The caller owns `out`, so callbacks still in
-  // flight after this returns write to a live object.
-  const auto run = [&](Observed* out, const auto& register_query,
-                       const auto& feed, const auto& observe) {
-    for (size_t e = 0, q = 0; e < edges.size(); ++e) {
-      if (e == register_before[1]) observe(out);
-      for (; q < queries.size() && register_before[q] == e; ++q) {
-        register_query(queries[q], windows[q],
-                       [out, q](const CompleteMatch& cm) {
-                         out->sigs[q].insert(Signature(cm));
-                       });
+  StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+  MatchSink expected[3];
+  MatchSink actual[3];
+  for (size_t e = 0, q = 0; e < edges.size(); ++e) {
+    // Before each mid-stream registration, every query registered so far
+    // reports one engine's live partial matches and completions.
+    if (q > 0 && q < queries.size() && register_before[q] == e) {
+      for (size_t r = 0; r < q; ++r) {
+        const auto info = cluster.backend->Info(static_cast<int>(r));
+        ASSERT_TRUE(info.ok()) << info.status().ToString();
+        const QueryRuntimeInfo one = engine.query_info(static_cast<int>(r));
+        EXPECT_EQ(info->live_partial_matches, one.live_partial_matches)
+            << "query " << r << " before edge " << e;
+        EXPECT_EQ(info->completions, one.completions)
+            << "query " << r << " before edge " << e;
       }
-      feed(edges[e]);
     }
-  };
-  const auto ids = [](const WindowSnapshot& window) {
-    std::vector<EdgeId> out;
-    for (const PersistedEdge& pe : window.edges) out.push_back(pe.id);
-    return out;
-  };
-
-  Observed expected;
-  StreamWorksEngine engine(&interner);
-  run(
-      &expected,
-      [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
-        ASSERT_TRUE(engine
-                        .RegisterQuery(query,
-                                       DecompositionStrategy::kLeftDeepEdgeOrder,
-                                       window, std::move(cb))
-                        .ok());
-      },
-      [&](const StreamEdge& e) { ASSERT_TRUE(engine.ProcessEdge(e).ok()); },
-      [&](Observed* out) {
-        out->window = engine.ExportWindow();
-        out->info = engine.query_info(0);
-      });
-  for (const auto& sigs : expected.sigs) EXPECT_FALSE(sigs.empty());
-
-  for (const int shards : {2, 4}) {
-    Observed actual;
-    ParallelEngineGroup group(&interner, shards);
-    run(
-        &actual,
-        [&](const QueryGraph& query, Timestamp window, MatchCallback cb) {
-          ASSERT_TRUE(group
-                          .RegisterQuery(
-                              query, DecompositionStrategy::kLeftDeepEdgeOrder,
-                              window, std::move(cb))
-                          .ok());
-        },
-        [&](const StreamEdge& e) { group.ProcessEdge(e); },
-        [&](Observed* out) {
-          out->window = group.ExportWindow();
-          const auto info = group.query_info(0);
-          ASSERT_TRUE(info.ok());
-          out->info = *info;
-        });
-    group.Flush();
-    for (size_t q = 0; q < queries.size(); ++q) {
-      EXPECT_EQ(actual.sigs[q], expected.sigs[q])
-          << "shards=" << shards << " query " << q;
+    for (; q < queries.size() && register_before[q] == e; ++q) {
+      ASSERT_TRUE(engine
+                      .RegisterQuery(queries[q],
+                                     DecompositionStrategy::kLeftDeepEdgeOrder,
+                                     windows[q], expected[q].Callback())
+                      .ok());
+      ASSERT_TRUE(cluster.backend
+                      ->Register(queries[q],
+                                 DecompositionStrategy::kLeftDeepEdgeOrder,
+                                 windows[q], actual[q].Callback())
+                      .ok());
     }
-    EXPECT_EQ(ids(actual.window), ids(expected.window)) << "shards=" << shards;
-    EXPECT_EQ(actual.window.watermark, expected.window.watermark);
-    EXPECT_EQ(actual.info.live_partial_matches,
-              expected.info.live_partial_matches)
-        << "shards=" << shards;
+    ASSERT_TRUE(engine.ProcessEdge(edges[e]).ok());
+    ASSERT_TRUE(cluster.backend->Feed(edges[e]).ok());
   }
+  cluster.backend->Flush();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_FALSE(expected[q].Sorted().empty()) << "query " << q;
+    EXPECT_EQ(actual[q].Sorted(), expected[q].Sorted()) << "query " << q;
+  }
+  cluster.backend->Stop();
 }
 
+// Query 0 up front and three more registered halfway through a random
+// stream fed edge by edge: each late query is backfilled from the window
+// its three owners hold between them, and finds one engine's matches.
 TEST(PartitionTest, MidStreamRegistrationBackfillsAcrossShards) {
-  Interner interner;
-  const auto edges = RandomStream(&interner, 55, 18, 900);
-  const auto queries = RandomQueries(&interner, 21, 4);
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  const auto edges = RandomStream(&cluster.interner, 55, 18, 900);
+  const auto queries = RandomQueries(&cluster.interner, 21, 4);
   const Timestamp window = 25;
   const size_t split = edges.size() / 2;
 
-  // Reference: single engine registering query 0 up front and the rest
-  // mid-stream.
-  std::vector<std::multiset<uint64_t>> expected(queries.size());
-  {
-    StreamWorksEngine engine(&interner);
-    auto subscribe = [&](size_t i) {
-      SW_CHECK_OK(
-          engine
-              .RegisterQuery(queries[i],
-                             DecompositionStrategy::kLeftDeepEdgeOrder,
-                             window,
-                             [&expected, i](const CompleteMatch& cm) {
-                               expected[i].insert(Signature(cm));
-                             })
-              .status());
-    };
-    subscribe(0);
-    for (size_t k = 0; k < split; ++k) engine.ProcessEdge(edges[k]).ok();
-    for (size_t i = 1; i < queries.size(); ++i) subscribe(i);
-    for (size_t k = split; k < edges.size(); ++k) {
-      engine.ProcessEdge(edges[k]).ok();
-    }
-  }
-
-  std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 3);
-  auto subscribe = [&](size_t i) {
-    ASSERT_TRUE(group
+  StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+  std::vector<MatchSink> expected(queries.size());
+  std::vector<MatchSink> actual(queries.size());
+  const auto subscribe = [&](size_t i) {
+    ASSERT_TRUE(engine
                     .RegisterQuery(queries[i],
                                    DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&actual, i](const CompleteMatch& cm) {
-                                     actual[i].insert(Signature(cm));
-                                   })
+                                   window, expected[i].Callback())
+                    .ok());
+    ASSERT_TRUE(cluster.backend
+                    ->Register(queries[i],
+                               DecompositionStrategy::kLeftDeepEdgeOrder,
+                               window, actual[i].Callback())
                     .ok());
   };
+  const auto feed = [&](size_t from, size_t to) {
+    for (size_t k = from; k < to; ++k) {
+      engine.ProcessEdge(edges[k]).ok();  // rejects match cluster admission
+      ASSERT_TRUE(cluster.backend->Feed(edges[k]).ok());
+    }
+  };
   subscribe(0);
-  for (size_t k = 0; k < split; ++k) group.ProcessEdge(edges[k]);
+  feed(0, split);
   for (size_t i = 1; i < queries.size(); ++i) subscribe(i);
-  for (size_t k = split; k < edges.size(); ++k) group.ProcessEdge(edges[k]);
-  group.Flush();
+  feed(split, edges.size());
+  cluster.backend->Flush();
 
+  size_t late_matches = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
+    EXPECT_EQ(actual[i].Sorted(), expected[i].Sorted()) << "query " << i;
+    if (i > 0) late_matches += expected[i].size();
   }
+  EXPECT_GT(late_matches, 0u);
+  cluster.backend->Stop();
 }
 
+// Unregistering one of two queries halfway through leaves both with one
+// engine's matches: the removed query's up to the unregister, the other's
+// in full. A second Unregister and Info of the removed query fail.
 TEST(PartitionTest, UnregisterStopsDeliveryGroupWide) {
-  Interner interner;
-  const auto edges = RandomStream(&interner, 31, 15, 600);
-  const auto queries = RandomQueries(&interner, 13, 2);
+  ClusterFixture cluster(4);
+  ASSERT_TRUE(cluster.ok);
+  const auto edges = RandomStream(&cluster.interner, 31, 15, 600);
+  const auto queries = RandomQueries(&cluster.interner, 13, 2);
   const Timestamp window = 20;
   const size_t split = edges.size() / 2;
 
-  std::vector<std::multiset<uint64_t>> expected(queries.size());
-  {
-    StreamWorksEngine engine(&interner);
-    std::vector<int> ids;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ids.push_back(
-          engine
-              .RegisterQuery(queries[i],
-                             DecompositionStrategy::kLeftDeepEdgeOrder,
-                             window,
-                             [&expected, i](const CompleteMatch& cm) {
-                               expected[i].insert(Signature(cm));
-                             })
-              .value());
-    }
-    for (size_t k = 0; k < split; ++k) engine.ProcessEdge(edges[k]).ok();
-    SW_CHECK_OK(engine.UnregisterQuery(ids[0]));
-    for (size_t k = split; k < edges.size(); ++k) {
-      engine.ProcessEdge(edges[k]).ok();
-    }
-  }
-
-  std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 4);
+  StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+  std::vector<MatchSink> expected(queries.size());
+  std::vector<MatchSink> actual(queries.size());
+  std::vector<int> engine_ids;
   std::vector<int> ids;
   for (size_t i = 0; i < queries.size(); ++i) {
-    ids.push_back(group
-                      .RegisterQuery(
-                          queries[i],
-                          DecompositionStrategy::kLeftDeepEdgeOrder, window,
-                          [&actual, i](const CompleteMatch& cm) {
-                            actual[i].insert(Signature(cm));
-                          })
-                      .value());
+    const auto engine_id = engine.RegisterQuery(
+        queries[i], DecompositionStrategy::kLeftDeepEdgeOrder, window,
+        expected[i].Callback());
+    ASSERT_TRUE(engine_id.ok());
+    engine_ids.push_back(*engine_id);
+    const auto id = cluster.backend->Register(
+        queries[i], DecompositionStrategy::kLeftDeepEdgeOrder, window,
+        actual[i].Callback());
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
   }
-  for (size_t k = 0; k < split; ++k) group.ProcessEdge(edges[k]);
-  ASSERT_TRUE(group.UnregisterQuery(ids[0]).ok());
-  EXPECT_FALSE(group.UnregisterQuery(ids[0]).ok());  // idempotence = error
-  for (size_t k = split; k < edges.size(); ++k) group.ProcessEdge(edges[k]);
-  group.Flush();
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
-  }
-  EXPECT_FALSE(group.query_info(ids[0]).ok());
-  const auto info = group.query_info(ids[1]);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info.value().completions, expected[1].size());
-}
-
-TEST(PartitionTest, InvalidEdgesRejectedOnceAtGroupAdmission) {
-  Interner interner;
-  ParallelEngineGroup group(&interner, 3);
-  int hits = 0;
-  QueryGraphBuilder builder(&interner);
-  const auto v0 = builder.AddVertex("V");
-  const auto v1 = builder.AddVertex("V");
-  builder.AddEdge(v0, v1, "x");
-  ASSERT_TRUE(group
-                  .RegisterQuery(builder.Build().value(),
-                                 DecompositionStrategy::kLeftDeepEdgeOrder,
-                                 100,
-                                 [&](const CompleteMatch&) { ++hits; })
-                  .ok());
-
-  group.ProcessEdge(MakeEdge(&interner, 1, 2, "x", 10));
-  group.ProcessEdge(MakeEdge(&interner, 1, 2, "x", 5));  // ts regression
-  group.ProcessEdge(
-      MakeEdge(&interner, 1, 3, "x", 11, "W", "V"));  // label clash on src
-  group.Flush();
-
-  // Group admission rejects each invalid edge once, before any shard sees
-  // a copy — the same count a single engine reports.
-  EXPECT_EQ(group.total_rejected(), 2u);
-  EXPECT_EQ(hits, 1);
-}
-
-TEST(PartitionTest, CustomPartitionerIsUsedAndResultsHold) {
-  // A deliberately lopsided partitioner (everything on shard 1 except one
-  // vertex) still yields exact results — the seam only moves work around.
-  class LopsidedPartitioner final : public Partitioner {
-   public:
-    int OwnerShard(ExternalVertexId v, int num_shards) const override {
-      if (num_shards == 1) return 0;
-      return v == 0 ? 0 : 1 % num_shards;
+  const auto feed = [&](size_t from, size_t to) {
+    for (size_t k = from; k < to; ++k) {
+      engine.ProcessEdge(edges[k]).ok();  // rejects match cluster admission
+      ASSERT_TRUE(cluster.backend->Feed(edges[k]).ok());
     }
-    std::string name() const override { return "lopsided"; }
   };
+  feed(0, split);
+  ASSERT_TRUE(engine.UnregisterQuery(engine_ids[0]).ok());
+  ASSERT_TRUE(cluster.backend->Unregister(ids[0]).ok());
+  EXPECT_FALSE(cluster.backend->Unregister(ids[0]).ok());
+  feed(split, edges.size());
+  cluster.backend->Flush();
 
-  Interner interner;
-  const auto edges = RandomStream(&interner, 77, 12, 500);
-  const auto queries = RandomQueries(&interner, 9, 3);
-  const Timestamp window = 15;
-  const auto expected =
-      SingleEngineReference(&interner, queries, window, edges);
-
-  LopsidedPartitioner lopsided;
-  std::vector<std::multiset<uint64_t>> actual(queries.size());
-  ParallelEngineGroup group(&interner, 3, {}, &lopsided);
-  EXPECT_EQ(group.partitioner().name(), "lopsided");
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(group
-                    .RegisterQuery(queries[i],
-                                   DecompositionStrategy::kLeftDeepEdgeOrder,
-                                   window,
-                                   [&actual, i](const CompleteMatch& cm) {
-                                     actual[i].insert(Signature(cm));
-                                   })
-                    .ok());
+    EXPECT_EQ(actual[i].Sorted(), expected[i].Sorted()) << "query " << i;
   }
-  for (const StreamEdge& e : edges) group.ProcessEdge(e);
-  group.Flush();
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(actual[i], expected[i]) << "query " << i;
-  }
-  // Shard 2 owns nothing under this policy.
-  const auto stats = group.ShardStats();
-  EXPECT_EQ(stats[2].retained_edges, 0u);
-}
-
-TEST(ParallelEngineGroupTest, FlushIsIdempotentAndGroupReusable) {
-  Interner interner;
-  ParallelEngineGroup group(&interner, 2);
-  int hits = 0;
-  QueryGraphBuilder builder(&interner);
-  const auto v0 = builder.AddVertex("V");
-  const auto v1 = builder.AddVertex("V");
-  builder.AddEdge(v0, v1, "x");
-  ASSERT_TRUE(group
-                  .RegisterQuery(builder.Build().value(),
-                                 DecompositionStrategy::kLeftDeepEdgeOrder,
-                                 100,
-                                 [&](const CompleteMatch&) { ++hits; })
-                  .ok());
-  group.ProcessEdge(MakeEdge(&interner, 1, 2, "x", 0));
-  group.Flush();
-  EXPECT_EQ(hits, 1);
-  group.Flush();  // idempotent
-  group.ProcessEdge(MakeEdge(&interner, 3, 4, "x", 1));
-  group.Flush();
-  EXPECT_EQ(hits, 2);
-}
-
-TEST(ParallelEngineGroupTest, BackpressureSurvivesFastProducer) {
-  Interner interner;
-  ParallelEngineGroup group(&interner, 2);
-  const QueryGraph q = BuildPortScanQuery(&interner, 2);
-  uint64_t hits = 0;
-  ASSERT_TRUE(group
-                  .RegisterQuery(q, DecompositionStrategy::kPrimitivePairs,
-                                 20,
-                                 [&](const CompleteMatch&) { ++hits; })
-                  .ok());
-  NetflowGenerator::Options opt;
-  opt.seed = 9;
-  opt.background_edges = 30000;  // far beyond the queue bound
-  opt.attack_label_noise = true;
-  NetflowGenerator gen(opt, &interner);
-  for (const StreamEdge& e : gen.Generate()) group.ProcessEdge(e);
-  group.Flush();
-  EXPECT_EQ(group.total_rejected(), 0u);
-  EXPECT_EQ(group.total_completions(), hits);
+  EXPECT_GT(expected[1].size(), 0u);
+  EXPECT_FALSE(cluster.backend->Info(ids[0]).ok());
+  const auto info = cluster.backend->Info(ids[1]);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_EQ(info->completions, expected[1].size());
+  cluster.backend->Stop();
 }
 
 }  // namespace

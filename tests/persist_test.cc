@@ -3,8 +3,7 @@
 // torn-tail tolerance, pruning, format refusal), snapshot encode/decode with
 // corruption fallback, and full crash-recovery equivalence — a killed
 // service restarted from its data dir must produce exactly the match
-// multiset of an uninterrupted run, for the single-engine and the
-// vertex-partitioned backends alike.
+// multiset of an uninterrupted run.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -21,7 +20,6 @@
 #include "streamworks/common/binio.h"
 #include "streamworks/common/interner.h"
 #include "streamworks/core/engine.h"
-#include "streamworks/core/parallel.h"
 #include "streamworks/graph/random_graphs.h"
 #include "streamworks/persist/crc32.h"
 #include "streamworks/persist/durable_backend.h"
@@ -39,16 +37,32 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh per-test scratch directory under the test tmpdir.
-std::string TempDir(std::string_view name) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) /
-      ("streamworks_persist_" + std::string(name) + "_" +
-       std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
-}
+/// Fresh scratch directory under the test tmpdir, deleted with everything
+/// in it when the object goes out of scope. Declare it before whatever
+/// keeps files open in it.
+class ScratchDir {
+ public:
+  explicit ScratchDir(std::string_view name) {
+    const fs::path dir =
+        fs::path(::testing::TempDir()) /
+        ("streamworks_persist_" + std::string(name) + "_" +
+         std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    path_ = dir.string();
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    fs::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 StreamEdge MakeEdge(Interner* interner, uint64_t src, uint64_t dst,
                     std::string_view elabel, Timestamp ts,
@@ -108,7 +122,8 @@ TEST(Crc32Test, KnownAnswerAndChaining) {
 // --- EdgeLog / FrameLog ----------------------------------------------------
 
 TEST(EdgeLogTest, AppendReplayRoundTrip) {
-  const std::string dir = TempDir("wal_roundtrip");
+  const ScratchDir scratch("wal_roundtrip");
+  const std::string& dir = scratch.path();
   Interner interner;
   {
     auto log = EdgeLog::Open(dir, &interner).value();
@@ -142,7 +157,8 @@ TEST(EdgeLogTest, AppendReplayRoundTrip) {
 }
 
 TEST(EdgeLogTest, ReplayFromMidRecordTrimsTheStraddler) {
-  const std::string dir = TempDir("wal_trim");
+  const ScratchDir scratch("wal_trim");
+  const std::string& dir = scratch.path();
   Interner interner;
   {
     auto log = EdgeLog::Open(dir, &interner).value();
@@ -268,9 +284,10 @@ class SegmentLogCase : public ::testing::Test {
   }
 
   Kind kind_;
-  const std::string dir_ = TempDir(
+  const ScratchDir scratch_{
       std::string(Kind::kName) + "_" +
-      ::testing::UnitTest::GetInstance()->current_test_info()->name());
+      ::testing::UnitTest::GetInstance()->current_test_info()->name()};
+  const std::string& dir_ = scratch_.path();
 };
 
 template <typename Kind>
@@ -507,7 +524,8 @@ bool RegisterSegmentCase(const char* name) {
         "Format1SegmentsAreRefusedNotMisread");
 
 TEST(EdgeLogTest, OversizedBatchesAreChunkedToStayReplayable) {
-  const std::string dir = TempDir("wal_chunk");
+  const ScratchDir scratch("wal_chunk");
+  const std::string& dir = scratch.path();
   Interner interner;
   FrameLogOptions options;
   options.max_record_bytes = 256;  // a handful of edges per record
@@ -532,7 +550,8 @@ TEST(EdgeLogTest, OversizedBatchesAreChunkedToStayReplayable) {
 }
 
 TEST(EdgeLogTest, OpenFastForwardsPastAPrunedOrLostWal) {
-  const std::string dir = TempDir("wal_ff");
+  const ScratchDir scratch("wal_ff");
+  const std::string& dir = scratch.path();
   Interner interner;
   // A snapshot at seq 40 outlived its WAL (operator deleted it): the log
   // must resume at 40, not restart at 0 — snapshot filenames sort by
@@ -677,7 +696,8 @@ TEST(SnapshotTest, HostileStringLengthsFailTheSnapshotNotTheProcess) {
 }
 
 TEST(SnapshotTest, LoaderFallsBackToPreviousValidSnapshot) {
-  const std::string dir = TempDir("snap_fallback");
+  const ScratchDir scratch("snap_fallback");
+  const std::string& dir = scratch.path();
   Interner interner;
   SnapshotContents old_contents = SampleContents(&interner);
   old_contents.wal_seq = 10;
@@ -706,8 +726,8 @@ TEST(SnapshotTest, LoaderFallsBackToPreviousValidSnapshot) {
 
 TEST(SnapshotTest, MissingDirectoryIsNotFound) {
   Interner interner;
-  auto loaded =
-      LoadLatestSnapshot(TempDir("snap_missing") + "/nope", &interner);
+  const ScratchDir scratch("snap_missing");
+  auto loaded = LoadLatestSnapshot(scratch.path() + "/nope", &interner);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -715,28 +735,20 @@ TEST(SnapshotTest, MissingDirectoryIsNotFound) {
 // --- Crash-recovery equivalence -------------------------------------------
 
 /// One full durable deployment, assembled the way service_demo does it:
-/// service -> DurableBackend -> (single engine | partitioned group).
+/// service -> DurableBackend -> single engine.
 struct DurableStack {
   Interner interner;
   std::unique_ptr<StreamWorksEngine> engine;
-  std::unique_ptr<ParallelEngineGroup> group;
-  std::unique_ptr<QueryBackend> inner;
+  std::unique_ptr<SingleEngineBackend> inner;
   std::unique_ptr<DurableBackend> durable;
   std::unique_ptr<QueryService> service;
   std::unique_ptr<DurabilityManager> manager;
   RecoveryReport recovered;
 
-  static DurableStack Make(const std::string& dir, int partitioned_shards,
-                           uint64_t snapshot_every) {
+  static DurableStack Make(const std::string& dir, uint64_t snapshot_every) {
     DurableStack s;
-    if (partitioned_shards > 0) {
-      s.group = std::make_unique<ParallelEngineGroup>(&s.interner,
-                                                      partitioned_shards);
-      s.inner = std::make_unique<ParallelGroupBackend>(s.group.get());
-    } else {
-      s.engine = std::make_unique<StreamWorksEngine>(&s.interner);
-      s.inner = std::make_unique<SingleEngineBackend>(s.engine.get());
-    }
+    s.engine = std::make_unique<StreamWorksEngine>(&s.interner);
+    s.inner = std::make_unique<SingleEngineBackend>(s.engine.get());
     s.durable = std::make_unique<DurableBackend>(s.inner.get());
     s.service = std::make_unique<QueryService>(s.durable.get());
     DurabilityOptions options;
@@ -815,20 +827,20 @@ void DrainInto(QueryService* service, int session_id, int sub_id,
   for (const CompleteMatch& cm : matches) out->insert(Signature(cm));
 }
 
-/// The equivalence scenario: feed all edges uninterrupted vs. crash after
-/// `cut` edges (snapshot cadence well before the cut, so a real WAL tail
-/// replays) and resume. The union of matches observed before the crash
-/// and after recovery must equal the uninterrupted run's multiset.
-void RunCrashEquivalence(int partitioned_shards) {
-  const std::string suffix = std::to_string(partitioned_shards);
-  const std::string dir = TempDir("equiv_crash_" + suffix);
+// The equivalence scenario: feed all edges uninterrupted vs. crash after
+// `cut` edges (snapshot cadence well before the cut, so a real WAL tail
+// replays) and resume. The union of matches observed before the crash
+// and after recovery must equal the uninterrupted run's multiset.
+TEST(CrashRecoveryTest, SingleEngineMatchMultisetIsByteIdentical) {
+  const ScratchDir scratch("equiv_crash");
+  const std::string& dir = scratch.path();
+  const ScratchDir ref_scratch("equiv_ref");
 
   // Reference: one uninterrupted durable run (durability on, so the two
   // runs take identical code paths; it just never crashes).
   std::map<std::string, std::multiset<uint64_t>> expected;
   {
-    DurableStack ref = DurableStack::Make(TempDir("equiv_ref_" + suffix),
-                                          partitioned_shards, 0);
+    DurableStack ref = DurableStack::Make(ref_scratch.path(), 0);
     const auto edges = EquivalenceStream(&ref.interner);
     const int session = ref.service->OpenSession("tenant").value();
     std::map<std::string, int> subs;
@@ -850,8 +862,7 @@ void RunCrashEquivalence(int partitioned_shards) {
   size_t cut = 0;
   uint64_t wal_at_crash = 0;
   {
-    DurableStack a = DurableStack::Make(dir, partitioned_shards,
-                                        /*snapshot_every=*/150);
+    DurableStack a = DurableStack::Make(dir, /*snapshot_every=*/150);
     const auto edges = EquivalenceStream(&a.interner);
     cut = edges.size() * 6 / 10;
     const int session = a.service->OpenSession("tenant").value();
@@ -868,8 +879,7 @@ void RunCrashEquivalence(int partitioned_shards) {
 
   // Phase 2: recover from the data dir and resume the stream.
   {
-    DurableStack b =
-        DurableStack::Make(dir, partitioned_shards, /*snapshot_every=*/0);
+    DurableStack b = DurableStack::Make(dir, /*snapshot_every=*/0);
     EXPECT_TRUE(b.recovered.snapshot_loaded);
     EXPECT_EQ(b.recovered.sessions, 1u);
     EXPECT_EQ(b.recovered.subscriptions, 2u);
@@ -897,18 +907,11 @@ void RunCrashEquivalence(int partitioned_shards) {
   EXPECT_EQ(observed["hop"], expected["hop"]);
 }
 
-TEST(CrashRecoveryTest, SingleEngineMatchMultisetIsByteIdentical) {
-  RunCrashEquivalence(/*partitioned_shards=*/0);
-}
-
-TEST(CrashRecoveryTest, Partition4MatchMultisetIsByteIdentical) {
-  RunCrashEquivalence(/*partitioned_shards=*/4);
-}
-
 TEST(CrashRecoveryTest, PausedSubscriptionRecoversPaused) {
-  const std::string dir = TempDir("recover_paused");
+  const ScratchDir scratch("recover_paused");
+  const std::string& dir = scratch.path();
   {
-    DurableStack a = DurableStack::Make(dir, 0, 0);
+    DurableStack a = DurableStack::Make(dir, 0);
     const int session = a.service->OpenSession("t").value();
     QueryGraphBuilder b(&a.interner);
     const auto u = b.AddVertex("V");
@@ -923,7 +926,7 @@ TEST(CrashRecoveryTest, PausedSubscriptionRecoversPaused) {
     ASSERT_TRUE(a.manager->SnapshotNow().ok());
   }
   {
-    DurableStack b = DurableStack::Make(dir, 0, 0);
+    DurableStack b = DurableStack::Make(dir, 0);
     const AttachedSession attached =
         b.service->AttachSession("t").value();
     ASSERT_EQ(attached.subscriptions.size(), 1u);
@@ -944,9 +947,10 @@ TEST(CrashRecoveryTest, RestoredBlockSubscriptionComesBackPaused) {
   // must come back paused — an active restored kBlock queue would let
   // any tenant's feed fill it and block delivery on the control thread
   // before the owner can even ATTACH.
-  const std::string dir = TempDir("recover_block");
+  const ScratchDir scratch("recover_block");
+  const std::string& dir = scratch.path();
   {
-    DurableStack a = DurableStack::Make(dir, 0, 0);
+    DurableStack a = DurableStack::Make(dir, 0);
     const int session = a.service->OpenSession("t").value();
     QueryGraphBuilder b(&a.interner);
     const auto u = b.AddVertex("V");
@@ -960,7 +964,7 @@ TEST(CrashRecoveryTest, RestoredBlockSubscriptionComesBackPaused) {
     ASSERT_TRUE(a.service->Submit(session, b.Build("q").value(), opt).ok());
     ASSERT_TRUE(a.manager->SnapshotNow().ok());
   }
-  DurableStack b = DurableStack::Make(dir, 0, 0);
+  DurableStack b = DurableStack::Make(dir, 0);
   // Feeding more matches than the tiny capacity must not wedge: the
   // restored subscription suppresses instead of blocking.
   for (int i = 0; i < 5; ++i) {
@@ -979,8 +983,9 @@ TEST(CrashRecoveryTest, RestoredBlockSubscriptionComesBackPaused) {
 }
 
 TEST(CrashRecoveryTest, SnapshotCadenceWritesAndPrunes) {
-  const std::string dir = TempDir("cadence");
-  DurableStack stack = DurableStack::Make(dir, 0, /*snapshot_every=*/10);
+  const ScratchDir scratch("cadence");
+  const std::string& dir = scratch.path();
+  DurableStack stack = DurableStack::Make(dir, /*snapshot_every=*/10);
   for (int i = 0; i < 25; ++i) {
     stack.service->Feed(MakeEdge(&stack.interner, 1, 2, "ping", i)).ok();
   }
@@ -1004,8 +1009,9 @@ TEST(CrashRecoveryTest, SnapshotCadenceWritesAndPrunes) {
 }
 
 TEST(CrashRecoveryTest, SnapshotRetentionBoundsTheDataDir) {
-  const std::string dir = TempDir("retention");
-  DurableStack stack = DurableStack::Make(dir, 0, /*snapshot_every=*/2);
+  const ScratchDir scratch("retention");
+  const std::string& dir = scratch.path();
+  DurableStack stack = DurableStack::Make(dir, /*snapshot_every=*/2);
   for (int i = 0; i < 20; ++i) {
     stack.service->Feed(MakeEdge(&stack.interner, 1, 2, "ping", i)).ok();
   }
@@ -1028,10 +1034,11 @@ TEST(CrashRecoveryTest, SnapshotRetentionBoundsTheDataDir) {
 }
 
 TEST(CrashRecoveryTest, RecoveryToleratesACorruptNewestSnapshot) {
-  const std::string dir = TempDir("recover_fallback");
+  const ScratchDir scratch("recover_fallback");
+  const std::string& dir = scratch.path();
   size_t fed = 0;
   {
-    DurableStack a = DurableStack::Make(dir, 0, 0);
+    DurableStack a = DurableStack::Make(dir, 0);
     const int session = a.service->OpenSession("t").value();
     QueryGraphBuilder b(&a.interner);
     const auto u = b.AddVertex("V");
@@ -1069,7 +1076,7 @@ TEST(CrashRecoveryTest, RecoveryToleratesACorruptNewestSnapshot) {
       CorruptFileByte(entry.path().string(), 30);
     }
   }
-  DurableStack b = DurableStack::Make(dir, 0, 0);
+  DurableStack b = DurableStack::Make(dir, 0);
   EXPECT_TRUE(b.recovered.snapshot_loaded);
   EXPECT_EQ(b.recovered.snapshot_wal_seq, 10u);
   EXPECT_EQ(b.recovered.replayed_edges, 8u);
@@ -1080,9 +1087,10 @@ TEST(CrashRecoveryTest, RecoveryToleratesACorruptNewestSnapshot) {
 }
 
 TEST(CrashRecoveryTest, RecoverySweepsOrphanedSnapshotTempFiles) {
-  const std::string dir = TempDir("tmp_sweep");
+  const ScratchDir scratch("tmp_sweep");
+  const std::string& dir = scratch.path();
   {
-    DurableStack a = DurableStack::Make(dir, 0, 0);
+    DurableStack a = DurableStack::Make(dir, 0);
     a.service->Feed(MakeEdge(&a.interner, 1, 2, "ping", 1)).ok();
     ASSERT_TRUE(a.manager->SnapshotNow().ok());
   }
@@ -1090,7 +1098,7 @@ TEST(CrashRecoveryTest, RecoverySweepsOrphanedSnapshotTempFiles) {
   // recovery must sweep it, and it must never count as a snapshot.
   std::ofstream(fs::path(dir) / "snap-00000000000000ff.snap.tmp")
       << "garbage";
-  DurableStack b = DurableStack::Make(dir, 0, 0);
+  DurableStack b = DurableStack::Make(dir, 0);
   EXPECT_TRUE(b.recovered.snapshot_loaded);
   EXPECT_EQ(b.recovered.snapshot_wal_seq, 1u);
   EXPECT_FALSE(
@@ -1098,7 +1106,8 @@ TEST(CrashRecoveryTest, RecoverySweepsOrphanedSnapshotTempFiles) {
 }
 
 TEST(CrashRecoveryTest, SnapshotNowAfterFailedStartReturnsStatus) {
-  const std::string dir = TempDir("failed_start");
+  const ScratchDir scratch("failed_start");
+  const std::string& dir = scratch.path();
   Interner interner;
   // A corrupt *sealed* WAL segment makes recovery fail loudly...
   FrameLogOptions options;
@@ -1127,7 +1136,8 @@ TEST(CrashRecoveryTest, SnapshotNowAfterFailedStartReturnsStatus) {
 }
 
 TEST(CrashRecoveryTest, FreshDirectoryIsAFreshStart) {
-  DurableStack stack = DurableStack::Make(TempDir("fresh"), 0, 0);
+  const ScratchDir scratch("fresh");
+  DurableStack stack = DurableStack::Make(scratch.path(), 0);
   EXPECT_FALSE(stack.recovered.snapshot_loaded);
   EXPECT_EQ(stack.recovered.wal_seq, 0u);
   EXPECT_EQ(stack.recovered.replayed_edges, 0u);
@@ -1136,22 +1146,23 @@ TEST(CrashRecoveryTest, FreshDirectoryIsAFreshStart) {
 }
 
 TEST(CrashRecoveryTest, ReplayedTailIsNotRelogged) {
-  const std::string dir = TempDir("no_double_log");
+  const ScratchDir scratch("no_double_log");
+  const std::string& dir = scratch.path();
   {
-    DurableStack a = DurableStack::Make(dir, 0, 0);
+    DurableStack a = DurableStack::Make(dir, 0);
     for (int i = 0; i < 7; ++i) {
       a.service->Feed(MakeEdge(&a.interner, 1, 2, "ping", i)).ok();
     }
   }
   {
-    DurableStack b = DurableStack::Make(dir, 0, 0);
+    DurableStack b = DurableStack::Make(dir, 0);
     EXPECT_EQ(b.recovered.replayed_edges, 7u);
     EXPECT_EQ(b.recovered.wal_seq, 7u);  // replay appended nothing
     b.service->Feed(MakeEdge(&b.interner, 1, 2, "ping", 10)).ok();
     EXPECT_EQ(b.manager->counters().wal_seq, 8u);
   }
   // Third incarnation sees exactly 8 edges.
-  DurableStack c = DurableStack::Make(dir, 0, 0);
+  DurableStack c = DurableStack::Make(dir, 0);
   EXPECT_EQ(c.recovered.replayed_edges, 8u);
 }
 

@@ -1,8 +1,9 @@
-// Tests for streamworks/service: ResultQueue overflow policies, engine /
-// parallel-group query lifecycle (unregister, mid-stream register), the
-// QueryService state machine with admission control and exactly-once
-// delivery across detach/re-submit, metrics aggregation, and the command
-// interpreter's scripted multi-tenant scenarios.
+// Tests for streamworks/service: ResultQueue overflow policies, engine
+// query lifecycle (unregister, mid-stream register), the QueryService
+// state machine with admission control and exactly-once delivery across
+// detach/re-submit, the service over a cluster of worker daemons, metrics
+// aggregation, and the command interpreter's scripted multi-tenant
+// scenarios.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,13 @@
 
 #include "streamworks/common/interner.h"
 #include "streamworks/core/engine.h"
-#include "streamworks/core/parallel.h"
 #include "streamworks/service/backend.h"
 #include "streamworks/service/interpreter.h"
 #include "streamworks/service/metrics.h"
 #include "streamworks/service/query_service.h"
 #include "streamworks/service/result_queue.h"
+
+#include "cluster_fixture.h"
 
 namespace streamworks {
 namespace {
@@ -245,48 +247,6 @@ TEST(EngineLifecycleTest, ReplanOfUnregisteredQueryFails) {
                       .value();
   ASSERT_TRUE(engine.UnregisterQuery(qid).ok());
   EXPECT_FALSE(engine.ReplanQuery(qid).ok());
-}
-
-TEST(ParallelLifecycleTest, MidStreamRegisterAndShardAwareDetach) {
-  Interner interner;
-  const QueryGraph q = PingQuery(&interner);
-  std::atomic<int> hits_a{0}, hits_b{0};
-  ParallelEngineGroup group(&interner, 2);
-  const int qa = group
-                     .RegisterQuery(q, DecompositionStrategy::kLeftDeepEdgeOrder,
-                                    1000,
-                                    [&](const CompleteMatch&) { ++hits_a; })
-                     .value();
-  group.ProcessEdge(MakeEdge(&interner, 1, 2, "ping", 1));
-  group.Flush();
-  EXPECT_EQ(hits_a.load(), 1);
-
-  // Mid-stream registration backfills the live window: edge @1 is inside
-  // window 1000, but its match completed pre-registration and stays
-  // suppressed.
-  const int qb = group
-                     .RegisterQuery(q, DecompositionStrategy::kLeftDeepEdgeOrder,
-                                    1000,
-                                    [&](const CompleteMatch&) { ++hits_b; })
-                     .value();
-  EXPECT_NE(qa, qb);
-  group.ProcessEdge(MakeEdge(&interner, 3, 4, "ping", 2));
-  group.Flush();
-  EXPECT_EQ(hits_a.load(), 2);
-  EXPECT_EQ(hits_b.load(), 1);
-
-  const auto info = group.query_info(qa);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->completions, 2u);
-  EXPECT_EQ(info->query_id, qa);
-
-  ASSERT_TRUE(group.UnregisterQuery(qa).ok());
-  EXPECT_FALSE(group.query_info(qa).ok());
-  group.ProcessEdge(MakeEdge(&interner, 5, 6, "ping", 3));
-  group.Flush();
-  EXPECT_EQ(hits_a.load(), 2);  // no deliveries after detach
-  EXPECT_EQ(hits_b.load(), 2);
-  group.Close();
 }
 
 // --- QueryService ----------------------------------------------------------
@@ -590,11 +550,13 @@ TEST_F(QueryServiceTest, OverflowPolicyPerSubscription) {
   EXPECT_EQ(service.queue(session, s_new)->counters().dropped, 3u);
 }
 
-TEST(QueryServiceParallelTest, MultiSessionIsolationAcrossShards) {
-  Interner interner;
-  ParallelEngineGroup group(&interner, 3);
-  ParallelGroupBackend backend(&group);
-  QueryService service(&backend);
+// --- QueryService over a cluster --------------------------------------------
+
+TEST(QueryServiceClusterTest, MultiSessionIsolationAcrossShards) {
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  Interner& interner = cluster.interner;
+  QueryService service(cluster.backend.get());
 
   const QueryGraph q = PingQuery(&interner);
   const int alice = service.OpenSession("alice").value();
@@ -628,18 +590,18 @@ TEST(QueryServiceParallelTest, MultiSessionIsolationAcrossShards) {
   EXPECT_EQ(snap.detaches, 1u);
   ASSERT_EQ(snap.shards.size(), 3u);
   for (const ShardLoadSnapshot& shard : snap.shards) {
-    EXPECT_EQ(shard.sharding, "partitioned/hash_modulo");
+    EXPECT_EQ(shard.sharding, "distributed");
   }
-  group.Close();
+  cluster.backend->Stop();
 }
 
-TEST(QueryServiceParallelTest, PartitionedBackendServesTenantsWithLoads) {
-  // The service's metrics pick up the group's per-shard retained-memory and
+TEST(QueryServiceClusterTest, ClusterBackendServesTenantsWithLoads) {
+  // The service's metrics pick up every worker's retained-memory and
   // exchange counters.
-  Interner interner;
-  ParallelEngineGroup group(&interner, 3);
-  ParallelGroupBackend backend(&group);
-  QueryService service(&backend);
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  Interner& interner = cluster.interner;
+  QueryService service(cluster.backend.get());
 
   const QueryGraph q = PingQuery(&interner);
   const int alice = service.OpenSession("alice").value();
@@ -661,22 +623,21 @@ TEST(QueryServiceParallelTest, PartitionedBackendServesTenantsWithLoads) {
   ASSERT_EQ(snap.shards.size(), 3u);
   uint64_t retained_total = 0;
   for (const ShardLoadSnapshot& shard : snap.shards) {
-    EXPECT_EQ(shard.sharding, "partitioned/hash_modulo");
+    EXPECT_EQ(shard.sharding, "distributed");
     retained_total += shard.retained_edges;
   }
-  // Each edge lands on one or two owner shards — never on all three.
+  // Each edge lands on one or two owner workers — never on all three.
   EXPECT_GE(retained_total, 16u);
   EXPECT_LE(retained_total, 32u);
-  EXPECT_NE(snap.ToString().find("shard 0 [partitioned/hash_modulo]"),
-            std::string::npos);
-  group.Close();
+  EXPECT_NE(snap.ToString().find("shard 0 [distributed]"), std::string::npos);
+  cluster.backend->Stop();
 }
 
-TEST(QueryServiceParallelTest, DetachUnwedgesABlockedSubscription) {
-  Interner interner;
-  ParallelEngineGroup group(&interner, 1);
-  ParallelGroupBackend backend(&group);
-  QueryService service(&backend);
+TEST(QueryServiceClusterTest, DetachUnwedgesABlockedSubscription) {
+  ClusterFixture cluster(1);
+  ASSERT_TRUE(cluster.ok);
+  Interner& interner = cluster.interner;
+  QueryService service(cluster.backend.get());
 
   const int session = service.OpenSession("alice").value();
   SubmitOptions options;
@@ -686,10 +647,11 @@ TEST(QueryServiceParallelTest, DetachUnwedgesABlockedSubscription) {
       service.Submit(session, PingQuery(&interner), options).value();
 
   // Two matches against a capacity-1 kBlock queue with no consumer: the
-  // shard worker blocks inside Push, so the shard cannot quiesce. Detach
-  // must still complete (it closes the queue before unregistering).
-  service.Feed(MakeEdge(&interner, 1, 2, "ping", 1)).ok();
-  service.Feed(MakeEdge(&interner, 3, 4, "ping", 2)).ok();
+  // coordinator's pump thread blocks inside Push while it holds the
+  // cluster lock Unregister needs. Detach must still complete (it closes
+  // the queue before unregistering).
+  ASSERT_TRUE(service.Feed(MakeEdge(&interner, 1, 2, "ping", 1)).ok());
+  ASSERT_TRUE(service.Feed(MakeEdge(&interner, 3, 4, "ping", 2)).ok());
   while (service.queue(session, sub)->counters().enqueued < 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -699,7 +661,7 @@ TEST(QueryServiceParallelTest, DetachUnwedgesABlockedSubscription) {
   std::vector<CompleteMatch> drained;
   EXPECT_EQ(service.queue(session, sub)->Drain(&drained), 1u);
   EXPECT_EQ(service.queue(session, sub)->counters().dropped, 1u);
-  group.Close();
+  cluster.backend->Stop();
 }
 
 // --- CommandInterpreter ----------------------------------------------------
