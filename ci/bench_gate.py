@@ -29,11 +29,16 @@ Design choices for a shared-runner world:
   * A missing fresh file is skipped with a note (the smoke step may run a
     subset); a missing *baseline* for a present fresh file is also only a
     note, so brand-new benches can land before their first baseline.
+  * Only files the current build wrote are gated. A fresh file older than
+    the library the benches link (--library, build/libstreamworks.a) was
+    left by another build: it is reported stale and skipped, so it cannot
+    pass for a regression (or a pass) of the tree under test.
   * --strict inverts the lenient-by-default posture for runs that are
     supposed to be complete (the nightly job): a committed baseline whose
     fresh counterpart is missing, lacks a scenario, or ran at a different
-    workload size FAILS instead of skipping. Without it, a bench that
-    silently stopped producing a scenario would pass the gate forever.
+    workload size FAILS instead of skipping, and so does a stale fresh
+    file. Without it, a bench that silently stopped producing a scenario
+    would pass the gate forever.
 
 The obs-overhead gate is different in kind: BENCH_obs.json carries its
 own acceptance threshold (overhead.gate_pct, from the PR that measured
@@ -46,14 +51,16 @@ block measured an idle scraper and fails.
 
 Usage:
   ci/bench_gate.py [--results DIR] [--baseline DIR] [--tolerance 0.25]
-                   [--strict]
+                   [--library FILE] [--strict]
   ci/bench_gate.py --self-test
 """
 
 import argparse
 import json
+import os
 import pathlib
 import sys
+import tempfile
 
 # Fresh-file name -> committed baseline name. bench_micro's Google
 # Benchmark JSON and the smoke wall-time roll-up are deliberately absent:
@@ -223,9 +230,34 @@ def gate_obs_overhead(doc, label, report):
     return 0
 
 
-def run_gate(results_dir, baseline_dir, tolerance, strict=False):
+def is_stale(path, library):
+    """True when `path` is older than the library the benches link: then
+    another build wrote it. Without a library nothing can be stale."""
+    return (library is not None and library.exists()
+            and path.stat().st_mtime < library.stat().st_mtime)
+
+
+def run_gate(results_dir, baseline_dir, tolerance, strict=False,
+             library=None):
     report = []
     failures = 0
+    if library is not None and not library.exists():
+        report.append(
+            (True, f"{library}: not found; every fresh file counts as "
+                   "written by this build"))
+
+    def written_by_this_build(path):
+        """For an existing fresh file: reports a stale one, which fails
+        under --strict and is skipped otherwise."""
+        nonlocal failures
+        if not is_stale(path, library):
+            return True
+        failures += int(strict)
+        report.append(
+            (not strict, f"{path.name}: stale, older than {library} "
+                         f"({'strict' if strict else 'skipped'})"))
+        return False
+
     for fresh_name, base_name in PAIRS:
         fresh_path = results_dir / fresh_name
         base_path = baseline_dir / base_name
@@ -239,6 +271,8 @@ def run_gate(results_dir, baseline_dir, tolerance, strict=False):
                 report.append(
                     (True, f"{fresh_name}: no fresh results (skipped)"))
             continue
+        if not written_by_this_build(fresh_path):
+            continue
         if not base_path.exists():
             report.append(
                 (True, f"{fresh_name}: no committed baseline yet (skipped)"))
@@ -247,7 +281,7 @@ def run_gate(results_dir, baseline_dir, tolerance, strict=False):
                                     tolerance, fresh_name, report, strict)
     obs_fresh = results_dir / "bench_obs.json"
     obs_base = baseline_dir / "BENCH_obs.json"
-    if obs_fresh.exists():
+    if obs_fresh.exists() and written_by_this_build(obs_fresh):
         failures += gate_obs_overhead(load(obs_fresh), "bench_obs.json",
                                       report)
     elif obs_base.exists():
@@ -258,7 +292,8 @@ def run_gate(results_dir, baseline_dir, tolerance, strict=False):
     # obs-off/obs-on ingest at 2 workers) with a recorded gate_pct.
     cluster_fresh = results_dir / "bench_cluster.json"
     cluster_base = baseline_dir / "BENCH_cluster.json"
-    if cluster_fresh.exists() and "overhead" in load(cluster_fresh):
+    if (cluster_fresh.exists() and not is_stale(cluster_fresh, library)
+            and "overhead" in load(cluster_fresh)):
         failures += gate_obs_overhead(load(cluster_fresh),
                                       "bench_cluster.json (obs overhead)",
                                       report)
@@ -436,6 +471,26 @@ def self_test():
                                       "min_scrapes": 1, "gate_pct": 3.0}}
     cluster_uncounted = {"overhead": {"median_ingest_pct": 0.0,
                                       "gate_pct": 3.0}}
+    # A count file left by another build: older than the library, it is
+    # reported stale rather than gated, and --strict fails on it. The same
+    # file written after the library gates as usual.
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        library = tmp / "libstreamworks.a"
+        library.write_bytes(b"")
+        (tmp / "BENCH_fig5.json").write_text(json.dumps(counts_base))
+        stale_file = tmp / "bench_fig5.json"
+        stale_file.write_text(json.dumps(counts_off_by_one))
+        built = library.stat().st_mtime
+        os.utime(stale_file, (built - 60, built - 60))
+        stale_lenient, stale_report = run_gate(tmp, tmp, 0.25, False, library)
+        stale_strict, strict_report = run_gate(tmp, tmp, 0.25, True, library)
+        os.utime(stale_file, (built + 60, built + 60))
+        fresh_changed, _ = run_gate(tmp, tmp, 0.25, False, library)
+
+    def reports_stale(findings, ok):
+        return any(found_ok == ok and "bench_fig5.json: stale" in message
+                   for found_ok, message in findings)
     cluster_ok = gate_obs_overhead(cluster_pass, "self-test cluster", report)
     cluster_bad = gate_obs_overhead(cluster_fail, "self-test cluster", report)
     cluster_idle = gate_obs_overhead(cluster_unscraped, "self-test cluster",
@@ -462,6 +517,11 @@ def self_test():
         (sharding_bad_window == 2,
          "a changed retained-edge max and sum fail as two counts"),
         (sharding_bad_exchange == 1, "a forwarded count off by one fails"),
+        (stale_lenient == 0 and reports_stale(stale_report, True),
+         "a stale file with a changed count is reported stale, not gated"),
+        (stale_strict == 1 and reports_stale(strict_report, False),
+         "a stale file fails under --strict"),
+        (fresh_changed == 1, "the same file written after the build gates"),
         (obs_ok == 0, "in-budget obs overhead passes"),
         (obs_bad == 1, "over-budget obs overhead fails"),
         (obs_absent == 1, "overhead block with missing fields fails"),
@@ -485,6 +545,9 @@ def main():
                         help="directory with committed BENCH_*.json")
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional throughput drop (0.25)")
+    parser.add_argument("--library", default="build/libstreamworks.a",
+                        help="the library the benches link; a fresh file "
+                             "older than it is stale")
     parser.add_argument("--strict", action="store_true",
                         help="fail (instead of skip) when a committed "
                              "baseline has no matching fresh scenario at "
@@ -499,7 +562,7 @@ def main():
         parser.error("--tolerance must be in [0, 1)")
     failures, report = run_gate(pathlib.Path(args.results),
                                 pathlib.Path(args.baseline), args.tolerance,
-                                args.strict)
+                                args.strict, pathlib.Path(args.library))
     for ok, message in report:
         print(f"{'ok' if ok else 'REGRESSION'}: {message}")
     if failures:

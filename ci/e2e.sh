@@ -70,7 +70,8 @@ mkdir -p "$OBS_DIR" "$FAN_DIR"
 SERVER_PID=$!
 RSERVER_PID=""
 FAN_SERVER_PID=""
-trap 'kill "$SERVER_PID" $RSERVER_PID $FAN_SERVER_PID 2>/dev/null || true; rm -rf "$DATA_DIR" "$OBS_DIR" "$FAN_DIR"' EXIT
+# fail() prints every log before it exits, so the trap can remove them.
+trap 'kill "$SERVER_PID" $RSERVER_PID $FAN_SERVER_PID 2>/dev/null || true; rm -rf "$DATA_DIR" "$OBS_DIR" "$FAN_DIR" /tmp/streamworks_e2e_$$.*.log' EXIT
 
 # The SERVING banner is the readiness signal (it prints after the bind,
 # so it also implies the socket file exists).

@@ -80,18 +80,11 @@ Status DistributedBackend::Start() {
     hello.num_shards = n;
     hello.shard_index = i;
     hello.partitioner_seed = options_.partitioner_seed;
-    SW_RETURN_IF_ERROR(w.link->SendFrame(EncodeHelloFrame(hello)));
-    auto ack_or = w.link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-    SW_RETURN_IF_ERROR(ack_or.status());
-    if (ack_or.value().type != CtrlType::kHelloAck) {
-      return Status::InvalidArgument(
-          StrCat("worker ", i, " answered Hello with frame type ",
-                 static_cast<int>(ack_or.value().type)));
-    }
-    if (ack_or.value().hello_ack.applied_frames != 0) {
+    SW_ASSIGN_OR_RETURN(const CtrlHelloAck ack, ExchangeHello(&w, hello));
+    if (ack.applied_frames != 0) {
       return Status::FailedPrecondition(
           StrCat("worker ", i, " (", options_.workers[i], ") holds ",
-                 ack_or.value().hello_ack.applied_frames,
+                 ack.applied_frames,
                  " frames of state from a previous cluster run; clear its "
                  "data dir (or point it elsewhere) to join a fresh cluster"));
     }
@@ -171,6 +164,29 @@ Status DistributedBackend::SendControlFrame(WorkerState* w,
   return w->link->SendFrame(frame);
 }
 
+StatusOr<CtrlHelloAck> DistributedBackend::ExchangeHello(
+    WorkerState* w, const CtrlHello& hello) {
+  SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeHelloFrame(hello)));
+  // A recovering worker replays before answering, then sends HelloAck
+  // first and its regenerated-but-undelivered outputs right after — so
+  // the ack is always the first frame on the link.
+  auto ack_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
+  SW_RETURN_IF_ERROR(ack_or.status());
+  const std::string worker =
+      StrCat("worker ", hello.shard_index, " (", w->host, ":", w->port, ")");
+  if (ack_or.value().type != CtrlType::kHelloAck) {
+    return Status::InvalidArgument(
+        StrCat(worker, " answered Hello with frame type ",
+               static_cast<int>(ack_or.value().type)));
+  }
+  const CtrlHelloAck& ack = ack_or.value().hello_ack;
+  if (!ack.error.empty()) {
+    return Status::FailedPrecondition(
+        StrCat(worker, " refused the Hello: ", ack.error));
+  }
+  return ack;
+}
+
 Status DistributedBackend::RecoverLink(WorkerState* w) {
   if (w->link.has_value()) w->link->Close();
   SW_ASSIGN_OR_RETURN(auto link,
@@ -184,16 +200,8 @@ Status DistributedBackend::RecoverLink(WorkerState* w) {
   hello.partitioner_seed = options_.partitioner_seed;
   hello.exchange_items_received = w->exchange_received;
   hello.completions_received = w->completions_received;
-  SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeHelloFrame(hello)));
-  // The worker replays before answering, then sends HelloAck first and
-  // its regenerated-but-undelivered outputs right after — so the ack is
-  // always the first frame on the recovered link.
-  auto ack_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-  SW_RETURN_IF_ERROR(ack_or.status());
-  if (ack_or.value().type != CtrlType::kHelloAck) {
-    return Status::Internal("worker did not answer recovery Hello with ack");
-  }
-  const uint64_t durable = ack_or.value().hello_ack.applied_frames;
+  SW_ASSIGN_OR_RETURN(const CtrlHelloAck ack, ExchangeHello(w, hello));
+  const uint64_t durable = ack.applied_frames;
   if (durable < w->pruned_base || durable > w->sent_state) {
     return Status::Internal(
         StrCat("worker log has ", durable, " frames but coordinator retains [",

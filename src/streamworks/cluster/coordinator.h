@@ -184,6 +184,10 @@ class DistributedBackend : public QueryBackend {
   /// Sends a request (not retained): reconnects first if the link is
   /// down, and once more if the send fails.
   Status SendControlFrame(WorkerState* w, const std::string& frame);
+  /// Sends `hello` on w's link and returns the worker's HelloAck; a
+  /// worker that refuses the Hello fails this with its reason.
+  StatusOr<CtrlHelloAck> ExchangeHello(WorkerState* w,
+                                       const CtrlHello& hello);
   /// Reconnect + Hello/HelloAck + resend of the retained tail.
   Status RecoverLink(WorkerState* w);
   /// Handles one worker->coordinator frame that is not the ack currently

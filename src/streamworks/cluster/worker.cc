@@ -32,6 +32,11 @@ std::string FrameLogDir(const std::string& data_dir) {
   return (std::filesystem::path(data_dir) / kFrameLogName).string();
 }
 
+Status SendHelloAck(PeerLink* link, const CtrlHelloAck& ack) {
+  SW_ASSIGN_OR_RETURN(const std::string frame, EncodeHelloAckFrame(ack));
+  return link->SendFrame(frame);
+}
+
 }  // namespace
 
 WorkerDaemon::WorkerDaemon(WorkerOptions options)
@@ -93,13 +98,16 @@ Status WorkerDaemon::Serve(const std::atomic<bool>& stop) {
     PeerLink link = std::move(link_or).value();
     const Status session = ServeConnection(&link, stop);
     live_link_ = nullptr;
-    if (!session.ok()) {
-      if (fatal_) return session;
-      // Link failures are expected (the coordinator reconnects after its
-      // side recovers); the accept loop is the recovery path.
-      std::fprintf(stderr, "worker[%d]: connection ended: %s\n",
-                   shard_index_, session.ToString().c_str());
-    }
+    if (session.ok()) continue;
+    if (fatal_) return session;
+    // A coordinator ends a session by closing its link between frames (a
+    // clean DistributedBackend::Stop does); that is no failure. Other link
+    // failures are expected too (the coordinator reconnects after its
+    // side recovers; the accept loop is the recovery path), but worth a
+    // line: a close inside a frame, a malformed frame, a failed send.
+    if (link.closed_between_frames()) continue;
+    std::fprintf(stderr, "worker[%d]: connection ended: %s\n", shard_index_,
+                 session.ToString().c_str());
   }
   return OkStatus();
 }
@@ -138,7 +146,7 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
         // this is belt-and-braces).
         CtrlHelloAck ack;
         ack.applied_frames = applied_frames_;
-        SW_RETURN_IF_ERROR(link->SendFrame(EncodeHelloAckFrame(ack)));
+        SW_RETURN_IF_ERROR(SendHelloAck(link, ack));
         break;
       }
       case CtrlType::kBarrier: {
@@ -217,7 +225,14 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
     return Status::InvalidArgument("expected Hello as the first frame");
   }
   const CtrlHello hello = hello_or.value().hello;
-  SW_RETURN_IF_ERROR(Configure(hello));
+  if (const Status refused = Configure(hello); !refused.ok()) {
+    // Tell the coordinator why before the session ends, so its Start or
+    // reconnect fails with this reason rather than a closed link.
+    CtrlHelloAck ack;
+    ack.error = refused.ToString();
+    SendHelloAck(link, ack).ok();  // best effort: `refused` is the error
+    return refused;
+  }
 
   if (!replayed_) {
     replayed_ = true;
@@ -257,7 +272,7 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
 
   CtrlHelloAck ack;
   ack.applied_frames = applied_frames_;
-  SW_RETURN_IF_ERROR(link->SendFrame(EncodeHelloAckFrame(ack)));
+  SW_RETURN_IF_ERROR(SendHelloAck(link, ack));
   // Outputs the crash swallowed: regenerated during replay, beyond the
   // coordinator's cursors, never delivered. Send them now, before any
   // new frames produce new outputs, to preserve per-stream order.

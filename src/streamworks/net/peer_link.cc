@@ -81,7 +81,14 @@ Status PeerLink::FillFromSocket(int timeout_ms) {
     }
     return Status::IoError(StrCat("read: ", std::strerror(errno)));
   }
-  if (got == 0) return Status::Unavailable("peer closed the link");
+  if (got == 0) {
+    if (rbuf_.empty()) {
+      closed_between_frames_ = true;
+      return Status::Unavailable("peer closed the link");
+    }
+    return Status::Unavailable(StrCat("peer closed the link inside a frame (",
+                                      rbuf_.size(), " bytes of it read)"));
+  }
   rbuf_.append(buf, static_cast<size_t>(got));
   return OkStatus();
 }

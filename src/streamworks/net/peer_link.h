@@ -65,6 +65,11 @@ class PeerLink {
   /// (a desynchronized peer must reconnect and handshake).
   StatusOr<CtrlFrame> ReadFrame(Interner* interner, int timeout_ms);
 
+  /// True once a read has seen the peer close the link with no partial
+  /// frame buffered: the peer ended the session between frames, which is
+  /// how a coordinator stops. A close inside a frame leaves this false.
+  bool closed_between_frames() const { return closed_between_frames_; }
+
   bool connected() const { return fd_.valid(); }
   int fd() const { return fd_.get(); }
   void Close() { fd_.reset(); rbuf_.clear(); }
@@ -74,6 +79,7 @@ class PeerLink {
 
   UniqueFd fd_;
   bool duplex_ = false;
+  bool closed_between_frames_ = false;
   std::string rbuf_;
 };
 

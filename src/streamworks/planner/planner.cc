@@ -1,8 +1,10 @@
 #include "streamworks/planner/planner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <sstream>
+#include <tuple>
 
 #include "streamworks/common/logging.h"
 #include "streamworks/common/str_util.h"
@@ -95,18 +97,33 @@ std::vector<Bitset64> QueryPlanner::GreedyPrimitivePairs(
     int e1;
     int e2;
     double card;
+    /// Query degree of the shared vertex (the smaller one if the two
+    /// edges share both endpoints).
+    size_t centre_degree;
   };
   std::vector<Pair> pairs;
   for (int i = 0; i < n; ++i) {
     for (int j = i + 1; j < n; ++j) {
       const Bitset64 mask = Bitset64::Single(i) | Bitset64::Single(j);
       if (!query.IsEdgeSetConnected(mask)) continue;
-      pairs.push_back(Pair{i, j, Cardinality(query, mask)});
+      size_t centre_degree = SIZE_MAX;
+      for (int v : query.VerticesOfEdges(Bitset64::Single(i)) &
+                       query.VerticesOfEdges(Bitset64::Single(j))) {
+        centre_degree = std::min(
+            centre_degree,
+            query.incident(static_cast<QueryVertexId>(v)).size());
+      }
+      pairs.push_back(Pair{i, j, Cardinality(query, mask), centre_degree});
     }
   }
+  // Among equally rare pairs, a wedge centred on a low-degree vertex goes
+  // first: its centre then lives inside one leaf, and the high-degree
+  // vertices (the query's hubs) become the join keys. Without statistics
+  // every pair ties, and this is what keeps the plan independent of the
+  // order the query's edges were typed in.
   std::sort(pairs.begin(), pairs.end(), [](const Pair& a, const Pair& b) {
-    if (a.card != b.card) return a.card < b.card;
-    return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
+    return std::tie(a.card, a.centre_degree, a.e1, a.e2) <
+           std::tie(b.card, b.centre_degree, b.e1, b.e2);
   });
   Bitset64 covered;
   std::vector<Bitset64> leaves;
@@ -176,8 +193,13 @@ StatusOr<Decomposition> QueryPlanner::Plan(
       return Decomposition::MakeLeftDeep(query, leaves);
     }
     case DecompositionStrategy::kSelectivityLeftDeep:
-      return Decomposition::MakeLeftDeep(query,
-                                         SelectivityConnectedOrder(query));
+      if (has_stats()) {
+        return Decomposition::MakeLeftDeep(query,
+                                           SelectivityConnectedOrder(query));
+      }
+      // Without statistics every estimate ties and the order above is
+      // edge-id order; plan wedges instead (see planner.h).
+      [[fallthrough]];
     case DecompositionStrategy::kPrimitivePairs:
       return Decomposition::MakeLeftDeep(query, GreedyPrimitivePairs(query));
     case DecompositionStrategy::kBalancedBisection: {

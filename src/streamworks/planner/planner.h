@@ -19,11 +19,16 @@ enum class DecompositionStrategy {
   /// Single-edge leaves in a structural (BFS-from-edge-0) connected order;
   /// left-deep joins. The uninformed baseline plan.
   kLeftDeepEdgeOrder,
-  /// Single-edge leaves: seed with the most selective edge, then greedily
-  /// extend with the connectable edge that minimises the estimated
-  /// cardinality of the accumulated join (System-R style) — keeping every
-  /// intermediate partial-match population small, the paper's §4.1 goal;
-  /// left-deep.
+  /// The default. With statistics: single-edge leaves; seed with the most
+  /// selective edge, then greedily extend with the connectable edge that
+  /// minimises the estimated cardinality of the accumulated join
+  /// (System-R style) — keeping every intermediate partial-match
+  /// population small, the paper's §4.1 goal; left-deep.
+  /// Without statistics every estimate ties and that order would be
+  /// edge-id order, which for a news query pairs up every two articles
+  /// sharing a keyword before it checks their location. So it plans what
+  /// kPrimitivePairs plans: wedges that each hold a low-degree vertex
+  /// (an article, a smurf amplifier), joined on the query's hubs.
   kSelectivityLeftDeep,
   /// Greedy 2-edge primitives (wedges) chosen by triad rarity, leftovers
   /// as single edges; left-deep over primitives ordered by rarity. The
@@ -53,8 +58,11 @@ StatusOr<DecompositionStrategy> ParseDecompositionStrategy(
 
 /// Turns query graphs into validated SJ-Tree decompositions under a chosen
 /// strategy, using a SelectivityEstimator fed by stream summarisation
-/// (§4.3). With a null estimator, informed strategies degenerate to
-/// deterministic structural orders.
+/// (§4.3). Without statistics (a null estimator, or one without stats)
+/// every estimate is 1.0: kSelectivityLeftDeep plans like
+/// kPrimitivePairs, whose pairing then rests on its structural tie-break,
+/// and kBalancedBisection bisects connected edge-id order. Plans are
+/// deterministic either way, so replicas that plan one query agree.
 class QueryPlanner {
  public:
   explicit QueryPlanner(const SelectivityEstimator* estimator = nullptr)
@@ -78,8 +86,16 @@ class QueryPlanner {
       const QueryGraph& query) const;
 
   /// Greedy rare-first wedge pairing; leftovers as single edges; leaves in
-  /// ascending-cardinality connected order.
+  /// ascending-cardinality connected order. Pairs of equal estimated
+  /// cardinality go in ascending query degree of their shared vertex
+  /// (fewest query edges first), then by edge ids: a vertex with two
+  /// query edges sits inside one leaf, and the hubs become join keys
+  /// whatever order the query's edges were typed in.
   std::vector<Bitset64> GreedyPrimitivePairs(const QueryGraph& query) const;
+
+  bool has_stats() const {
+    return estimator_ != nullptr && estimator_->has_stats();
+  }
 
   const SelectivityEstimator* estimator_;
 };

@@ -110,6 +110,7 @@ void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
     }
     case CtrlType::kHelloAck:
       frame->hello_ack.applied_frames = r->U64("hello-ack applied");
+      frame->hello_ack.error = r->String("hello-ack error");
       break;
     case CtrlType::kRegister: {
       CtrlRegister& reg = frame->reg;
@@ -402,9 +403,10 @@ std::string EncodeHelloFrame(const CtrlHello& hello) {
   return FinishFrame(std::move(frame));
 }
 
-std::string EncodeHelloAckFrame(const CtrlHelloAck& ack) {
+StatusOr<std::string> EncodeHelloAckFrame(const CtrlHelloAck& ack) {
   std::string frame = StartFrame(CtrlType::kHelloAck);
   PutU64(&frame, ack.applied_frames);
+  SW_RETURN_IF_ERROR(PutString(&frame, ack.error));
   return FinishFrame(std::move(frame));
 }
 

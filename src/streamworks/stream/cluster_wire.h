@@ -41,7 +41,13 @@ namespace streamworks {
 /// coordinator only for the suffix it never saw (see cluster/worker.h
 /// for the recovery contract).
 inline constexpr char kCtrlFrameMagic[4] = {'\xFC', 'C', 'T', '1'};
-inline constexpr uint32_t kCtrlProtocolVersion = 1;
+/// Rides in Hello; a worker refuses a coordinator that speaks another
+/// version. It covers more than the frame layouts: each worker plans a
+/// registration from its strategy byte, and exchange items name SJ-Tree
+/// nodes, so two builds that plan one query differently must not share a
+/// cluster. Version 2: HelloAck carries a refusal reason, and the default
+/// strategy plans wedge leaves when there are no statistics.
+inline constexpr uint32_t kCtrlProtocolVersion = 2;
 
 enum class CtrlType : uint8_t {
   kHello = 1,       ///< coordinator -> worker: identity + recovery cursors
@@ -85,6 +91,9 @@ struct CtrlHello {
 
 struct CtrlHelloAck {
   uint64_t applied_frames = 0;  ///< State frames in the worker's log.
+  /// Empty when the worker accepts the Hello. Otherwise why it refuses it
+  /// (say, a protocol mismatch); the worker then ends the connection.
+  std::string error;
 };
 
 struct CtrlQueryEdge {
@@ -229,7 +238,7 @@ CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
 // string is longer than kMaxStringBytes. The rest cannot fail.
 
 std::string EncodeHelloFrame(const CtrlHello& hello);
-std::string EncodeHelloAckFrame(const CtrlHelloAck& ack);
+StatusOr<std::string> EncodeHelloAckFrame(const CtrlHelloAck& ack);
 StatusOr<std::string> EncodeRegisterFrame(const CtrlRegister& reg);
 StatusOr<std::string> EncodeRegisterAckFrame(const CtrlRegisterAck& ack);
 std::string EncodeEndBackfillFrame();

@@ -10,6 +10,8 @@
 // exactly the reference multiset: nothing lost, nothing repeated.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <algorithm>
 #include <atomic>
@@ -23,15 +25,20 @@
 #include "streamworks/cluster/coordinator.h"
 #include "streamworks/cluster/worker.h"
 #include "streamworks/common/interner.h"
+#include "streamworks/common/str_util.h"
 #include "streamworks/core/engine.h"
 #include "streamworks/graph/query_graph.h"
 #include "streamworks/graph/random_graphs.h"
+#include "streamworks/net/socket.h"
 #include "streamworks/obs/json_render.h"
 #include "streamworks/obs/metric_registry.h"
 #include "streamworks/obs/stage_trace.h"
 #include "streamworks/stream/netflow_gen.h"
+#include "streamworks/stream/news_gen.h"
+#include "streamworks/stream/workload_queries.h"
 
 #include "cluster_fixture.h"
+#include "news_query.h"
 
 namespace streamworks {
 namespace {
@@ -237,6 +244,60 @@ TEST(ClusterTest, MatchesSingleEngineAcrossWorkerCounts) {
       completions += load.completions;
     }
     EXPECT_EQ(completions, expected_total) << "workers=" << num_workers;
+    cluster.backend->Stop();
+  }
+}
+
+// The default strategy plans news queries as article wedges. A wedge
+// leaf's local search crosses shards (its article and hub endpoints live on
+// different workers), so its expansions are forwarded, and the cluster
+// must still deliver exactly one engine's matches.
+TEST(ClusterTest, WedgePlansMatchSingleEngineOnNewsStream) {
+  for (const int num_workers : {2, 3}) {
+    ClusterFixture cluster(num_workers);
+    ASSERT_TRUE(cluster.ok);
+    NewsGenerator::Options opt;
+    opt.seed = 7;
+    opt.num_articles = 800;
+    NewsGenerator gen(opt, &cluster.interner);
+    gen.InjectEvent(40, "politics", 3);
+    gen.InjectEvent(120, "politics", 4);
+    const auto edges = gen.Generate();
+    const std::vector<QueryGraph> queries = {
+        BuildNewsEventQuery(&cluster.interner, "politics", 3),
+        LocationFirstNewsQuery(&cluster.interner, "politics", 3)};
+    const Timestamp window = 20;
+
+    StreamWorksEngine engine(&cluster.interner, EngineOptions{});
+    std::vector<MatchSink> expected(queries.size());
+    std::vector<MatchSink> actual(queries.size());
+    const DecompositionStrategy strategy =
+        DecompositionStrategy::kSelectivityLeftDeep;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(engine
+                      .RegisterQuery(queries[i], strategy, window,
+                                     expected[i].Callback())
+                      .ok());
+      ASSERT_TRUE(cluster.backend
+                      ->Register(queries[i], strategy, window,
+                                 actual[i].Callback())
+                      .ok());
+    }
+    for (const StreamEdge& e : edges) {
+      ASSERT_TRUE(engine.ProcessEdge(e).ok());
+      ASSERT_TRUE(cluster.backend->Feed(e).ok());
+    }
+    cluster.backend->Flush();
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_GT(expected[i].size(), 0u) << queries[i].name();
+      EXPECT_EQ(actual[i].Sorted(), expected[i].Sorted())
+          << "workers=" << num_workers << " " << queries[i].name();
+    }
+    uint64_t forwarded = 0;
+    for (const ShardLoadSnapshot& load : cluster.backend->ShardLoads()) {
+      forwarded += load.matches_forwarded;
+    }
+    EXPECT_GT(forwarded, 0u) << "workers=" << num_workers;
     cluster.backend->Stop();
   }
 }
@@ -922,6 +983,151 @@ TEST(ClusterTest, InfoReconnectsARestartedWorker) {
     cluster.backend->Stop();
   }
   fs::remove_all(root);
+}
+
+/// Returns once the worker on `port` has ended its previous session: its
+/// accept loop takes this connection, and answers its Hello, only then.
+void AwaitPreviousSessionEnd(int port, int num_shards, int shard_index) {
+  Interner interner;
+  auto link = PeerLink::ConnectTcpRetry("127.0.0.1", port, 5000);
+  ASSERT_TRUE(link.ok()) << link.status().ToString();
+  CtrlHello hello;
+  hello.num_shards = num_shards;
+  hello.shard_index = shard_index;
+  ASSERT_TRUE(link->SendFrame(EncodeHelloFrame(hello)).ok());
+  auto ack = link->ReadFrame(&interner, 5000);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->type, CtrlType::kHelloAck);
+}
+
+// A clean Stop closes every worker link between frames: the workers end
+// their sessions without a "connection ended" line on stderr.
+TEST(ClusterTest, CleanStopEndsWorkerSessionsSilently) {
+  testing::internal::CaptureStderr();
+  {
+    ClusterFixture cluster(2);
+    EXPECT_TRUE(cluster.ok);
+    if (cluster.ok) {
+      MatchSink sink;
+      EXPECT_TRUE(cluster.backend
+                      ->Register(BuildWormChain(&cluster.interner),
+                                 DecompositionStrategy::kLeftDeepEdgeOrder,
+                                 50, sink.Callback())
+                      .ok());
+      EXPECT_TRUE(cluster.backend->Feed(TestStream(&cluster.interner, 200)[0])
+                      .ok());
+      cluster.backend->Flush();
+      cluster.backend->Stop();
+      for (int i = 0; i < 2; ++i) {
+        AwaitPreviousSessionEnd(cluster.workers[i]->port(), 2, i);
+      }
+    }
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(err.find("connection ended"), std::string::npos) << err;
+}
+
+// A peer that closes the link inside a frame still gets its line.
+TEST(ClusterTest, CloseInsideAFrameIsReported) {
+  WorkerHarness worker("");
+  ASSERT_TRUE(worker.Start().ok());
+  testing::internal::CaptureStderr();
+  {
+    auto link = PeerLink::ConnectTcpRetry("127.0.0.1", worker.port(), 5000);
+    EXPECT_TRUE(link.ok());
+    CtrlHello hello;
+    hello.num_shards = 1;
+    hello.shard_index = 0;
+    const std::string frame = EncodeHelloFrame(hello);
+    if (link.ok()) {
+      EXPECT_TRUE(
+          link->SendFrame(std::string_view(frame).substr(0, frame.size() / 2))
+              .ok());
+    }
+  }
+  AwaitPreviousSessionEnd(worker.port(), 1, 0);
+  worker.Kill();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("connection ended: unavailable: peer closed the link "
+                     "inside a frame"),
+            std::string::npos)
+      << err;
+}
+
+// Builds that plan a query differently must not share a cluster, and the
+// Hello's protocol version keeps them apart: a worker refuses a Hello of
+// another version, says why in its HelloAck and ends the session; a
+// coordinator's Start fails with the worker's reason.
+TEST(ClusterTest, HelloOfAnotherProtocolVersionIsRefused) {
+  WorkerHarness worker("");
+  ASSERT_TRUE(worker.Start().ok());
+  Interner interner;
+  {
+    auto link = PeerLink::ConnectTcpRetry("127.0.0.1", worker.port(), 5000);
+    ASSERT_TRUE(link.ok()) << link.status().ToString();
+    CtrlHello hello;
+    hello.protocol = kCtrlProtocolVersion + 1;
+    hello.num_shards = 1;
+    hello.shard_index = 0;
+    ASSERT_TRUE(link->SendFrame(EncodeHelloFrame(hello)).ok());
+    auto ack = link->ReadFrame(&interner, 5000);
+    ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+    ASSERT_EQ(ack->type, CtrlType::kHelloAck);
+    EXPECT_NE(ack->hello_ack.error.find(
+                  StrCat("protocol mismatch: coordinator speaks ",
+                         kCtrlProtocolVersion + 1, ", worker speaks ",
+                         kCtrlProtocolVersion)),
+              std::string::npos)
+        << ack->hello_ack.error;
+    EXPECT_FALSE(link->ReadFrame(&interner, 5000).ok());
+  }
+  // The refused Hello configured nothing: this build's coordinator joins.
+  {
+    DistributedBackendOptions options;
+    options.workers = {StrCat("127.0.0.1:", worker.port())};
+    DistributedBackend backend(options, &interner);
+    EXPECT_TRUE(backend.Start().ok());
+    backend.Stop();
+  }
+
+  // The coordinator's side, against a peer that answers the way a worker
+  // of the next protocol version does.
+  auto listener = ListenTcp("127.0.0.1", 0, /*backlog=*/1);
+  ASSERT_TRUE(listener.ok());
+  const int port = BoundTcpPort(listener->get()).value();
+  std::thread next_version_worker([&] {
+    // The listener is nonblocking: wait for the coordinator to connect.
+    struct pollfd pfd {};
+    pfd.fd = listener->get();
+    pfd.events = POLLIN;
+    if (::poll(&pfd, 1, 5000) != 1) return;
+    auto link =
+        PeerLink::Adopt(UniqueFd(::accept(listener->get(), nullptr, nullptr)),
+                        /*duplex=*/false);
+    if (!link.ok()) return;
+    Interner worker_interner;
+    auto hello = link->ReadFrame(&worker_interner, 5000);
+    if (!hello.ok()) return;
+    CtrlHelloAck refusal;
+    refusal.error = StrCat("protocol mismatch: coordinator speaks ",
+                           hello->hello.protocol, ", worker speaks ",
+                           kCtrlProtocolVersion + 1);
+    link->SendFrame(EncodeHelloAckFrame(refusal).value()).ok();
+  });
+  DistributedBackendOptions options;
+  options.workers = {StrCat("127.0.0.1:", port)};
+  options.ack_timeout_ms = 5000;
+  DistributedBackend backend(options, &interner);
+  const Status started = backend.Start();
+  next_version_worker.join();
+  EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(started.message().find(
+                StrCat("refused the Hello: protocol mismatch: coordinator "
+                       "speaks ",
+                       kCtrlProtocolVersion, ", worker speaks ",
+                       kCtrlProtocolVersion + 1)),
+            std::string::npos)
+      << started.ToString();
 }
 
 TEST(ClusterTest, ParseHostPortAcceptsValidRejectsJunk) {

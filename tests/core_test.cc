@@ -14,7 +14,10 @@
 #include "streamworks/core/engine.h"
 #include "streamworks/graph/random_graphs.h"
 #include "streamworks/stream/netflow_gen.h"
+#include "streamworks/stream/news_gen.h"
 #include "streamworks/stream/workload_queries.h"
+
+#include "news_query.h"
 
 namespace streamworks {
 namespace {
@@ -462,6 +465,53 @@ TEST(EngineEquivalenceOnAttackStreamTest, SmurfAgreesAcrossAllMatchers) {
   }
   EXPECT_EQ(engine_sigs, naive_sigs);
   EXPECT_GT(engine_sigs.size(), 0u);
+}
+
+// The news query typed location-edges-first: the default strategy, which
+// plans article wedges without statistics, must agree with single-edge
+// leaves in edge-id order and with the naive matcher.
+TEST(EngineEquivalenceOnNewsStreamTest, LocationFirstQueryAgreesAcrossPlans) {
+  Interner interner;
+  NewsGenerator::Options opt;
+  opt.seed = 7;
+  opt.num_articles = 800;
+  NewsGenerator gen(opt, &interner);
+  gen.InjectEvent(40, "politics", 3);
+  gen.InjectEvent(120, "politics", 4);
+  const auto edges = gen.Generate();
+  const QueryGraph q = LocationFirstNewsQuery(&interner, "politics", 3);
+  const Timestamp window = 20;
+
+  StreamWorksEngine engine(&interner);
+  std::multiset<uint64_t> default_sigs;
+  std::multiset<uint64_t> edge_order_sigs;
+  const int wedges =
+      engine
+          .RegisterQuery(q, DecompositionStrategy::kSelectivityLeftDeep,
+                         window,
+                         [&](const CompleteMatch& cm) {
+                           default_sigs.insert(cm.match.MappingSignature());
+                         })
+          .value();
+  ASSERT_EQ(engine.sjtree(wedges).decomposition().leaves().size(), 3u);
+  ASSERT_TRUE(engine
+                  .RegisterQuery(q, DecompositionStrategy::kLeftDeepEdgeOrder,
+                                 window,
+                                 [&](const CompleteMatch& cm) {
+                                   edge_order_sigs.insert(
+                                       cm.match.MappingSignature());
+                                 })
+                  .ok());
+  NaiveIncrementalMatcher naive(&q, window, &interner);
+  std::multiset<uint64_t> naive_sigs;
+  for (const EdgeBatch& batch : BatchByTick(edges)) {
+    ASSERT_TRUE(engine.ProcessBatch(batch).ok());
+    const std::vector<Match> found = naive.ProcessBatch(batch).value();
+    for (const Match& m : found) naive_sigs.insert(m.MappingSignature());
+  }
+  EXPECT_EQ(default_sigs, edge_order_sigs);
+  EXPECT_EQ(default_sigs, naive_sigs);
+  EXPECT_GT(default_sigs.size(), 0u);
 }
 
 }  // namespace

@@ -18,6 +18,9 @@
 #include "streamworks/planner/selectivity.h"
 #include "streamworks/planner/stats.h"
 #include "streamworks/sjtree/sj_tree.h"
+#include "streamworks/stream/workload_queries.h"
+
+#include "news_query.h"
 
 namespace streamworks {
 namespace {
@@ -364,7 +367,63 @@ TEST(QueryPlannerTest, AllStrategiesProduceValidPlans) {
                           << d.status().ToString();
       EXPECT_TRUE(d->Validate(q).ok()) << DecompositionStrategyName(s);
     }
+    // Without statistics the default strategy plans wedges.
+    EXPECT_TRUE(
+        planner.Plan(q, DecompositionStrategy::kSelectivityLeftDeep).value() ==
+        planner.Plan(q, DecompositionStrategy::kPrimitivePairs).value())
+        << q.ToString(interner);
   }
+}
+
+/// Expects `d` to be three two-edge leaves, each holding vertices 0 and 1
+/// and one vertex of its own, joined left-deep on {0, 1}.
+void ExpectWedgesJoinedOnFirstTwoVertices(const QueryGraph& q,
+                                          const Decomposition& d) {
+  const Bitset64 hubs = Bitset64::Single(0) | Bitset64::Single(1);
+  ASSERT_EQ(d.leaves().size(), 3u) << q.name();
+  Bitset64 centres;
+  for (int leaf : d.leaves()) {
+    const DecompositionNode& node = d.node(leaf);
+    EXPECT_EQ(node.edges.Count(), 2) << q.name();
+    EXPECT_EQ(node.vertices.Count(), 3) << q.name();
+    EXPECT_EQ(node.vertices & hubs, hubs) << q.name();
+    centres = centres | (node.vertices - hubs);
+  }
+  EXPECT_EQ(centres.Count(), 3) << q.name();
+  for (int n = 0; n < d.num_nodes(); ++n) {
+    if (!d.IsLeaf(n)) {
+      EXPECT_EQ(d.node(n).cut_vertices, hubs) << q.name();
+    }
+  }
+}
+
+TEST(QueryPlannerTest, UninformedNewsPlanJoinsArticleWedges) {
+  Interner interner;
+  // Keyword is vertex 0 and location vertex 1 in both typings.
+  const QueryGraph by_article = BuildNewsEventQuery(&interner, "politics", 3);
+  const QueryGraph location_first =
+      LocationFirstNewsQuery(&interner, "politics", 3);
+  const SelectivityEstimator no_stats(nullptr);
+  for (const QueryPlanner& planner :
+       {QueryPlanner(nullptr), QueryPlanner(&no_stats)}) {
+    for (const QueryGraph* q : {&by_article, &location_first}) {
+      ExpectWedgesJoinedOnFirstTwoVertices(
+          *q,
+          planner.Plan(*q, DecompositionStrategy::kSelectivityLeftDeep)
+              .value());
+    }
+  }
+}
+
+TEST(QueryPlannerTest, UninformedSmurfPlanJoinsAmplifierPaths) {
+  Interner interner;
+  // Attacker is vertex 0 and victim vertex 1; each leaf is one
+  // attacker -> amplifier -> victim path.
+  const QueryGraph q = BuildSmurfQuery(&interner, 3);
+  ExpectWedgesJoinedOnFirstTwoVertices(
+      q, QueryPlanner(nullptr)
+             .Plan(q, DecompositionStrategy::kSelectivityLeftDeep)
+             .value());
 }
 
 TEST(QueryPlannerTest, SelectivityOrderPutsRareEdgeLowest) {

@@ -52,8 +52,10 @@ QueryGraph PingQuery(Interner* interner, std::string_view name = "ping_q") {
   return *built;
 }
 
-/// Two-edge path query: u -[login]-> h -[connect]-> x. Its first edge
-/// parks a partial match, which admission-budget tests lean on.
+/// Two-edge path query: u -[login]-> h -[connect]-> x. Planned with
+/// single-edge leaves (kLeftDeepEdgeOrder), its first edge parks a partial
+/// match, which admission-budget tests lean on; the default strategy
+/// plans it as one wedge leaf, which parks nothing.
 QueryGraph PathQuery(Interner* interner, std::string_view name = "path_q") {
   QueryGraphBuilder b(interner);
   const auto u = b.AddVertex("V");
@@ -385,16 +387,23 @@ TEST_F(QueryServiceTest, PartialMatchBudgetAdmissionControl) {
   limits.live_partial_match_budget = 1;
   QueryService service(&backend_, limits);
   const int session = service.OpenSession("alice").value();
-  ASSERT_TRUE(service.Submit(session, PathQuery(&interner_)).ok());
+  SubmitOptions single_edge_leaves;
+  single_edge_leaves.strategy = DecompositionStrategy::kLeftDeepEdgeOrder;
+  ASSERT_TRUE(
+      service.Submit(session, PathQuery(&interner_), single_edge_leaves)
+          .ok());
 
   // No partial matches yet: still under budget.
-  ASSERT_TRUE(service.Submit(session, PathQuery(&interner_)).ok());
+  ASSERT_TRUE(
+      service.Submit(session, PathQuery(&interner_), single_edge_leaves)
+          .ok());
 
   // One login edge parks a partial match in each live tree; the budget (1)
   // is now met, so the next submission is rejected.
   ASSERT_TRUE(
       service.Feed(MakeEdge(&interner_, 1, 2, "login", 1)).ok());
-  const auto rejected = service.Submit(session, PathQuery(&interner_));
+  const auto rejected =
+      service.Submit(session, PathQuery(&interner_), single_edge_leaves);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(service.Snapshot().rejected_partial_budget, 1u);

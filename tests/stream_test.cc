@@ -625,9 +625,17 @@ TEST(ClusterWireTest, HelloAndAckRoundTrip) {
 
   CtrlHelloAck ack;
   ack.applied_frames = 7;
-  const CtrlFrame ackf = MustDecode(EncodeHelloAckFrame(ack), &interner);
+  const CtrlFrame ackf =
+      MustDecode(EncodeHelloAckFrame(ack).value(), &interner);
   ASSERT_EQ(ackf.type, CtrlType::kHelloAck);
   EXPECT_EQ(ackf.hello_ack.applied_frames, 7u);
+  EXPECT_EQ(ackf.hello_ack.error, "");
+
+  CtrlHelloAck refusal;
+  refusal.error = "protocol mismatch";
+  const CtrlFrame refusalf =
+      MustDecode(EncodeHelloAckFrame(refusal).value(), &interner);
+  EXPECT_EQ(refusalf.hello_ack.error, "protocol mismatch");
 }
 
 TEST(ClusterWireTest, RegisterRoundTripPreservesQueryShape) {
