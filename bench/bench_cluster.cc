@@ -8,11 +8,14 @@
 //   $ ./build/bench/bench_cluster [num_edges] [--json PATH] [--no-overhead]
 //
 // Workers run in-process on their own threads, without frame logs: the
-// number is the cluster wire + barrier protocol, not disk. Machine-
-// readable results land in bench-results/bench_cluster.json; the
-// committed baseline is bench-results/BENCH_cluster.json (gated by
-// ci/bench_gate.py on ingest_eps; the lag percentiles ride along for
-// humans). Run on an idle machine for stable numbers.
+// number is the cluster wire + barrier protocol, not disk. A row lasts
+// tens of milliseconds, so each reports the fastest of kRowRuns runs of
+// its stream, each on a fresh cluster, and every run must deliver the
+// same completions. Machine-readable results land in
+// bench-results/bench_cluster.json; the committed baseline is
+// bench-results/BENCH_cluster.json (gated by ci/bench_gate.py on
+// ingest_eps; the lag percentiles ride along for humans). Run on an idle
+// machine for stable numbers.
 
 #include <algorithm>
 #include <atomic>
@@ -78,6 +81,11 @@ struct Overhead {
   int min_scrapes = 0;
   double gate_pct = 3.0;
 };
+
+/// Runs behind each row. One run of the default 20000-edge stream takes
+/// 13-31 ms on a 4-vCPU VM, short enough that one scheduling hiccup moves
+/// its rate by a quarter; the fastest of several is what the host can do.
+constexpr int kRowRuns = 5;
 
 constexpr double kOverheadMinSeconds = 2.0;
 constexpr auto kScrapePeriod = std::chrono::milliseconds(250);
@@ -253,17 +261,32 @@ class BenchCluster {
   double scrape_wall_s_ = 0;
 };
 
-Result RunScenario(int num_workers, const std::vector<StreamEdge>& edges,
-                   Interner* interner) {
-  BenchCluster cluster(num_workers, interner, /*with_obs=*/false);
-  Result result;
-  result.scenario = "workers" + std::to_string(num_workers);
-  result.edges = edges.size();
-  result.seconds = cluster.FeedPass(edges, /*shift=*/0);
-  result.completions = cluster.completions();
-  result.p50_ms = cluster.LagPercentileMs(0.50);
-  result.p99_ms = cluster.LagPercentileMs(0.99);
-  return result;
+/// The fastest of kRowRuns runs of the stream at `num_workers`. Each run
+/// is an independent deployment (fresh interner, stream and cluster,
+/// like the correctness tests), and each must deliver the completions
+/// the first one did.
+Result RunScenario(int num_workers, int num_edges) {
+  Result best;
+  for (int run = 0; run < kRowRuns; ++run) {
+    Interner interner;
+    const auto edges = BenchStream(&interner, num_edges);
+    BenchCluster cluster(num_workers, &interner, /*with_obs=*/false);
+    Result result;
+    result.scenario = "workers" + std::to_string(num_workers);
+    result.edges = edges.size();
+    result.seconds = cluster.FeedPass(edges, /*shift=*/0);
+    result.completions = cluster.completions();
+    result.p50_ms = cluster.LagPercentileMs(0.50);
+    result.p99_ms = cluster.LagPercentileMs(0.99);
+    if (run > 0 && result.completions != best.completions) {
+      std::cerr << result.scenario << ": run " << (run + 1) << " delivered "
+                << result.completions << " completions, run 1 "
+                << best.completions << "\n";
+      std::exit(1);
+    }
+    if (run == 0 || result.seconds < best.seconds) best = result;
+  }
+  return best;
 }
 
 /// `pairs` interleaved obs-off/obs-on pairs at 2 workers. A pair's
@@ -365,13 +388,10 @@ void RunAll(int num_edges, const std::string& json_path, int overhead_pairs) {
   Banner("cluster", "multi-process sharding: ingest + delivery lag");
   std::vector<Result> rows;
   for (int workers : {1, 2, 4}) {
-    // A fresh interner per scenario: each cluster run is an independent
-    // deployment, like the correctness tests.
-    Interner interner;
-    const auto edges = BenchStream(&interner, num_edges);
-    rows.push_back(RunScenario(workers, edges, &interner));
+    rows.push_back(RunScenario(workers, num_edges));
   }
 
+  std::cout << "each row: the fastest of " << kRowRuns << " runs\n";
   Table table({12, 10, 10, 14, 13, 11, 11});
   table.Row({"scenario", "edges", "seconds", "ingest e/s", "completions",
              "p50 ms", "p99 ms"});

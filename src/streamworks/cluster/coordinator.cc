@@ -80,7 +80,9 @@ Status DistributedBackend::Start() {
     hello.num_shards = n;
     hello.shard_index = i;
     hello.partitioner_seed = options_.partitioner_seed;
-    SW_ASSIGN_OR_RETURN(const CtrlHelloAck ack, ExchangeHello(&w, hello));
+    SW_ASSIGN_OR_RETURN(
+        const CtrlHelloAck ack,
+        ExchangeHello(&w, hello, options_.connect_deadline_ms));
     if (ack.applied_frames != 0) {
       return Status::FailedPrecondition(
           StrCat("worker ", i, " (", options_.workers[i], ") holds ",
@@ -165,15 +167,19 @@ Status DistributedBackend::SendControlFrame(WorkerState* w,
 }
 
 StatusOr<CtrlHelloAck> DistributedBackend::ExchangeHello(
-    WorkerState* w, const CtrlHello& hello) {
+    WorkerState* w, const CtrlHello& hello, int timeout_ms) {
   SW_RETURN_IF_ERROR(w->link->SendFrame(EncodeHelloFrame(hello)));
   // A recovering worker replays before answering, then sends HelloAck
   // first and its regenerated-but-undelivered outputs right after — so
   // the ack is always the first frame on the link.
-  auto ack_or = w->link->ReadFrame(&wire_interner_, options_.ack_timeout_ms);
-  SW_RETURN_IF_ERROR(ack_or.status());
+  auto ack_or = w->link->ReadFrame(&wire_interner_, timeout_ms);
   const std::string worker =
       StrCat("worker ", hello.shard_index, " (", w->host, ":", w->port, ")");
+  if (!ack_or.ok()) {
+    return Status(ack_or.status().code(),
+                  StrCat(worker, " did not answer the Hello within ",
+                         timeout_ms, "ms: ", ack_or.status().message()));
+  }
   if (ack_or.value().type != CtrlType::kHelloAck) {
     return Status::InvalidArgument(
         StrCat(worker, " answered Hello with frame type ",
@@ -199,8 +205,9 @@ Status DistributedBackend::RecoverLink(WorkerState* w) {
       static_cast<int32_t>(w - workers_.data());
   hello.partitioner_seed = options_.partitioner_seed;
   hello.exchange_items_received = w->exchange_received;
-  hello.completions_received = w->completions_received;
-  SW_ASSIGN_OR_RETURN(const CtrlHelloAck ack, ExchangeHello(w, hello));
+  // A restarted worker replays its whole frame log before it answers.
+  SW_ASSIGN_OR_RETURN(const CtrlHelloAck ack,
+                      ExchangeHello(w, hello, options_.ack_timeout_ms));
   const uint64_t durable = ack.applied_frames;
   if (durable < w->pruned_base || durable > w->sent_state) {
     return Status::Internal(
@@ -220,14 +227,20 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
                                              const CtrlFrame& frame) {
   switch (frame.type) {
     case CtrlType::kExchange: {
+      // The worker's one output stream: the recovery cursor counts every
+      // item, completions included.
       from->exchange_received += frame.exchange.items.size();
-      relays_total_ += frame.exchange.items.size();
-      const uint64_t relay_start = PipelineMetrics::NowMicros();
-      // Star relay: group by destination shard, forward as state frames
-      // (a relayed item mutates the receiver, so it must survive a
-      // receiver crash like any batch would).
+      // Completions are delivered here. The rest is a star relay: group
+      // by destination shard, forward as state frames (a relayed item
+      // mutates the receiver, so it must survive a receiver crash like
+      // any batch would).
       std::map<int32_t, std::vector<CtrlExchangeItem>> by_dest;
+      size_t relayed = 0;
       for (const CtrlExchangeItem& item : frame.exchange.items) {
+        if (item.item.kind == ExchangeKind::kComplete) {
+          SW_RETURN_IF_ERROR(DeliverCompletion(item.item));
+          continue;
+        }
         if (item.dest < 0 ||
             item.dest >= static_cast<int32_t>(workers_.size())) {
           return Status::Internal(
@@ -235,7 +248,12 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
                      workers_.size()));
         }
         by_dest[item.dest].push_back(item);
+        ++relayed;
       }
+      // Only relayed items start another barrier round.
+      if (relayed == 0) return OkStatus();
+      relays_total_ += relayed;
+      const uint64_t relay_start = PipelineMetrics::NowMicros();
       const LabelNameFn name = InternerNames(wire_interner_);
       for (const auto& [dest, items] : by_dest) {
         SW_ASSIGN_OR_RETURN(std::vector<std::string> frames,
@@ -249,30 +267,8 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
       relay_forward_us_ += relay_us;
       if (options_.pipeline != nullptr) {
         options_.pipeline->Record(PipelineStage::kExchangeRelay, relay_us, -1,
-                                  -1, frame.exchange.items.size());
+                                  -1, relayed);
       }
-      return OkStatus();
-    }
-    case CtrlType::kCompletion: {
-      ++from->completions_received;
-      const auto it = queries_.find(frame.completion.query_id);
-      if (it == queries_.end()) {
-        // Unregistered while the completion was in flight; the contract
-        // ("no callbacks after Unregister returns") says drop it.
-        return OkStatus();
-      }
-      auto match_or = MatchExchange::Localize(&coord_graph_, it->second.query,
-                                              frame.completion.match);
-      SW_RETURN_IF_ERROR(match_or.status());
-      if (suppress_.load(std::memory_order_relaxed)) return OkStatus();
-      CompleteMatch cm;
-      cm.query_id = frame.completion.query_id;
-      cm.match = std::move(match_or).value();
-      cm.completed_at = frame.completion.completed_at;
-      cm.graph = &coord_graph_;
-      // A null callback registers a query whose matches are only counted,
-      // as on an engine.
-      if (it->second.callback) it->second.callback(cm);
       return OkStatus();
     }
     default:
@@ -280,6 +276,29 @@ Status DistributedBackend::HandleWorkerFrame(WorkerState* from,
       // ignoring them is always safe (awaits match on round/type).
       return OkStatus();
   }
+}
+
+Status DistributedBackend::DeliverCompletion(const ExchangeItem& item) {
+  const auto it = queries_.find(item.query_id);
+  if (it == queries_.end()) {
+    // Unregistered while the completion was in flight; the contract
+    // ("no callbacks after Unregister returns") says drop it.
+    return OkStatus();
+  }
+  auto match_or =
+      MatchExchange::Localize(&coord_graph_, it->second.query, item.match);
+  SW_RETURN_IF_ERROR(match_or.status());
+  if (suppress_.load(std::memory_order_relaxed)) return OkStatus();
+  CompleteMatch cm;
+  cm.query_id = item.query_id;
+  cm.match = std::move(match_or).value();
+  // What a shard engine reports: the completing edge's timestamp.
+  cm.completed_at = cm.match.max_ts();
+  cm.graph = &coord_graph_;
+  // A null callback registers a query whose matches are only counted,
+  // as on an engine.
+  if (it->second.callback) it->second.callback(cm);
+  return OkStatus();
 }
 
 StatusOr<CtrlFrame> DistributedBackend::AwaitFrame(
@@ -560,16 +579,15 @@ StatusOr<QueryRuntimeInfo> DistributedBackend::Info(int query_id) {
   const std::string frame = EncodeInfoFrame(info);
   QueryRuntimeInfo out;
   out.query_id = query_id;
-  const int n = static_cast<int>(workers_.size());
-  for (int i = 0; i < n; ++i) {
-    WorkerState& w = workers_[static_cast<size_t>(i)];
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    WorkerState& w = workers_[i];
     SW_RETURN_IF_ERROR(SendControlFrame(&w, frame));
     SW_ASSIGN_OR_RETURN(const CtrlFrame ack,
                         AwaitFrame(&w, CtrlType::kInfoAck, &frame));
     if (!ack.info_ack.ok) {
       return Status::Internal(StrCat("worker ", i, ": ", ack.info_ack.error));
     }
-    MergeShardQueryInfo(i, n, ack.info_ack, &out);
+    MergeShardQueryInfo(ack.info_ack, &out);
   }
   return out;
 }

@@ -37,13 +37,15 @@ struct DistributedBackendOptions {
   /// Ingest backpressure bound: Feed blocks once this many edges are
   /// queued ahead of the pump.
   size_t max_pending_edges = 32768;
-  /// How long Start waits for each worker to come up.
+  /// How long Start waits for each worker to come up: to accept the
+  /// connection, and then to answer its Hello.
   int connect_deadline_ms = 10000;
   /// How long a mid-stream reconnect retries before the cluster op fails
   /// — the recovery budget for a crashed worker to restart and replay.
   int reconnect_deadline_ms = 30000;
-  /// Per-frame wait while expecting an ack. Generous: a worker may be
-  /// replaying a large log or backfilling a large window.
+  /// Per-frame wait while expecting an ack, a reconnect's HelloAck
+  /// included. Generous: a worker may be replaying a large log or
+  /// backfilling a large window.
   int ack_timeout_ms = 60000;
 
   // Observability ------------------------------------------------------------
@@ -91,14 +93,19 @@ struct DistributedBackendOptions {
 /// ingest (by design) but never wedges unrelated service sessions — the
 /// service only blocks when it explicitly asks this backend to quiesce.
 ///
+/// Completions: each worker sends the completions it finds up with its
+/// exchange items, in one chunked stream of Exchange frames. The
+/// coordinator delivers each to its query's callback on the pump (or
+/// control) thread, and relays only expansions and inserts.
+///
 /// Fault tolerance (worker crash, kill -9 included): every state frame a
 /// worker has not durably acknowledged is retained; on link failure the
 /// coordinator reconnects (retrying up to reconnect_deadline_ms, covering
-/// a daemon restart), sends a Hello carrying how many exchange items and
-/// completions it has ever received from that shard, learns from the
-/// HelloAck how many frames survived in the worker's log, and resends the
-/// rest. The worker replays its log, skipping the outputs the cursors say
-/// were already delivered. Exactly-once, both directions. The coordinator
+/// a daemon restart), sends a Hello carrying how many exchange items,
+/// completions included, it has ever received from that shard, learns
+/// from the HelloAck how many frames survived in the worker's log, and
+/// resends the rest. The worker replays its log, skipping the outputs the
+/// cursor says were already delivered. Exactly-once, both directions. The coordinator
 /// itself is not replicated — it is the deployment's root, like the
 /// single-process service it replaces.
 class DistributedBackend : public QueryBackend {
@@ -162,9 +169,8 @@ class DistributedBackend : public QueryBackend {
     uint64_t sent_state = 0;
     uint64_t pruned_base = 0;
     std::deque<std::string> retained;
-    /// Recovery cursors sent in Hello (see CtrlHello).
+    /// Recovery cursor sent in Hello (see CtrlHello).
     uint64_t exchange_received = 0;
-    uint64_t completions_received = 0;
     /// Federation cache: the worker's last MetricsReport and when it
     /// arrived. Served until metrics_cache_ms old, then re-pulled.
     CtrlMetricsReport report;
@@ -184,15 +190,20 @@ class DistributedBackend : public QueryBackend {
   /// Sends a request (not retained): reconnects first if the link is
   /// down, and once more if the send fails.
   Status SendControlFrame(WorkerState* w, const std::string& frame);
-  /// Sends `hello` on w's link and returns the worker's HelloAck; a
-  /// worker that refuses the Hello fails this with its reason.
-  StatusOr<CtrlHelloAck> ExchangeHello(WorkerState* w,
-                                       const CtrlHello& hello);
+  /// Sends `hello` on w's link and returns the worker's HelloAck, waiting
+  /// at most `timeout_ms` for it. A worker that refuses the Hello, or does
+  /// not answer in time, fails this with an error that names it.
+  StatusOr<CtrlHelloAck> ExchangeHello(WorkerState* w, const CtrlHello& hello,
+                                       int timeout_ms);
   /// Reconnect + Hello/HelloAck + resend of the retained tail.
   Status RecoverLink(WorkerState* w);
   /// Handles one worker->coordinator frame that is not the ack currently
-  /// being awaited: exchange relays and completion delivery.
+  /// being awaited: an Exchange frame's completions are delivered, its
+  /// other items relayed.
   Status HandleWorkerFrame(WorkerState* from, const CtrlFrame& frame);
+  /// Delivers one kComplete item to its query's callback, unless the
+  /// query is gone or completions are suppressed.
+  Status DeliverCompletion(const ExchangeItem& item);
   /// Reads frames from `w` until one of `type` arrives, relaying
   /// everything else through HandleWorkerFrame. A failed read returns its
   /// error, unless `request` (the frame this awaits the reply to) is
@@ -273,6 +284,8 @@ class DistributedBackend : public QueryBackend {
   DynamicGraph coord_graph_;
 
   uint32_t barrier_round_ = 0;
+  /// Expansions and inserts relayed so far: the barrier fixpoint's
+  /// progress count (completions start no further round).
   uint64_t relays_total_ = 0;
 
   // Observability state (epoch ring is lock-free; the histograms are

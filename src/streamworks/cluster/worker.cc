@@ -115,7 +115,6 @@ Status WorkerDaemon::Serve(const std::atomic<bool>& stop) {
 Status WorkerDaemon::ServeConnection(PeerLink* link,
                                      const std::atomic<bool>& stop) {
   live_link_ = link;
-  completion_send_error_ = OkStatus();
   SW_RETURN_IF_ERROR(Handshake(link));
   while (!stop.load(std::memory_order_relaxed)) {
     // Scrapes interleave with control frames: each loop turn drains any
@@ -131,7 +130,6 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
       CtrlRegisterAck ack;
       SW_RETURN_IF_ERROR(ApplyStateFrame(frame, &ack));
       SW_RETURN_IF_ERROR(FlushOutbox(link));
-      SW_RETURN_IF_ERROR(completion_send_error_);
       if (frame.type == CtrlType::kRegister) {
         SW_ASSIGN_OR_RETURN(const std::string ack_frame,
                             EncodeRegisterAckFrame(ack));
@@ -151,7 +149,6 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
       }
       case CtrlType::kBarrier: {
         SW_RETURN_IF_ERROR(FlushOutbox(link));
-        SW_RETURN_IF_ERROR(completion_send_error_);
         CtrlBarrierAck ack;
         ack.round = frame.barrier.round;
         ack.applied_frames = applied_frames_;
@@ -168,8 +165,8 @@ Status WorkerDaemon::ServeConnection(PeerLink* link,
         SW_RETURN_IF_ERROR(SendMetricsReport(link));
         break;
       default:
-        // Acks and completions never flow coordinator -> worker; a stray
-        // one is a peer bug, not worth killing the link over.
+        // Acks never flow coordinator -> worker; a stray one is a peer
+        // bug, not worth killing the link over.
         break;
     }
   }
@@ -238,12 +235,11 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
     replayed_ = true;
     if (log_ != nullptr && log_->next_seq() > 0) {
       // Deferred startup replay: re-apply the durable state stream. The
-      // engine regenerates the dead incarnation's outputs in the same
-      // order; the coordinator's cursors say how many of each it already
-      // received, so exactly the excess is (re)sent below.
+      // engine regenerates the dead incarnation's output stream in the
+      // same order; the coordinator's cursor says how much of it it
+      // already received, so exactly the excess is (re)sent below.
       replaying_ = true;
       replay_exchange_skip_ = hello.exchange_items_received;
-      replay_completion_skip_ = hello.completions_received;
       const auto replayed = FrameLog::Replay(
           FrameLogDir(options_.data_dir), kFrameLogName, /*from_seq=*/0,
           [&](const LogRecord& record, uint64_t seq) -> Status {
@@ -274,8 +270,8 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
   ack.applied_frames = applied_frames_;
   SW_RETURN_IF_ERROR(SendHelloAck(link, ack));
   // Outputs the crash swallowed: regenerated during replay, beyond the
-  // coordinator's cursors, never delivered. Send them now, before any
-  // new frames produce new outputs, to preserve per-stream order.
+  // coordinator's cursor, never delivered. Send them now, before any
+  // new frames produce new outputs, to preserve the stream's order.
   for (const std::string& frame : pending_out_) {
     SW_RETURN_IF_ERROR(link->SendFrame(frame));
   }
@@ -285,6 +281,15 @@ Status WorkerDaemon::Handshake(PeerLink* link) {
 
 Status WorkerDaemon::ApplyStateFrame(const CtrlFrame& frame,
                                      CtrlRegisterAck* register_ack_out) {
+  if (frame.type == CtrlType::kExchange) {
+    for (const CtrlExchangeItem& item : frame.exchange.items) {
+      if (item.item.kind == ExchangeKind::kComplete) {
+        return Status::InvalidArgument(
+            "exchange frame carries a completion; completions only flow "
+            "up to the coordinator");
+      }
+    }
+  }
   if (log_ != nullptr && !replaying_) {
     // Log before apply: a crash after the append replays the frame; a
     // crash before it leaves the coordinator's resend buffer responsible.
@@ -398,12 +403,16 @@ Status WorkerDaemon::FlushOutbox(PeerLink* link) {
       --replay_exchange_skip_;
       continue;
     }
+    if (item.kind == ExchangeKind::kComplete) {
+      ++counters_.completions_sent;
+    } else {
+      ++counters_.exchange_items_sent;
+    }
     CtrlExchangeItem wire;
     wire.dest = dest;
     wire.item = std::move(item);
     out.push_back(std::move(wire));
   }
-  counters_.exchange_items_sent += out.size();
   SW_ASSIGN_OR_RETURN(std::vector<std::string> frames,
                       EncodeExchangeFrames(out, InternerNames(interner_)));
   for (std::string& frame : frames) {
@@ -417,28 +426,11 @@ Status WorkerDaemon::FlushOutbox(PeerLink* link) {
 }
 
 void WorkerDaemon::OnCompletion(const CompleteMatch& cm) {
-  if (replaying_ && replay_completion_skip_ > 0) {
-    --replay_completion_skip_;
-    return;
-  }
-  CtrlCompletion completion;
-  completion.query_id = cm.query_id;
-  completion.completed_at = cm.completed_at;
-  completion.match = MatchExchange::ToWire(engine_->graph(), cm.match);
-  StatusOr<std::string> frame =
-      EncodeCompletionFrame(completion, InternerNames(interner_));
-  ++counters_.completions_sent;
-  Status sent = frame.status();
-  if (frame.ok() && replaying_) {
-    pending_out_.push_back(std::move(frame).value());
-    return;
-  }
-  if (frame.ok() && live_link_ != nullptr) {
-    sent = live_link_->SendFrame(frame.value());
-  }
-  if (!sent.ok() && completion_send_error_.ok()) {
-    completion_send_error_ = sent;
-  }
+  ExchangeItem item;
+  item.kind = ExchangeKind::kComplete;
+  item.query_id = cm.query_id;
+  item.match = MatchExchange::ToWire(engine_->graph(), cm.match);
+  exchange_.Send(kCoordinatorDest, std::move(item));
 }
 
 Status WorkerDaemon::SendInfoAck(PeerLink* link, const CtrlInfo& info) {

@@ -40,7 +40,7 @@ struct WorkerOptions {
 /// Aggregate counters one worker daemon exposes to tests.
 struct WorkerCounters {
   uint64_t frames_applied = 0;     ///< State frames applied (== log seq).
-  uint64_t exchange_items_sent = 0;
+  uint64_t exchange_items_sent = 0;  ///< Expansions and inserts.
   uint64_t completions_sent = 0;
   uint64_t replayed_frames = 0;    ///< State frames re-applied at startup.
 };
@@ -51,22 +51,26 @@ struct WorkerCounters {
 ///
 /// The daemon speaks the vertex-partitioned sharding protocol over the
 /// wire: the coordinator routes each ingested edge to its endpoint owners
-/// (kBatch), forwarded partial matches flow back up and get relayed
-/// (kExchange — star topology, no worker mesh), epoch barriers bound
-/// in-flight work (kBarrier/kBarrierAck) and watermark commits drive expiry
-/// (kCommit). A deployment runs the daemon as its own process, or on a
-/// thread beside the coordinator; the protocol is the same.
+/// (kBatch), epoch barriers bound in-flight work (kBarrier/kBarrierAck)
+/// and watermark commits drive expiry (kCommit). The daemon has one output
+/// stream, its MatchExchange outbox: forwarded partial matches and the
+/// completions this shard finds, in the order the engine produced them,
+/// sent up in chunked kExchange frames after each state frame and before
+/// each BarrierAck. The coordinator delivers the completions and relays
+/// the rest (star topology, no worker mesh). A deployment runs the daemon
+/// as its own process, or on a thread beside the coordinator; the
+/// protocol is the same.
 ///
 /// Durability and exactly-once recovery: every *state-bearing* frame
 /// (IsStateCtrlType) is appended to a FrameLog before it is applied, in
 /// arrival order. After a crash (kill -9 included — the log needs no
 /// fsync to survive process death) the restarted daemon defers replay
-/// until the coordinator's Hello arrives carrying two cursors: how many
-/// exchange items (K) and completions (C) the coordinator had received
-/// from this shard. Replay re-applies the whole log; because the engine is
-/// deterministic, it regenerates the exact output streams the dead
-/// incarnation produced, and the daemon discards the first K / C of them
-/// — already delivered — and sends only the excess. It then reports its
+/// until the coordinator's Hello arrives carrying one cursor: how many
+/// exchange items, completions included, the coordinator had received
+/// from this shard (K). Replay re-applies the whole log; because the
+/// engine is deterministic, it regenerates the exact output stream the
+/// dead incarnation produced, and the daemon discards its first K items —
+/// already delivered — and sends only the excess. It then reports its
 /// durable frame count (M) in HelloAck, and the coordinator resends the
 /// state frames [M, S) the crash swallowed. Net effect: every frame is
 /// applied exactly once, every output delivered exactly once, with no
@@ -113,7 +117,7 @@ class WorkerDaemon {
 
   /// Handshake on a fresh connection: read Hello, configure the engine on
   /// first contact, replay the frame log (once per process, skipping the
-  /// coordinator's K/C output cursors), send HelloAck + excess outputs.
+  /// coordinator's output cursor K), send HelloAck + excess outputs.
   Status Handshake(PeerLink* link);
 
   /// Configures engine + partitioner from the Hello (first contact) or
@@ -123,6 +127,9 @@ class WorkerDaemon {
   /// Logs (when durable) and applies one state frame; increments
   /// frames_applied. `register_ack_out`, when non-null, receives the ack
   /// for a kRegister frame (replay passes null — no one is listening).
+  /// Refuses, before logging it, an Exchange frame that carries a
+  /// completion: only a corrupt or foreign peer sends one down, and a
+  /// logged one would fail every later replay.
   Status ApplyStateFrame(const CtrlFrame& frame,
                          CtrlRegisterAck* register_ack_out);
 
@@ -130,13 +137,13 @@ class WorkerDaemon {
   Status ApplyBatch(const CtrlBatch& batch);
   Status ApplyExchange(const CtrlExchange& exchange);
 
-  /// Drains the engine's exchange outbox into kExchange frames for the
-  /// coordinator (chunked), honouring the replay skip cursor. In replay
-  /// the frames buffer into pending_out_; live, they send immediately.
+  /// Drains the exchange outbox into kExchange frames for the coordinator
+  /// (chunked), honouring the replay skip cursor. In replay the frames
+  /// buffer into pending_out_; live, they send immediately.
   Status FlushOutbox(PeerLink* link);
 
-  /// Engine completion callback target: encode + send (or buffer/skip
-  /// during replay).
+  /// Engine completion callback target: queues the match on the outbox
+  /// as a kComplete item for the coordinator.
   void OnCompletion(const CompleteMatch& cm);
 
   Status SendInfoAck(PeerLink* link, const CtrlInfo& info);
@@ -177,20 +184,18 @@ class WorkerDaemon {
   bool configured_ = false;
   bool replayed_ = false;
 
-  /// Live link, only valid inside Serve's per-connection scope; kept as a
-  /// member so OnCompletion (called from inside engine applies) can send.
+  /// Live link, only valid inside Serve's per-connection scope (/healthz
+  /// reports whether a coordinator is connected).
   PeerLink* live_link_ = nullptr;
 
   /// Replay state: while set, outputs are counted against the skip
-  /// cursors and the excess buffers into pending_out_ instead of sending.
+  /// cursor and the excess buffers into pending_out_ instead of sending.
   bool replaying_ = false;
   uint64_t replay_exchange_skip_ = 0;
-  uint64_t replay_completion_skip_ = 0;
   std::vector<std::string> pending_out_;
 
   uint64_t applied_frames_ = 0;
   WorkerCounters counters_;
-  Status completion_send_error_;  ///< First send failure inside a callback.
   /// Set when an error must end Serve (log corruption, engine-invariant
   /// breach) rather than just this connection.
   bool fatal_ = false;

@@ -288,10 +288,6 @@ int StreamWorksEngine::Router::HomeShard(uint64_t ext_cut_key) const {
                                   engine_->shard_.num_shards));
 }
 
-int StreamWorksEngine::Router::callback_home() const {
-  return CallbackHomeShard(current_query_id, engine_->shard_.num_shards);
-}
-
 Timestamp StreamWorksEngine::Router::safe_watermark() const {
   return engine_->safe_watermark_;
 }
@@ -326,17 +322,6 @@ void StreamWorksEngine::Router::ForwardInsert(int dest, int node,
   ExchangeItem item = WireItem(ExchangeKind::kInsert, m);
   item.node = node;
   engine_->shard_.exchange->Send(dest, std::move(item));
-  if (pipeline) {
-    pipeline->Record(PipelineStage::kExchangeForward,
-                     PipelineMetrics::NowMicros() - t0);
-  }
-}
-
-void StreamWorksEngine::Router::ForwardCompletion(int dest, const Match& m) {
-  PipelineMetrics* pipeline = engine_->options_.pipeline;
-  const uint64_t t0 = pipeline ? PipelineMetrics::NowMicros() : 0;
-  engine_->shard_.exchange->Send(dest,
-                                 WireItem(ExchangeKind::kComplete, m));
   if (pipeline) {
     pipeline->Record(PipelineStage::kExchangeForward,
                      PipelineMetrics::NowMicros() - t0);
@@ -393,6 +378,8 @@ Status StreamWorksEngine::ProcessShardEdge(const StreamEdge& edge,
 
 void StreamWorksEngine::HandleExchangeItem(const ExchangeItem& item) {
   SW_DCHECK(shard_mode());
+  SW_CHECK(item.kind != ExchangeKind::kComplete)
+      << "a completion goes to the coordinator, never to a shard";
   Timer timer;
   shard_.exchange->CountReceived(item.kind);
   SW_CHECK(has_query(item.query_id))
@@ -407,19 +394,13 @@ void StreamWorksEngine::HandleExchangeItem(const ExchangeItem& item) {
 
   router_.current_query_id = item.query_id;
   scratch_completed_.clear();
-  switch (item.kind) {
-    case ExchangeKind::kExpand:
-      rq.tree->ResumeExpansion(graph_, item.plan,
-                               static_cast<size_t>(item.step), &m, &router_,
-                               &scratch_completed_);
-      break;
-    case ExchangeKind::kInsert:
-      rq.tree->InsertForwarded(graph_, item.node, m, &router_,
-                               &scratch_completed_);
-      break;
-    case ExchangeKind::kComplete:
-      scratch_completed_.push_back(std::move(m));
-      break;
+  if (item.kind == ExchangeKind::kExpand) {
+    rq.tree->ResumeExpansion(graph_, item.plan,
+                             static_cast<size_t>(item.step), &m, &router_,
+                             &scratch_completed_);
+  } else {
+    rq.tree->InsertForwarded(graph_, item.node, m, &router_,
+                             &scratch_completed_);
   }
   DeliverCompletions(item.query_id, rq);
   metrics_.processing_seconds += timer.ElapsedSeconds();

@@ -213,8 +213,9 @@ class StreamWorksEngine {
   Status ProcessShardEdge(const StreamEdge& edge, EdgeId global_id,
                           bool run_anchors);
 
-  /// Executes one forwarded work item (expansion resume, homed insert, or
-  /// completion delivery) against this shard's state.
+  /// Executes one forwarded work item (expansion resume or homed insert)
+  /// against this shard's state. A kComplete item is a caller bug: it
+  /// goes to the coordinator, never to a shard.
   void HandleExchangeItem(const ExchangeItem& item);
 
   /// Raises the shard's watermark to the group watermark and expires
@@ -302,12 +303,10 @@ class StreamWorksEngine {
     int self_shard() const override;
     int OwnerOfVertex(ExternalVertexId v) const override;
     int HomeShard(uint64_t ext_cut_key) const override;
-    int callback_home() const override;
     Timestamp safe_watermark() const override;
     void ForwardExpansion(int dest, uint32_t plan, int step,
                           const Match& m) override;
     void ForwardInsert(int dest, int node, const Match& m) override;
-    void ForwardCompletion(int dest, const Match& m) override;
 
     /// Query whose tree is currently executing (set by the engine before
     /// every tree call; routing and homing are per-query).

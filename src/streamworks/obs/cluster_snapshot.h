@@ -30,6 +30,8 @@ struct WorkerObsSnapshot {
   uint64_t report_age_us = 0;  ///< Age of the cached report (0 if none).
   uint64_t wal_seq = 0;        ///< Worker-reported durable frame count.
   uint64_t replayed_frames = 0;
+  /// Expansions and inserts; with completions_sent, the items the
+  /// coordinator's recovery cursor counts.
   uint64_t exchange_items_sent = 0;
   uint64_t completions_sent = 0;
   uint64_t sent_state = 0;       ///< Coordinator-side state frames ever sent.

@@ -28,10 +28,12 @@ struct ShardLoadSnapshot {
   uint64_t retained_vertices = 0;
   uint64_t evicted_edges = 0;
   uint64_t edges_processed = 0;
-  uint64_t completions = 0;
+  uint64_t completions = 0;  ///< Matches this shard found and delivered.
   uint64_t live_partial_matches = 0;
-  uint64_t matches_forwarded = 0;  ///< Exchange items this shard sent.
-  uint64_t matches_received = 0;   ///< Exchange items this shard executed.
+  /// Expansions and inserts this shard sent to, and executed for, other
+  /// shards (completions go to the coordinator and count above).
+  uint64_t matches_forwarded = 0;
+  uint64_t matches_received = 0;
 };
 
 /// Point-in-time counters of the durability subsystem (persist/), pulled

@@ -13,8 +13,7 @@ void MatchExchange::Send(int dest_shard, ExchangeItem item) {
     case ExchangeKind::kInsert:
       ++counters_.sent_inserts;
       break;
-    case ExchangeKind::kComplete:
-      ++counters_.sent_completions;
+    case ExchangeKind::kComplete:  // a delivery, not shard-to-shard work
       break;
   }
   outbox_.emplace_back(dest_shard, std::move(item));
@@ -34,8 +33,7 @@ void MatchExchange::CountReceived(ExchangeKind kind) {
     case ExchangeKind::kInsert:
       ++counters_.received_inserts;
       break;
-    case ExchangeKind::kComplete:
-      ++counters_.received_completions;
+    case ExchangeKind::kComplete:  // never sent to a shard
       break;
   }
 }
@@ -99,14 +97,11 @@ StatusOr<Match> MatchExchange::Localize(DynamicGraph* graph,
   return m;
 }
 
-void MergeShardQueryInfo(int shard, int num_shards,
-                         const QueryRuntimeInfo& per_shard,
+void MergeShardQueryInfo(const QueryRuntimeInfo& per_shard,
                          QueryRuntimeInfo* group) {
-  if (shard == CallbackHomeShard(group->query_id, num_shards)) {
-    group->name = per_shard.name;
-    group->window = per_shard.window;
-    group->completions = per_shard.completions;
-  }
+  group->name = per_shard.name;
+  group->window = per_shard.window;
+  group->completions += per_shard.completions;
   group->live_partial_matches += per_shard.live_partial_matches;
   group->peak_partial_matches += per_shard.peak_partial_matches;
   if (group->nodes.size() < per_shard.nodes.size()) {

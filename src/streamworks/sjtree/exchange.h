@@ -56,7 +56,7 @@ struct WireMatch {
 enum class ExchangeKind : uint8_t {
   kExpand,    ///< Resume a leaf expansion at `step` of anchor plan `plan`.
   kInsert,    ///< Insert at decomposition node `node` (receiver is home).
-  kComplete,  ///< Deliver a complete match (receiver is the callback home).
+  kComplete,  ///< A complete match, for the coordinator to deliver.
 };
 
 /// One forwarded unit of work.
@@ -69,20 +69,17 @@ struct ExchangeItem {
   WireMatch match;
 };
 
-/// Monotonic counters for one shard's exchange traffic.
+/// Monotonic counters for one shard's shard-to-shard exchange traffic
+/// (completions go to the coordinator and count as deliveries instead).
 struct ExchangeCounters {
   uint64_t sent_expansions = 0;
   uint64_t sent_inserts = 0;
-  uint64_t sent_completions = 0;
   uint64_t received_expansions = 0;
   uint64_t received_inserts = 0;
-  uint64_t received_completions = 0;
 
-  uint64_t total_sent() const {
-    return sent_expansions + sent_inserts + sent_completions;
-  }
+  uint64_t total_sent() const { return sent_expansions + sent_inserts; }
   uint64_t total_received() const {
-    return received_expansions + received_inserts + received_completions;
+    return received_expansions + received_inserts;
   }
 };
 
@@ -128,33 +125,26 @@ struct ShardStatsSnapshot {
   ExchangeCounters exchange;      ///< All zero outside shard mode.
 };
 
-/// The shard that delivers every completion of `query_id` in a
-/// vertex-partitioned group, which keeps each query's callbacks on one
-/// thread.
-inline int CallbackHomeShard(int query_id, int num_shards) {
-  return query_id % num_shards;
-}
-
-/// Folds shard `shard`'s view of a query replicated on all `num_shards`
-/// shards into `group`, whose query_id must be set. The callback-home
-/// shard counts every completion, so it supplies name, window and
-/// completions; partial-match gauges and per-node counters sum, since
-/// every shard runs a replica of the same tree.
-void MergeShardQueryInfo(int shard, int num_shards,
-                         const QueryRuntimeInfo& per_shard,
+/// Folds one shard's view of a query replicated on every shard into
+/// `group`, whose query_id must be set. Every replica carries the same
+/// name and window. Each shard counts the completions it finds, so
+/// completions, partial-match gauges and per-node counters all sum.
+void MergeShardQueryInfo(const QueryRuntimeInfo& per_shard,
                          QueryRuntimeInfo* group);
 
-/// Per-shard outbox of forwarded matches plus the wire translation.
+/// Per-shard outbox, the worker's one output stream, plus the wire
+/// translation: expansions and inserts for other shards, and completions
+/// for the coordinator, in the order the shard produced them.
 ///
 /// Threading: owned by one shard's worker daemon, whose serve thread alone
-/// calls Send and Drain. Delivery to the destination shard is the
-/// coordinator's job: the worker ships each drained batch up, and the
-/// coordinator relays it.
+/// calls Send and Drain. The worker ships each drained batch up; the
+/// coordinator delivers the completions and relays the rest.
 class MatchExchange {
  public:
-  /// Queues `item` for `dest_shard`. Never blocks (exchange traffic must
-  /// not participate in ingest backpressure, or two shards forwarding to
-  /// each other through full queues would deadlock).
+  /// Queues `item` for `dest_shard` (-1 for a kComplete item, which goes
+  /// to the coordinator). Never blocks (exchange traffic must not
+  /// participate in ingest backpressure, or two shards forwarding to each
+  /// other through full queues would deadlock).
   void Send(int dest_shard, ExchangeItem item);
 
   /// Moves out everything queued since the last drain.
@@ -205,10 +195,6 @@ class ShardRouter {
   /// same place).
   virtual int HomeShard(uint64_t ext_cut_key) const = 0;
 
-  /// Shard whose worker delivers the current query's completions (keeps
-  /// the per-query single-threaded callback contract).
-  virtual int callback_home() const = 0;
-
   /// The group's last epoch-flushed watermark: the only timestamp expiry
   /// may trust in sharded execution. The *local* graph watermark can run
   /// ahead of a forwarded match still in flight whose anchor is older than
@@ -221,7 +207,6 @@ class ShardRouter {
   virtual void ForwardExpansion(int dest, uint32_t plan, int step,
                                 const Match& m) = 0;
   virtual void ForwardInsert(int dest, int node, const Match& m) = 0;
-  virtual void ForwardCompletion(int dest, const Match& m) = 0;
 };
 
 }  // namespace streamworks

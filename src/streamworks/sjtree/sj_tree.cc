@@ -81,13 +81,6 @@ void SjTree::InsertAndPropagate(const DynamicGraph& graph, int node,
     ++stats_[node].matches_inserted;
     ++completed_count_;
     max_completion_min_ts_ = std::max(max_completion_min_ts_, m.min_ts());
-    if (router != nullptr) {
-      const int home = router->callback_home();
-      if (home != router->self_shard()) {
-        router->ForwardCompletion(home, m);
-        return;
-      }
-    }
     completed->push_back(m);
     return;
   }

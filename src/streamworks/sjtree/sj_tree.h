@@ -80,13 +80,13 @@ class SjTree {
   // --- Sharded (vertex-partitioned) execution ------------------------------
   // One SJ-Tree instance lives on every shard; `graph` is the shard's
   // partition of the data graph (global edge ids). Work that leaves the
-  // shard — an expansion whose scan vertex is foreign, an insert whose
-  // (parent, cut-assignment) home is elsewhere, a completion whose
-  // callback home is elsewhere — goes through `router` instead of running
-  // locally; work arriving from other shards enters through
-  // ResumeExpansion / InsertForwarded. The match sets produced across all
-  // shards equal a single-graph run's exactly (the routing only relocates
-  // each exactly-once event, it never duplicates or drops one).
+  // shard — an expansion whose scan vertex is foreign, or an insert whose
+  // (parent, cut-assignment) home is elsewhere — goes through `router`
+  // instead of running locally; work arriving from other shards enters
+  // through ResumeExpansion / InsertForwarded. A completion stays on the
+  // shard that finds it. The match sets produced across all shards equal
+  // a single-graph run's exactly (the routing only relocates each
+  // exactly-once event, it never duplicates or drops one).
 
   /// Sharded RunAnchorPlan. Run only on the shard that owns the arriving
   /// edge's source vertex, so each anchor fires exactly once group-wide.

@@ -96,6 +96,10 @@ WireMatch DecodeWireMatch(WireReader* r, const std::vector<LabelId>& table) {
 /// A Batch edge: global id u64, the shared edge record, anchor bit u8.
 constexpr size_t kBatchRecordBytes = 8 + kEdgeRecordBytes + 1;
 
+/// The Completion frame's type up to protocol version 2. Completions now
+/// ride Exchange frames, and the number is refused like any unknown type.
+constexpr uint8_t kRetiredCompletionType = 12;
+
 void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
   switch (frame->type) {
     case CtrlType::kHello: {
@@ -105,7 +109,6 @@ void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
       h.shard_index = r->I32("hello shard_index");
       h.partitioner_seed = r->U64("hello seed");
       h.exchange_items_received = r->U64("hello exchange cursor");
-      h.completions_received = r->U64("hello completion cursor");
       break;
     }
     case CtrlType::kHelloAck:
@@ -207,13 +210,6 @@ void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
     case CtrlType::kCommit:
       frame->commit.watermark = r->I64("commit watermark");
       break;
-    case CtrlType::kCompletion: {
-      const std::vector<LabelId> table = ReadLabelTable(r, interner);
-      frame->completion.query_id = r->I32("completion query id");
-      frame->completion.completed_at = r->I64("completion ts");
-      frame->completion.match = DecodeWireMatch(r, table);
-      break;
-    }
     case CtrlType::kInfo:
       frame->info.query_id = r->I32("info query id");
       break;
@@ -337,10 +333,8 @@ void DecodeBody(WireReader* r, Interner* interner, CtrlFrame* frame) {
       ack.live_partial_matches = r->U64("stats live");
       ack.exchange.sent_expansions = r->U64("stats sent expansions");
       ack.exchange.sent_inserts = r->U64("stats sent inserts");
-      ack.exchange.sent_completions = r->U64("stats sent completions");
       ack.exchange.received_expansions = r->U64("stats recv expansions");
       ack.exchange.received_inserts = r->U64("stats recv inserts");
-      ack.exchange.received_completions = r->U64("stats recv completions");
       break;
     }
   }
@@ -375,9 +369,11 @@ CtrlDecodeResult DecodeCtrlFrame(std::string_view buf, size_t max_body_bytes,
 
   const uint8_t type = r.U8("frame type");
   if (type < static_cast<uint8_t>(CtrlType::kHello) ||
-      type > static_cast<uint8_t>(CtrlType::kMetricsReport)) {
+      type > static_cast<uint8_t>(CtrlType::kMetricsReport) ||
+      type == kRetiredCompletionType) {
     result.status = FrameDecodeStatus::kMalformed;
-    result.error = StrCat("unknown control frame type ", type);
+    result.error =
+        StrCat("unknown control frame type ", static_cast<int>(type));
     return result;
   }
   result.frame.type = static_cast<CtrlType>(type);
@@ -399,7 +395,6 @@ std::string EncodeHelloFrame(const CtrlHello& hello) {
   PutU32(&frame, static_cast<uint32_t>(hello.shard_index));
   PutU64(&frame, hello.partitioner_seed);
   PutU64(&frame, hello.exchange_items_received);
-  PutU64(&frame, hello.completions_received);
   return FinishFrame(std::move(frame));
 }
 
@@ -520,16 +515,6 @@ std::string EncodeCommitFrame(const CtrlCommit& commit) {
   return FinishFrame(std::move(frame));
 }
 
-StatusOr<std::string> EncodeCompletionFrame(const CtrlCompletion& completion,
-                                            const LabelNameFn& label_name) {
-  LabelTableWriter table;
-  std::string payload;
-  PutU32(&payload, static_cast<uint32_t>(completion.query_id));
-  PutI64(&payload, completion.completed_at);
-  EncodeWireMatch(&payload, completion.match, &table);
-  return LabeledFrame(CtrlType::kCompletion, table, label_name, payload);
-}
-
 std::string EncodeInfoFrame(const CtrlInfo& info) {
   std::string frame = StartFrame(CtrlType::kInfo);
   PutU32(&frame, static_cast<uint32_t>(info.query_id));
@@ -573,10 +558,8 @@ std::string EncodeStatsAckFrame(const ShardStatsSnapshot& ack) {
   PutU64(&frame, ack.live_partial_matches);
   PutU64(&frame, ack.exchange.sent_expansions);
   PutU64(&frame, ack.exchange.sent_inserts);
-  PutU64(&frame, ack.exchange.sent_completions);
   PutU64(&frame, ack.exchange.received_expansions);
   PutU64(&frame, ack.exchange.received_inserts);
-  PutU64(&frame, ack.exchange.received_completions);
   return FinishFrame(std::move(frame));
 }
 
@@ -656,8 +639,6 @@ StatusOr<std::string> EncodeCtrlFrame(const CtrlFrame& frame,
       return EncodeBarrierAckFrame(frame.barrier_ack);
     case CtrlType::kCommit:
       return EncodeCommitFrame(frame.commit);
-    case CtrlType::kCompletion:
-      return EncodeCompletionFrame(frame.completion, label_name);
     case CtrlType::kInfo:
       return EncodeInfoFrame(frame.info);
     case CtrlType::kInfoAck:

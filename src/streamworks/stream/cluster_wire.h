@@ -46,22 +46,25 @@ inline constexpr char kCtrlFrameMagic[4] = {'\xFC', 'C', 'T', '1'};
 /// registration from its strategy byte, and exchange items name SJ-Tree
 /// nodes, so two builds that plan one query differently must not share a
 /// cluster. Version 2: HelloAck carries a refusal reason, and the default
-/// strategy plans wedge leaves when there are no statistics.
-inline constexpr uint32_t kCtrlProtocolVersion = 2;
+/// strategy plans wedge leaves when there are no statistics. Version 3:
+/// completions ride Exchange frames up as kComplete items; the Completion
+/// frame (type 12), Hello's completion cursor and StatsAck's completion
+/// counters are gone.
+inline constexpr uint32_t kCtrlProtocolVersion = 3;
 
 enum class CtrlType : uint8_t {
-  kHello = 1,       ///< coordinator -> worker: identity + recovery cursors
+  kHello = 1,       ///< coordinator -> worker: identity + recovery cursor
   kHelloAck = 2,    ///< worker -> coordinator: frames durably applied
   kRegister = 3,    ///< [state] replicate a query registration
   kRegisterAck = 4, ///< worker -> coordinator: assigned id / error
   kEndBackfill = 5, ///< [state] distributed backfill done; unsuppress
   kUnregister = 6,  ///< [state] drop a query
   kBatch = 7,       ///< [state] owned edges of one ingest epoch
-  kExchange = 8,    ///< [state on worker] forwarded partial matches
+  kExchange = 8,    ///< [state on worker] forwarded matches; completions up
   kBarrier = 9,     ///< coordinator -> worker: epoch barrier probe
   kBarrierAck = 10, ///< worker -> coordinator: barrier echo + log cursor
   kCommit = 11,     ///< [state] group watermark broadcast (expiry)
-  kCompletion = 12, ///< worker -> coordinator: one completed match
+  // 12 was the Completion frame up to version 2; the decoder refuses it.
   kInfo = 13,       ///< coordinator -> worker: query_info request
   kInfoAck = 14,
   kStats = 15,      ///< coordinator -> worker: shard-load request
@@ -81,12 +84,12 @@ struct CtrlHello {
   int32_t num_shards = 0;
   int32_t shard_index = -1;
   uint64_t partitioner_seed = 0;
-  /// Recovery cursors: how many exchange items / completions the
+  /// Recovery cursor: how many exchange items, completions included, the
   /// coordinator has already received from this worker over all time.
-  /// The worker's replay regenerates both streams deterministically and
-  /// skips these prefixes, so a crash loses nothing and repeats nothing.
+  /// The worker's replay regenerates its one output stream
+  /// deterministically and skips this prefix, so a crash loses nothing
+  /// and repeats nothing.
   uint64_t exchange_items_received = 0;
-  uint64_t completions_received = 0;
 };
 
 struct CtrlHelloAck {
@@ -133,14 +136,19 @@ struct CtrlBatch {
   std::vector<CtrlShardEdge> edges;
 };
 
-/// One forwarded exchange item plus its destination shard. Worker ->
-/// coordinator frames carry the real destination (the coordinator relays;
-/// workers never talk to each other); coordinator -> worker frames carry
-/// the receiver's own shard index.
+/// One exchange item plus its destination. Worker -> coordinator frames
+/// carry the real destination: a shard index for an expansion or insert,
+/// which the coordinator relays (workers never talk to each other), or
+/// kCoordinatorDest for a kComplete item, which the coordinator delivers.
+/// Coordinator -> worker frames carry the receiver's own shard index and
+/// never a kComplete item.
 struct CtrlExchangeItem {
   int32_t dest = -1;
   ExchangeItem item;
 };
+
+/// CtrlExchangeItem::dest of a completion: the coordinator.
+inline constexpr int32_t kCoordinatorDest = -1;
 
 struct CtrlExchange {
   std::vector<CtrlExchangeItem> items;
@@ -157,12 +165,6 @@ struct CtrlBarrierAck {
 
 struct CtrlCommit {
   Timestamp watermark = -1;
-};
-
-struct CtrlCompletion {
-  int32_t query_id = -1;
-  Timestamp completed_at = 0;
-  WireMatch match;
 };
 
 struct CtrlInfo {
@@ -207,7 +209,6 @@ struct CtrlFrame {
   CtrlBarrier barrier;
   CtrlBarrierAck barrier_ack;
   CtrlCommit commit;
-  CtrlCompletion completion;
   CtrlInfo info;
   CtrlInfoAck info_ack;
   ShardStatsSnapshot stats_ack;  ///< Its `shard` is not on the wire.
@@ -257,8 +258,6 @@ StatusOr<std::vector<std::string>> EncodeExchangeFrames(
 std::string EncodeBarrierFrame(const CtrlBarrier& barrier);
 std::string EncodeBarrierAckFrame(const CtrlBarrierAck& ack);
 std::string EncodeCommitFrame(const CtrlCommit& commit);
-StatusOr<std::string> EncodeCompletionFrame(const CtrlCompletion& completion,
-                                            const LabelNameFn& label_name);
 std::string EncodeInfoFrame(const CtrlInfo& info);
 StatusOr<std::string> EncodeInfoAckFrame(const CtrlInfoAck& ack);
 std::string EncodeStatsFrame();

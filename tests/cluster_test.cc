@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -238,7 +239,7 @@ TEST(ClusterTest, MatchesSingleEngineAcrossWorkerCounts) {
           << "workers=" << num_workers << " query " << i;
       expected_total += expected[i].size();
     }
-    // Each match counts once, on its query's callback-home worker.
+    // Each match counts once, on the worker that found it.
     uint64_t completions = 0;
     for (const ShardLoadSnapshot& load : cluster.backend->ShardLoads()) {
       completions += load.completions;
@@ -527,6 +528,36 @@ TEST(ClusterTest, InfoAggregatesAcrossWorkers) {
   }
   // Every admitted edge lands on one or two owner shards.
   EXPECT_GE(processed, edges.size() - cluster.backend->rejected_edges());
+  cluster.backend->Stop();
+}
+
+// Each worker delivers the completions it finds, through the coordinator:
+// on three workers every one of them reports some, and together they
+// count each delivery once.
+TEST(ClusterTest, EachWorkerDeliversTheCompletionsItFinds) {
+  ClusterFixture cluster(3);
+  ASSERT_TRUE(cluster.ok);
+  MatchSink sink;
+  auto id = cluster.backend->Register(
+      BuildProbe(&cluster.interner), DecompositionStrategy::kLeftDeepEdgeOrder,
+      100, sink.Callback());
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(cluster.backend
+                  ->FeedBatch(TestStream(&cluster.interner, 200), nullptr)
+                  .ok());
+  cluster.backend->Flush();
+
+  auto info = cluster.backend->Info(*id);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->completions, sink.size());
+  const auto loads = cluster.backend->ShardLoads();
+  ASSERT_EQ(loads.size(), 3u);
+  uint64_t completions = 0;
+  for (const ShardLoadSnapshot& load : loads) {
+    EXPECT_GT(load.completions, 0u) << "worker " << load.shard;
+    completions += load.completions;
+  }
+  EXPECT_EQ(completions, sink.size());
   cluster.backend->Stop();
 }
 
@@ -895,6 +926,10 @@ TEST(ClusterTest, WorkerKillAndRestartContinuesExactlyOnce) {
   // replays the log when the coordinator's recovery Hello arrives.
   stop0.store(true);
   t0.join();
+  // Its one output stream mixed both kinds of item, so the replay below
+  // skips a prefix of relayed work and completions alike.
+  EXPECT_GT(w0->counters().exchange_items_sent, 0u);
+  EXPECT_GT(w0->counters().completions_sent, 0u);
   w0.reset();  // releases the frame-log flock and the listen socket
   w0 = start_worker(0, port0);
   ASSERT_TRUE(w0->Start().ok());
@@ -1126,6 +1161,90 @@ TEST(ClusterTest, HelloOfAnotherProtocolVersionIsRefused) {
                        "speaks ",
                        kCtrlProtocolVersion, ", worker speaks ",
                        kCtrlProtocolVersion + 1)),
+            std::string::npos)
+      << started.ToString();
+}
+
+// Completions only flow up. A worker refuses an Exchange frame that
+// carries one, before it logs or applies any item of it: a logged one
+// would fail every later replay.
+TEST(ClusterTest, WorkerRefusesACompletionSentDown) {
+  const std::string root =
+      (fs::temp_directory_path() / "sw_cluster_complete_down_test").string();
+  fs::remove_all(root);
+  fs::create_directories(root);
+  Interner interner;
+  const auto handshake = [&](int port) {
+    auto link = PeerLink::ConnectTcpRetry("127.0.0.1", port, 5000);
+    EXPECT_TRUE(link.ok()) << link.status().ToString();
+    CtrlHello hello;
+    hello.num_shards = 1;
+    hello.shard_index = 0;
+    EXPECT_TRUE(link->SendFrame(EncodeHelloFrame(hello)).ok());
+    auto ack = link->ReadFrame(&interner, 5000);
+    EXPECT_TRUE(ack.ok()) << ack.status().ToString();
+    EXPECT_EQ(ack->type, CtrlType::kHelloAck);
+    EXPECT_EQ(ack->hello_ack.error, "");
+    return std::make_pair(std::move(link).value(), ack->hello_ack);
+  };
+  testing::internal::CaptureStderr();
+  {
+    WorkerHarness worker(root);
+    ASSERT_TRUE(worker.Start().ok());
+    auto [link, ack] = handshake(worker.port());
+    EXPECT_EQ(ack.applied_frames, 0u);
+    // A good state frame, which the log keeps, then the bad one.
+    ASSERT_TRUE(
+        link.SendFrame(EncodeCommitFrame(CtrlCommit{.watermark = 5})).ok());
+    CtrlExchangeItem completion;
+    completion.dest = 0;
+    completion.item.kind = ExchangeKind::kComplete;
+    completion.item.query_id = 0;
+    CtrlExchange exchange;
+    exchange.items = {completion};
+    ASSERT_TRUE(link.SendFrame(EncodeExchangeFrame(exchange,
+                                                   InternerNames(interner))
+                                   .value())
+                    .ok());
+    // The worker ends the session instead of answering.
+    EXPECT_FALSE(link.ReadFrame(&interner, 5000).ok());
+    worker.Kill();
+    EXPECT_EQ(worker.counters().frames_applied, 1u);
+  }
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("exchange frame carries a completion"),
+            std::string::npos)
+      << err;
+  // A restart on the same log replays the one frame it holds.
+  WorkerHarness restarted(root);
+  ASSERT_TRUE(restarted.Start().ok());
+  EXPECT_EQ(handshake(restarted.port()).second.applied_frames, 1u);
+  restarted.Kill();
+  EXPECT_TRUE(restarted.serve_status().ok())
+      << restarted.serve_status().ToString();
+  fs::remove_all(root);
+}
+
+// Start bounds its wait for each worker's HelloAck by
+// connect_deadline_ms: an address whose listener never accepts (a wedged
+// daemon, another service) fails Start fast, naming the worker.
+TEST(ClusterTest, StartFailsFastOnAWorkerThatNeverAnswers) {
+  auto listener = ListenTcp("127.0.0.1", 0, /*backlog=*/4);
+  ASSERT_TRUE(listener.ok());
+  const int port = BoundTcpPort(listener->get()).value();
+  Interner interner;
+  DistributedBackendOptions options;
+  options.workers = {StrCat("127.0.0.1:", port)};
+  options.connect_deadline_ms = 500;
+  DistributedBackend backend(options, &interner);
+  const auto begin = std::chrono::steady_clock::now();
+  const Status started = backend.Start();
+  const auto waited = std::chrono::steady_clock::now() - begin;
+  EXPECT_FALSE(started.ok());
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_NE(started.message().find(
+                StrCat("worker 0 (127.0.0.1:", port,
+                       ") did not answer the Hello within 500ms")),
             std::string::npos)
       << started.ToString();
 }

@@ -612,7 +612,6 @@ TEST(ClusterWireTest, HelloAndAckRoundTrip) {
   hello.shard_index = 2;
   hello.partitioner_seed = 0xfeedfacecafebeefULL;
   hello.exchange_items_received = 123456789;
-  hello.completions_received = 42;
   Interner interner;
   const CtrlFrame frame = MustDecode(EncodeHelloFrame(hello), &interner);
   ASSERT_EQ(frame.type, CtrlType::kHello);
@@ -621,7 +620,6 @@ TEST(ClusterWireTest, HelloAndAckRoundTrip) {
   EXPECT_EQ(frame.hello.shard_index, 2);
   EXPECT_EQ(frame.hello.partitioner_seed, hello.partitioner_seed);
   EXPECT_EQ(frame.hello.exchange_items_received, 123456789u);
-  EXPECT_EQ(frame.hello.completions_received, 42u);
 
   CtrlHelloAck ack;
   ack.applied_frames = 7;
@@ -785,22 +783,42 @@ TEST(ClusterWireTest, ControlOnlyFramesRoundTrip) {
   EXPECT_EQ(f.type, CtrlType::kStats);
 }
 
+// A completion travels up as a kComplete item addressed to the
+// coordinator, in an Exchange frame beside the shard's other items.
 TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   Interner enc_interner;
-  CtrlCompletion completion;
-  completion.query_id = 4;
-  completion.completed_at = 900;
-  completion.match.vertices = {{0, 7, enc_interner.Intern("Host")}};
-  completion.match.edges = {{0, 3, 899}, {1, 4, 900}};
+  CtrlExchange exchange;
+  CtrlExchangeItem completion;
+  completion.dest = kCoordinatorDest;
+  completion.item.kind = ExchangeKind::kComplete;
+  completion.item.query_id = 4;
+  completion.item.match.vertices = {{0, 7, enc_interner.Intern("Host")}};
+  completion.item.match.edges = {{0, 3, 899}, {1, 4, 900}};
+  CtrlExchangeItem insert;
+  insert.dest = 1;
+  insert.item.kind = ExchangeKind::kInsert;
+  insert.item.query_id = 4;
+  insert.item.node = 2;
+  insert.item.match.vertices = {{0, 8, enc_interner.Intern("Host")}};
+  exchange.items = {completion, insert};
   Interner dec_interner;
   CtrlFrame f = MustDecode(
-      EncodeCompletionFrame(completion, NameFn(enc_interner)).value(),
+      EncodeExchangeFrame(exchange, NameFn(enc_interner)).value(),
       &dec_interner);
-  ASSERT_EQ(f.type, CtrlType::kCompletion);
-  EXPECT_EQ(f.completion.query_id, 4);
-  EXPECT_EQ(f.completion.completed_at, 900);
-  ASSERT_EQ(f.completion.match.edges.size(), 2u);
-  EXPECT_EQ(f.completion.match.edges[1].edge, 4u);
+  ASSERT_EQ(f.type, CtrlType::kExchange);
+  ASSERT_EQ(f.exchange.items.size(), 2u);
+  const CtrlExchangeItem& up = f.exchange.items[0];
+  EXPECT_EQ(up.dest, -1);
+  EXPECT_EQ(up.item.kind, ExchangeKind::kComplete);
+  EXPECT_EQ(up.item.query_id, 4);
+  ASSERT_EQ(up.item.match.vertices.size(), 1u);
+  EXPECT_EQ(up.item.match.vertices[0].vertex, 7u);
+  EXPECT_EQ(dec_interner.Name(up.item.match.vertices[0].label), "Host");
+  ASSERT_EQ(up.item.match.edges.size(), 2u);
+  EXPECT_EQ(up.item.match.edges[1].edge, 4u);
+  EXPECT_EQ(up.item.match.edges[1].ts, 900);
+  EXPECT_EQ(f.exchange.items[1].dest, 1);
+  EXPECT_EQ(f.exchange.items[1].item.kind, ExchangeKind::kInsert);
 
   CtrlInfoAck info_ack;
   info_ack.ok = true;
@@ -835,12 +853,35 @@ TEST(ClusterWireTest, CompletionAndAckPayloadsRoundTrip) {
   stats.completions = 5;
   stats.live_partial_matches = 6;
   stats.exchange.sent_inserts = 7;
-  stats.exchange.received_completions = 8;
+  stats.exchange.received_inserts = 8;
   f = MustDecode(EncodeStatsAckFrame(stats), &dec_interner);
   ASSERT_EQ(f.type, CtrlType::kStatsAck);
   EXPECT_EQ(f.stats_ack.evicted_edges, 3u);
   EXPECT_EQ(f.stats_ack.exchange.sent_inserts, 7u);
-  EXPECT_EQ(f.stats_ack.exchange.received_completions, 8u);
+  EXPECT_EQ(f.stats_ack.exchange.received_inserts, 8u);
+}
+
+// Type 12 was the Completion frame up to protocol version 2. A peer that
+// still sends one is refused like any unknown type; its neighbours decode.
+TEST(ClusterWireTest, RetiredCompletionTypeIsRefusedAsUnknown) {
+  const std::string commit = EncodeCommitFrame(CtrlCommit{.watermark = 5});
+  Interner interner;
+  for (const uint8_t type : {11, 12, 13}) {
+    std::string frame = commit;
+    frame[kFrameHeaderBytes] = static_cast<char>(type);
+    const CtrlDecodeResult result =
+        DecodeCtrlFrame(frame, kDefaultMaxFrameBodyBytes, &interner);
+    if (type == 12) {
+      EXPECT_EQ(result.status, FrameDecodeStatus::kMalformed);
+      EXPECT_EQ(result.error, "unknown control frame type 12");
+    } else {
+      // The commit's 8-byte payload reads as a commit or an info request
+      // plus trailing bytes: either way the type itself was accepted.
+      EXPECT_EQ(result.error.find("unknown control frame type"),
+                std::string::npos)
+          << result.error;
+    }
+  }
 }
 
 TEST(ClusterWireTest, TruncatedFrameNeedsMoreAtEveryPrefix) {
@@ -935,7 +976,6 @@ TEST(ClusterWireTest, StateTypeClassificationMatchesProtocol) {
   EXPECT_FALSE(IsStateCtrlType(CtrlType::kHelloAck));
   EXPECT_FALSE(IsStateCtrlType(CtrlType::kBarrier));
   EXPECT_FALSE(IsStateCtrlType(CtrlType::kBarrierAck));
-  EXPECT_FALSE(IsStateCtrlType(CtrlType::kCompletion));
   EXPECT_FALSE(IsStateCtrlType(CtrlType::kInfo));
   // Metrics federation frames are pure observability — never logged,
   // never replayed.
